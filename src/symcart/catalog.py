@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .rootsys import Multiplicities, RootSystemType, kp_enumerated
+from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
 
 
 @dataclass(frozen=True, order=True)
@@ -48,10 +48,6 @@ class SpaceInstance:
     def valid(self) -> bool:
         """Valid dimension: C_P >= 1, equivalently d_P >= 10."""
         return self.cp >= 1
-
-    @property
-    def cartan_symbol(self) -> str:
-        return self.symbol
 
     def label(self) -> str:
         if not self.params:
@@ -213,20 +209,15 @@ def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
     if symbol in _EXCEPTIONAL:
         _require(not params, symbol, "no parameters")
         dim, root, mults, (dp_ref, kp_ref) = _EXCEPTIONAL[symbol]
-        res = kp_enumerated(root, mults)
+        res = kp_by_deletion(root, mults)
         assert res.value == kp_ref and dim - res.value == dp_ref, \
             (symbol, res, dp_ref, kp_ref)
         return SpaceInstance(symbol, (), dim, root.rank, res.value,
                              root, mults, res.maximizer)
     dim, root, mults = _root_datum(symbol, params)
-    res = kp_enumerated(root, mults)
+    res = kp_by_deletion(root, mults)
     return SpaceInstance(symbol, params, dim, root.rank, res.value,
                          root, mults, res.maximizer)
-
-
-def resolve_isomorphism(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
-    """Canonical representative of a presentation (identity if already canonical)."""
-    return instantiate(symbol, tuple(params))
 
 
 def sharp(p: SpaceInstance, codim: int) -> int:

@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .catalog import SpaceInstance, EXCEPTIONAL_SYMBOLS, sharp
+from .homotopy import _compile_guard
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -131,16 +132,20 @@ def meridian_codim(fld: str, p: int, q: int, a: int, b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def index_lower_bound(fld: str, p: int) -> int:
-    """Bundled external-source index value for Gr(F, p, n) submanifolds."""
-    with open(os.path.join(_DATA_DIR, "index_bounds.txt")) as fh:
+def index_lower_bound(fld: str, p: int, data_dir: Optional[str] = None) -> int:
+    """Bundled external-source index value for Gr(F, p, n) submanifolds.
+
+    The index expression is compiled by the homotopy tables' guard
+    compiler, so a construct outside its whitelist raises ValueError.
+    """
+    with open(os.path.join(data_dir or _DATA_DIR, "index_bounds.txt")) as fh:
         for line in fh:
             line = line.strip()
             if line.startswith("#") or not line:
                 continue
             name, _, expr = line.partition("|")
             if name.strip() == fld:
-                return eval(compile(expr.strip(), "<index>", "eval"),
+                return eval(_compile_guard(expr.strip()),
                             {"__builtins__": {}}, {"p": p})
     raise KeyError(fld)
 

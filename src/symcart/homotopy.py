@@ -137,7 +137,10 @@ def load_records(data_dir: Optional[str] = None) -> Tuple[HomotopyRecord, ...]:
 
 
 def _matching_records(s: SpaceInstance, k: int, data_dir=None):
-    return [rec for rec in load_records(data_dir)
+    # load_records() and load_records(None) are separate lru_cache keys;
+    # asking for the shipped tables one way parses them once per process
+    records = load_records() if data_dir is None else load_records(data_dir)
+    return [rec for rec in records
             if rec.matches(s) and rec.guard_holds(s, k)]
 
 

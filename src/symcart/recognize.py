@@ -99,8 +99,15 @@ def distinguish(a: Space, b: Space, max_degree: int = 9,
                                 max_degree)
 
 
-def _is_blind_pair(a: SpaceInstance, b: SpaceInstance) -> bool:
-    """The documented recognition blind spot: CP^n (n>=5) vs Gr(R,2,q) (q>=10).
+def _is_blind_pair(a: SpaceInstance, b: SpaceInstance,
+                   max_degree: int = 9) -> bool:
+    """The recognition blind spot through max_degree: CP^n vs Gr(R,2,q).
+
+    Both have pi_2 = Z and trivial pi_k for k != 2 below the first
+    homotopy group of their circle bundle's total space: S^(2n+1) is
+    2n-connected and V_2(R^(q+2)) is (q-1)-connected, so the pair is
+    blind iff 2n + 1 > max_degree and q > max_degree.  At degree 9 this
+    is CP^n (n >= 5) vs Gr(R,2,q) (q >= 10).
 
     Only this set is expected blind.  Other pairs whose groups through
     degree 9 are equal -- EVII against CP^n or Gr(R,2,q), and E7 against
@@ -108,8 +115,10 @@ def _is_blind_pair(a: SpaceInstance, b: SpaceInstance) -> bool:
     acceptance criterion 4 lists them with the reason for each.
     """
     for x, y in ((a, b), (b, a)):
-        if (x.symbol == "AIII" and x.params[0] == 1 and x.params[1] >= 5
-                and y.symbol == "BDI" and y.params[0] == 2 and y.params[1] >= 10):
+        if (x.symbol == "AIII" and x.params[0] == 1
+                and 2 * x.params[1] + 1 > max_degree
+                and y.symbol == "BDI" and y.params[0] == 2
+                and y.params[1] > max_degree):
             return True
     return False
 
@@ -178,7 +187,7 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
                                                      profiles[sb], max_degree)
             v = verdicts[key]
             for a, b in pairs:
-                blind = _is_blind_pair(a, b)
+                blind = _is_blind_pair(a, b, max_degree)
                 if v.kind == DISTINGUISHABLE and not blind:
                     report.distinguishable_pairs += 1
                 elif v.kind == INDISTINGUISHABLE and blind:

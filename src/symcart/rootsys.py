@@ -6,14 +6,23 @@ alpha_1..alpha_r.  The key quantity computed here is
     k(type, mult) = r + max_j  sum of multiplicities of the positive
                                roots whose j-th coefficient vanishes,
 
-obtained two independent ways: by direct enumeration of the positive
-roots, and by closed forms (with small-rank and exceptional fallbacks).
+The roots whose j-th coefficient vanishes are the positive roots of the
+subsystem left by deleting node j of the Dynkin diagram (Bourbaki, Lie
+Groups and Lie Algebras, Ch. VI), so each node's count follows from the
+types of the pieces left, with no root enumerated, and k costs O(rank):
+this is ``kp_by_deletion``, the path the catalog uses.  Two independent
+oracles check it: direct enumeration of the positive roots
+(``zero_coeff_counts``, ``kp_enumerated``) and the published closed
+forms for k itself (``kp_closed_form``, with small-rank and exceptional
+gaps).
 
 >>> len(positive_roots(RootSystemType("E8")))
 120
 >>> zero_coeff_counts(RootSystemType("F4"), 1)
 (6, 3, 0)
 >>> kp_enumerated(RootSystemType("A", 7), Multiplicities(m_l=2))
+KpResult(value=49, maximizer=1)
+>>> kp_by_deletion(RootSystemType("A", 7), Multiplicities(m_l=2))
 KpResult(value=49, maximizer=1)
 """
 
@@ -260,23 +269,100 @@ def zero_coeff_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
     return n[SHORT], n[LONG], n[EXTRA_LONG]
 
 
+def deletion_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
+    """(n_short, n_long, n_extra_long) among positive roots with j-th coeff 0.
+
+    These are the positive roots of the diagram left by deleting node j.
+    For a classical type that is A(j-1), whose a = j(j-1)/2 roots are
+    e_i - e_k, beside a tail of rank b = r - j of the type's own kind (for
+    D, A(r-1) alone when j >= r - 1).  An exceptional diagram leaves
+    pieces of type A, B, C, D, E6 or E7, read off its Gram matrix.  No
+    root is enumerated either way.
+
+    >>> [deletion_counts(RootSystemType("BC", 3), j) for j in (1, 2, 3)]
+    [(2, 2, 2), (1, 1, 1), (0, 3, 0)]
+    """
+    if not 1 <= j <= t.rank:
+        raise IndexError(f"simple-root index {j} out of range 1..{t.rank}")
+    r, s = t.rank, t.symbol
+    a, b = j * (j - 1) // 2, r - j
+    if s == "A":
+        return 0, a + b * (b + 1) // 2, 0
+    if s == "B":
+        return b, a + b * (b - 1), 0
+    if s == "BC":
+        return b, a + b * (b - 1), b
+    if s == "C":
+        return a + b * (b - 1), b, 0
+    if s == "D":
+        return 0, (a + b * (b - 1) if j <= r - 2 else r * (r - 1) // 2), 0
+    return _exceptional_deletion_counts(t, j)
+
+
+def _exceptional_deletion_counts(t: RootSystemType,
+                                 j: int) -> Tuple[int, int, int]:
+    g = _exceptional_gram(t.symbol)
+    top = max(g[i][i] for i in range(t.rank))
+    rest = set(range(t.rank)) - {j - 1}
+    n_short = n_long = 0
+    while rest:
+        piece = [rest.pop()]
+        for i in piece:                       # grows into a connected piece
+            linked = {k for k in rest if g[i][k]}
+            rest -= linked
+            piece.extend(linked)
+        n = len(piece)
+        short = sum(g[i][i] < top for i in piece)
+        if 0 < short < n:                     # B(n) or C(n): F4's double bond
+            n_s, n_l = (n, n * (n - 1)) if short == 1 else (n * (n - 1), n)
+        else:                                 # simply laced, of one length
+            roots = _simply_laced_root_count(g, piece)
+            n_s, n_l = (roots, 0) if short else (0, roots)
+        n_short += n_s
+        n_long += n_l
+    return n_short, n_long, 0
+
+
+def _simply_laced_root_count(g, piece) -> int:
+    """Positive roots of a connected simply laced piece: A(n), D(n), E6, E7."""
+    n = len(piece)
+    links = {i: [k for k in piece if k != i and g[i][k]] for i in piece}
+    branch = [i for i in piece if len(links[i]) == 3]
+    if not branch:
+        return n * (n + 1) // 2
+    leaves = sum(len(links[k]) == 1 for k in links[branch[0]])
+    if leaves >= 2:
+        return n * (n - 1)
+    return _EXCEPTIONAL_COUNT[f"E{n}"]
+
+
 class KpResult(NamedTuple):
     value: int
     maximizer: int
 
 
-def kp_enumerated(t: RootSystemType, m: Multiplicities) -> KpResult:
-    """k = rank + max_j (multiplicity-weighted zero-coefficient count).
-
-    Reports the smallest maximizing simple-root index.
-    """
+def _kp_over_nodes(t: RootSystemType, m: Multiplicities, counts) -> KpResult:
     best, best_j = -1, 0
     for j in range(1, t.rank + 1):
-        n_s, n_l, n_xl = zero_coeff_counts(t, j)
+        n_s, n_l, n_xl = counts(t, j)
         total = m.m_s * n_s + m.m_l * n_l + m.m_xl * n_xl
         if total > best:
             best, best_j = total, j
     return KpResult(t.rank + best, best_j)
+
+
+def kp_enumerated(t: RootSystemType, m: Multiplicities) -> KpResult:
+    """k = rank + max_j (multiplicity-weighted zero-coefficient count).
+
+    Reports the smallest maximizing simple-root index.  Counts by
+    enumerating every positive root; the oracle for ``kp_by_deletion``.
+    """
+    return _kp_over_nodes(t, m, zero_coeff_counts)
+
+
+def kp_by_deletion(t: RootSystemType, m: Multiplicities) -> KpResult:
+    """``kp_enumerated``'s result from ``deletion_counts``, in O(rank)."""
+    return _kp_over_nodes(t, m, deletion_counts)
 
 
 def kp_closed_form(t: RootSystemType, m: Multiplicities) -> Optional[int]:

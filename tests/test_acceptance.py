@@ -16,8 +16,8 @@ from symcart.geom import connectivity, min_meridian_codim, trace_bound
 from symcart.homotopy import consistency_violations
 from symcart.recognize import INDISTINGUISHABLE, UNDETERMINED, \
     corollary1_scan
-from symcart.rootsys import Multiplicities, RootSystemType, kp_closed_form, \
-    kp_enumerated
+from symcart.rootsys import Multiplicities, RootSystemType, kp_by_deletion, \
+    kp_closed_form, kp_enumerated
 
 
 def _report(ok, name, detail=""):
@@ -67,18 +67,26 @@ def test_criterion_3_oracle_equivalence():
     cases += [("BC", r) for r in range(1, 13)]
     cases += [("E6", 0), ("E7", 0), ("E8", 0), ("F4", 0), ("G2", 0)]
     bad = []
+    bad_deletion = []
     checked = 0
+    deleted = 0
     for symbol, rank in cases:
         t = RootSystemType(symbol, rank)
         for m in mult_sets(symbol):
+            enumerated = kp_enumerated(t, m)
+            # the catalog's path: value and smallest maximizing node
+            deleted += 1
+            if kp_by_deletion(t, m) != enumerated:
+                bad_deletion.append((symbol, rank, m))
             closed = kp_closed_form(t, m)
             if closed is not None:
                 checked += 1
-                if closed != kp_enumerated(t, m).value:
+                if closed != enumerated.value:
                     bad.append((symbol, rank, m))
-    _report(not bad and checked > 100,
-            "criterion 3: closed form = enumeration oracle",
-            f"{checked} closed-form cases, {len(bad)} disagreements")
+    _report(not bad and not bad_deletion and checked > 100,
+            "criterion 3: closed form = deletion = enumeration oracle",
+            f"{checked} closed-form cases, {len(bad)} disagreements; "
+            f"{deleted} deletion cases, {len(bad_deletion)} disagreements")
 
 
 def test_criterion_4_corollary1_scan():

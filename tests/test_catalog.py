@@ -10,7 +10,7 @@ from symcart.catalog import (EXCEPTIONAL_SYMBOLS, ConstraintError,
                              SPECIAL_ISOMORPHISMS, classical_presentations,
                              enumerate_catalog, instantiate, product_kp,
                              reference_classical, reference_exceptional,
-                             resolve_isomorphism, sharp)
+                             sharp)
 
 
 def test_classical_reference_rows_match_computation():
@@ -95,7 +95,7 @@ def test_enumerate_catalog_is_canonical_and_deduplicated():
     assert len(set(labels)) == len(labels)
     for s in spaces:
         assert s.dim <= 150
-        assert resolve_isomorphism(s.symbol, s.params) == s
+        assert instantiate(s.symbol, s.params) == s
     assert not any(s.symbol == "S" for s in enumerate_catalog(150, False))
 
 

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from symcart import cli, rootsys
+from symcart.catalog import reference_classical
 from symcart.cli import SpaceSyntaxError, main, parse_space
 
 
@@ -53,6 +55,20 @@ def test_kp_command(capsys):
     code, out = run(capsys, "kp", "Gr(R,3,10)")
     assert code == 0
     assert "BDI(3,7): dim=21 rank=3 k_P=13 d_P=8 C_P=0 valid=False" in out
+
+
+def test_kp_of_a_large_rank_enumerates_no_root(capsys, monkeypatch):
+    def no_enumeration(t):
+        raise AssertionError(f"positive roots of {t} enumerated")
+
+    monkeypatch.setattr(rootsys, "positive_roots", no_enumeration)
+    monkeypatch.setattr(cli, "positive_roots", no_enumeration)
+    code, out = run(capsys, "kp", "SU(1000)", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["k_P"], payload["d_P"]) == (998001, 1998)
+    assert (payload["d_P"], payload["k_P"]) == \
+        reference_classical("SU", (1000,))[:2]
 
 
 def test_homotopy_command(capsys):

@@ -118,6 +118,14 @@ def test_index_lower_bounds():
     assert index_lower_bound("H", 2) == 8
 
 
+def test_index_bounds_file_goes_through_the_guard_compiler(tmp_path):
+    (tmp_path / "index_bounds.txt").write_text(
+        "R | p\nC | __import__('os').getpid()\n")
+    assert index_lower_bound("R", 5, str(tmp_path)) == 5
+    with pytest.raises(ValueError, match="disallowed construct"):
+        index_lower_bound("C", 3, str(tmp_path))
+
+
 def test_theorem_b_verdicts():
     v = theorem_b_check("C", 3, 23, 7)
     assert v.applicable and v.min_meridian_codim == 42

@@ -5,7 +5,8 @@ import pytest
 from symcart.abelian import format_group, parse_group
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
 from symcart.homotopy import (MAX_DEGREE, NOT_COVERED, consistency_violations,
-                              coverage, pi, pi_candidates, profile)
+                              coverage, load_records, pi, pi_candidates,
+                              profile)
 
 
 def _fmt(s, k):
@@ -113,3 +114,10 @@ def test_unstable_beats_stable_on_overlap():
 
 def test_tables_are_internally_consistent():
     assert consistency_violations(150) == []
+
+
+def test_tables_are_parsed_once_per_process():
+    load_records.cache_clear()
+    load_records()
+    pi_candidates(instantiate("SU", (3,)), 3)
+    assert load_records.cache_info().misses == 1

@@ -60,6 +60,30 @@ def test_blind_pair_predicate():
                               instantiate("BDI", (2, 10)))
 
 
+def test_blind_pair_predicate_follows_the_degree():
+    cp5, cp4 = instantiate("AIII", (1, 5)), instantiate("AIII", (1, 4))
+    gr10, gr11 = instantiate("BDI", (2, 10)), instantiate("BDI", (2, 11))
+    # S^11 -> CP^5 is 10-connected; V_2(R^12) -> Gr(R,2,10) is 9-connected
+    assert _is_blind_pair(cp5, gr11, 10)
+    assert not _is_blind_pair(cp5, gr10, 10)
+    assert not _is_blind_pair(cp4, gr11, 9)
+    assert _is_blind_pair(cp4, gr11, 8)
+    assert _is_blind_pair(cp5, gr10) == _is_blind_pair(cp5, gr10, 9)
+
+
+def test_scan_through_degree_ten():
+    """pi_10 separates CP^n from Gr(R,2,10), so those pairs leave the blind set."""
+    report = corollary1_scan(300, 10)
+    assert report.distinguishable_pairs == 845098
+    assert len(report.blind_pairs) == 20300
+    assert len(report.undetermined) == 147
+    assert sorted(sorted((a.label(), b.label())) + [str(v)]
+                  for a, b, v in report.violations) == [
+        ["BDI(2,10)", "EVII", "Indistinguishable(10)"],
+        ["E7", "E8", "Indistinguishable(10)"]]
+    assert all(_is_blind_pair(a, b, 10) for a, b in report.blind_pairs)
+
+
 def test_scan_report_structure():
     report = corollary1_scan(60)
     assert report.instances == len([s for s in enumerate_catalog(60) if s.valid])

@@ -3,8 +3,8 @@
 import pytest
 
 from symcart.rootsys import (EXTRA_LONG, LONG, SHORT, KpResult,
-                             Multiplicities, RootSystemType, kp,
-                             kp_closed_form, kp_enumerated, positive_roots,
+                             Multiplicities, RootSystemType, deletion_counts,
+                             kp, kp_closed_form, kp_enumerated, positive_roots,
                              zero_coeff_counts)
 
 
@@ -82,10 +82,35 @@ def test_zero_coefficient_counts_low_rank(symbol, rank, table):
 
 def test_zero_coeff_index_out_of_range():
     t = RootSystemType("B", 3)
-    with pytest.raises(IndexError):
-        zero_coeff_counts(t, 0)
-    with pytest.raises(IndexError):
-        zero_coeff_counts(t, 4)
+    for counts in (zero_coeff_counts, deletion_counts):
+        with pytest.raises(IndexError):
+            counts(t, 0)
+        with pytest.raises(IndexError):
+            counts(t, 4)
+
+
+def test_deletion_counts_match_enumeration_at_every_node():
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 4, "BC": 1}
+    checked = 0
+    for symbol, lo in lowest.items():
+        for r in range(lo, 13):
+            t = RootSystemType(symbol, r)
+            for j in range(1, r + 1):
+                assert deletion_counts(t, j) == zero_coeff_counts(t, j), \
+                    (symbol, r, j)
+                checked += 1
+    for symbol in ("E6", "E7", "E8", "F4", "G2"):
+        t = RootSystemType(symbol)
+        for j in range(1, t.rank + 1):
+            assert deletion_counts(t, j) == zero_coeff_counts(t, j), (symbol, j)
+            checked += 1
+    assert checked == 2 * 78 + 2 * 77 + 72 + 27   # A, BC; B, C; D; E, F, G
+    # the smallest cases: BC1 has no root with a zero coefficient, and
+    # D4's three outer nodes are alike
+    assert deletion_counts(RootSystemType("BC", 1), 1) == (0, 0, 0)
+    d4 = RootSystemType("D", 4)
+    assert [deletion_counts(d4, j) for j in range(1, 5)] == \
+        [(0, 6, 0), (0, 3, 0), (0, 6, 0), (0, 6, 0)]
 
 
 def test_kp_examples():

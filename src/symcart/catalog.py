@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
 
@@ -123,6 +123,86 @@ _EXCEPTIONAL = {
 EXCEPTIONAL_SYMBOLS = tuple(_EXCEPTIONAL)
 
 
+class _Family(NamedTuple):
+    """One classical family: presentations ``symbol(params)``.
+
+    Parameters are nondecreasing and at least ``smallest`` (n >= n0, or
+    p0 <= p <= q); ``note`` says why smaller ones are left out.  ``dim``
+    grows in every parameter; ``datum`` gives the restricted root system
+    and its multiplicities (Helgason, Differential Geometry, Lie Groups,
+    and Symmetric Spaces, Ch. X).
+    """
+
+    smallest: Tuple[int, ...]
+    dim: Callable[..., int]
+    datum: Callable[..., Tuple[RootSystemType, Multiplicities]]
+    note: str = ""
+
+    def requires(self) -> str:
+        lo = self.smallest[0]
+        cond = f"n >= {lo}" if len(self.smallest) == 1 else f"{lo} <= p <= q"
+        return f"{cond} ({self.note})" if self.note else cond
+
+    def admits(self, params: Tuple[int, ...]) -> bool:
+        return (len(params) == len(self.smallest)
+                and self.smallest[0] <= params[0]
+                and list(params) == sorted(params))
+
+    def sweep(self, max_dim: int, prefix: Tuple[int, ...] = ()):
+        """Every admitted parameter tuple from prefix on with dim <= max_dim."""
+        rest = len(self.smallest) - len(prefix)
+        if not rest:
+            yield prefix
+            return
+        i = len(prefix)
+        v = max(self.smallest[i], prefix[-1]) if prefix else self.smallest[0]
+        # dim grows in every parameter: the least completion bounds the rest
+        while self.dim(*prefix, *[v] * rest) <= max_dim:
+            yield from self.sweep(max_dim, prefix + (v,))
+            v += 1
+
+
+def _grassmannian(c: int) -> _Family:
+    """Gr(F, p, p+q) over the field F of real dimension c."""
+    def datum(p, q):
+        if p == q:
+            if c == 1:
+                return RootSystemType("D", p), Multiplicities(m_l=1)
+            return RootSystemType("C", p), Multiplicities(m_s=c, m_l=c - 1)
+        if c == 1:
+            return RootSystemType("B", p), Multiplicities(m_s=q - p, m_l=1)
+        return RootSystemType("BC", p), Multiplicities(c * (q - p), c, c - 1)
+
+    smallest, note = ((2, 2), "p = 1 is a sphere") if c == 1 else ((1, 1), "")
+    return _Family(smallest, lambda p, q: c * p * q, datum, note)
+
+
+# Grassmannians Gr(F, p, n) by field F: Cartan symbol and real dimension c.
+GRASSMANNIANS = {"R": ("BDI", 1), "C": ("AIII", 2), "H": ("CII", 4)}
+
+_CLASSICAL = {
+    "SU": _Family((2,), lambda n: n * n - 1, lambda n: (
+        RootSystemType("A", n - 1), Multiplicities(m_l=2))),
+    "AI": _Family((2,), lambda n: (n - 1) * (n + 2) // 2, lambda n: (
+        RootSystemType("A", n - 1), Multiplicities(m_l=1))),
+    "AII": _Family((2,), lambda n: (n - 1) * (2 * n + 1), lambda n: (
+        RootSystemType("A", n - 1), Multiplicities(m_l=4))),
+    "Spin": _Family((5,), lambda n: n * (n - 1) // 2, lambda n: (
+        (RootSystemType("B", (n - 1) // 2), Multiplicities(m_s=2, m_l=2))
+        if n % 2 else (RootSystemType("D", n // 2), Multiplicities(m_l=2))),
+        "smaller spin groups are spheres/products"),
+    "Sp": _Family((2,), lambda n: n * (2 * n + 1), lambda n: (
+        RootSystemType("C", n), Multiplicities(m_s=2, m_l=2))),
+    "CI": _Family((2,), lambda n: n * (n + 1), lambda n: (
+        RootSystemType("C", n), Multiplicities(m_s=1, m_l=1))),
+    "DIII": _Family((5,), lambda n: n * (n - 1), lambda n: (
+        (RootSystemType("BC", (n - 1) // 2), Multiplicities(4, 4, 1))
+        if n % 2 else (RootSystemType("C", n // 2), Multiplicities(m_s=4, m_l=1))),
+        "smaller cases are isomorphic to other spaces"),
+    **{symbol: _grassmannian(c) for symbol, c in GRASSMANNIANS.values()},
+}
+
+
 def _require(cond: bool, label: str, condition: str):
     if not cond:
         raise ConstraintError(f"{label}: requires {condition}")
@@ -130,65 +210,12 @@ def _require(cond: bool, label: str, condition: str):
 
 def _root_datum(symbol: str, params: Tuple[int, ...]):
     """(dim, root system, multiplicities) for a classical presentation."""
-    label = f"{symbol}{params}"
-    if symbol == "SU":
-        n, = params
-        _require(n >= 2, label, "n >= 2")
-        return n * n - 1, RootSystemType("A", n - 1), Multiplicities(m_l=2)
-    if symbol == "AI":
-        n, = params
-        _require(n >= 2, label, "n >= 2")
-        return (n - 1) * (n + 2) // 2, RootSystemType("A", n - 1), Multiplicities(m_l=1)
-    if symbol == "AII":
-        n, = params
-        _require(n >= 2, label, "n >= 2")
-        return (n - 1) * (2 * n + 1), RootSystemType("A", n - 1), Multiplicities(m_l=4)
-    if symbol == "AIII":
-        p, q = params
-        _require(1 <= p <= q, label, "1 <= p <= q")
-        if p == q:
-            return 2 * p * q, RootSystemType("C", p), Multiplicities(m_s=2, m_l=1)
-        return (2 * p * q, RootSystemType("BC", p),
-                Multiplicities(m_s=2 * (q - p), m_l=2, m_xl=1))
-    if symbol == "Spin":
-        n, = params
-        _require(n >= 5, label, "n >= 5 (smaller spin groups are spheres/products)")
-        if n % 2:
-            r = (n - 1) // 2
-            return (n * (n - 1) // 2, RootSystemType("B", r),
-                    Multiplicities(m_s=2, m_l=2))
-        r = n // 2
-        return n * (n - 1) // 2, RootSystemType("D", r), Multiplicities(m_l=2)
-    if symbol == "BDI":
-        p, q = params
-        _require(2 <= p <= q, label, "2 <= p <= q (p = 1 is a sphere)")
-        if p == q:
-            _require(p >= 4, label, "p = q >= 4 (smaller square cases are isomorphic to other spaces)")
-            return p * q, RootSystemType("D", p), Multiplicities(m_l=1)
-        return p * q, RootSystemType("B", p), Multiplicities(m_s=q - p, m_l=1)
-    if symbol == "Sp":
-        n, = params
-        _require(n >= 2, label, "n >= 2")
-        return n * (2 * n + 1), RootSystemType("C", n), Multiplicities(m_s=2, m_l=2)
-    if symbol == "CI":
-        n, = params
-        _require(n >= 2, label, "n >= 2")
-        return n * (n + 1), RootSystemType("C", n), Multiplicities(m_s=1, m_l=1)
-    if symbol == "CII":
-        p, q = params
-        _require(1 <= p <= q, label, "1 <= p <= q")
-        if p == q:
-            return 4 * p * q, RootSystemType("C", p), Multiplicities(m_s=4, m_l=3)
-        return (4 * p * q, RootSystemType("BC", p),
-                Multiplicities(m_s=4 * (q - p), m_l=4, m_xl=3))
-    if symbol == "DIII":
-        n, = params
-        _require(n >= 5, label, "n >= 5 (smaller cases are isomorphic to other spaces)")
-        if n % 2 == 0:
-            return n * (n - 1), RootSystemType("C", n // 2), Multiplicities(m_s=4, m_l=1)
-        return (n * (n - 1), RootSystemType("BC", (n - 1) // 2),
-                Multiplicities(m_s=4, m_l=4, m_xl=1))
-    raise ConstraintError(f"unknown class symbol {symbol!r}")
+    family = _CLASSICAL.get(symbol)
+    if family is None:
+        raise ConstraintError(f"unknown class symbol {symbol!r}")
+    if not family.admits(params):
+        raise ConstraintError(f"{symbol}{params}: requires {family.requires()}")
+    return (family.dim(*params), *family.datum(*params))
 
 
 @lru_cache(maxsize=None)
@@ -377,52 +404,22 @@ def classical_presentations(max_param: int = 30):
 def enumerate_catalog(max_dim: int, include_spheres: bool = True):
     """Every canonical irreducible instance with dim <= max_dim, once each.
 
-    Spheres are included (from S^2 up) unless disabled.  Presentations
-    merged by special isomorphism are never emitted twice.
+    Spheres are included (from S^2 up) unless disabled.  A classical
+    presentation is kept only when instantiate() returns it unchanged, so
+    presentations merged by special isomorphism are never emitted twice.
     """
     if max_dim < 1:
         raise ValueError("max_dim >= 1 required")
-    out = []
-
-    def emit(symbol, *params):
-        s = instantiate(symbol, params)
-        if s.dim <= max_dim:
-            out.append(s)
-            return True
-        return False
-
-    if include_spheres:
-        for n in range(2, max_dim + 1):
-            emit("S", n)
-    n = 3
-    while emit("SU", n):
-        n += 1
-    for n in range(5, max_dim + 2):
-        if n in (6,) or n * (n - 1) // 2 > max_dim:
-            continue
-        emit("Spin", n)
-    n = 3
-    while emit("Sp", n):
-        n += 1
-    for symbol in ("AI", "AII", "CI"):
-        n = 3
-        while emit(symbol, n):
-            n += 1
-    for symbol, weight in (("AIII", 2), ("BDI", 1), ("CII", 4)):
-        p = 1 if symbol != "BDI" else 2
-        while weight * p * p <= max_dim:
-            q = p
-            while weight * p * q <= max_dim:
-                if (symbol, (p, q)) not in SPECIAL_ISOMORPHISMS \
-                        and (symbol, (p, q)) not in PRODUCT_ISOMORPHISMS \
-                        and not (symbol == "BDI" and p == q and p < 4):
-                    emit(symbol, p, q)
-                q += 1
-            p += 1
-    n = 5
-    while emit("DIII", n):
-        n += 1
-    for symbol in EXCEPTIONAL_SYMBOLS:
-        emit(symbol)
+    out = [instantiate("S", (n,)) for n in range(2, max_dim + 1)] \
+        if include_spheres else []
+    for symbol, family in _CLASSICAL.items():
+        for params in family.sweep(max_dim):
+            try:
+                s = instantiate(symbol, params)
+            except ReducibleError:
+                continue
+            if (s.symbol, s.params) == (symbol, params):
+                out.append(s)
+    out += [s for s in map(instantiate, EXCEPTIONAL_SYMBOLS) if s.dim <= max_dim]
     assert len({s.label() for s in out}) == len(out)
     return sorted(out)

@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .abelian import format_group
-from .catalog import (EXCEPTIONAL_SYMBOLS, ConstraintError, ProductSpace,
-                      ReducibleError, SpaceInstance, classical_presentations,
-                      instantiate, product_kp, reference_classical,
-                      reference_exceptional)
+from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, ConstraintError,
+                      ProductSpace, ReducibleError, SpaceInstance,
+                      classical_presentations, instantiate, product_kp,
+                      reference_classical, reference_exceptional)
 from .geom import HypothesisSet, theorem_a_gate, theorem_b_check
 from .homotopy import MAX_DEGREE, profile
 from .recognize import corollary1_scan, decompose, distinguish
@@ -38,7 +38,6 @@ class SpaceSyntaxError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_GR_SYMBOL = {"R": "BDI", "C": "AIII", "H": "CII"}
 
 
 def _int_arg(text: str, pos: int) -> int:
@@ -50,17 +49,19 @@ def _int_arg(text: str, pos: int) -> int:
 def _resolve_factor(name: str, args: Tuple[str, ...],
                     pos: int) -> List[SpaceInstance]:
     if name == "Gr":
-        if len(args) != 3 or args[0] not in _GR_SYMBOL:
+        if len(args) != 3 or args[0] not in GRASSMANNIANS:
             raise SpaceSyntaxError("Gr takes (R|C|H, p, n)", pos)
         p = _int_arg(args[1], pos)
         n = _int_arg(args[2], pos)
         if not 1 <= p < n:
             raise SpaceSyntaxError("Gr(F,p,n) needs 1 <= p < n", pos)
-        symbol, params = _GR_SYMBOL[args[0]], (min(p, n - p), max(p, n - p))
+        symbol = GRASSMANNIANS[args[0]][0]
+        params = (min(p, n - p), max(p, n - p))
     elif name in ("CP", "HP"):
         if len(args) != 1:
             raise SpaceSyntaxError(f"{name} takes one parameter", pos)
-        symbol = "AIII" if name == "CP" else "CII"
+        # FP^n is the Grassmannian Gr(F, 1, n+1) of lines
+        symbol = GRASSMANNIANS[name[0]][0]
         params = (1, _int_arg(args[0], pos))
     else:
         symbol = name
@@ -386,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tgeo", parents=[common],
                        help="meridian obstruction gate for Grassmannians")
-    p.add_argument("field", choices=("R", "C", "H"))
+    p.add_argument("field", choices=tuple(GRASSMANNIANS))
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--codim", type=int, required=True)

@@ -16,7 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from .catalog import SpaceInstance, EXCEPTIONAL_SYMBOLS, sharp
+from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, SpaceInstance,
+                      instantiate, sharp)
 from .homotopy import _compile_guard
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -90,7 +91,7 @@ def _gate_item(p: SpaceInstance) -> Tuple[str, str, str]:
         return (ITEM2, "plane-Grassmannian / complex-projective ambiguity",
                 "Q is homotopy equivalent to Gr(R,2,q) (q >= 10) or CP^n "
                 "(n >= 11), possibly times spheres of dimension at least 10")
-    if p.symbol in ("AIII", "BDI", "CII"):
+    if any(p.symbol == symbol for symbol, _ in GRASSMANNIANS.values()):
         return (ITEM3, "Grassmannian ambient",
                 "Q has the Cartan type of the ambient space, possibly times "
                 "spheres of dimension at least 10")
@@ -115,16 +116,13 @@ def theorem_a_gate(ambient: SpaceInstance, h: HypothesisSet) -> GateVerdict:
                        trace_bound(h.delta, ambient.kp, h.focal_floor))
 
 
-_FIELD_DIM = {"R": 1, "C": 2, "H": 4}
-
-
 def meridian_codim(fld: str, p: int, q: int, a: int, b: int) -> int:
     """Codimension of the meridian Gr(a, n-2b) x Gr(b, 2b) in Gr(F, p, n).
 
     Requires a + b = p, 0 <= a < p, p <= q (n = p + q).  The real case
     follows the complex and quaternionic pattern with c = 1.
     """
-    c = _FIELD_DIM[fld]
+    c = GRASSMANNIANS[fld][1]
     if a + b != p or not 0 <= a < p or not p <= q:
         raise ValueError("need a + b = p, 0 <= a < p, p <= q")
     n = p + q
@@ -136,7 +134,8 @@ def index_lower_bound(fld: str, p: int, data_dir: Optional[str] = None) -> int:
     """Bundled external-source index value for Gr(F, p, n) submanifolds.
 
     The index expression is compiled by the homotopy tables' guard
-    compiler, so a construct outside its whitelist raises ValueError.
+    compiler, so a construct outside its whitelist, or a name other than
+    p, raises ValueError.
     """
     with open(os.path.join(data_dir or _DATA_DIR, "index_bounds.txt")) as fh:
         for line in fh:
@@ -145,12 +144,9 @@ def index_lower_bound(fld: str, p: int, data_dir: Optional[str] = None) -> int:
                 continue
             name, _, expr = line.partition("|")
             if name.strip() == fld:
-                return eval(_compile_guard(expr.strip()),
+                return eval(_compile_guard(expr.strip(), ("p",)),
                             {"__builtins__": {}}, {"p": p})
     raise KeyError(fld)
-
-
-_GRASSMANNIAN = {"R": "BDI", "C": "AIII", "H": "CII"}
 
 
 @dataclass(frozen=True)
@@ -179,12 +175,12 @@ def theorem_b_check(fld: str, p: int, n: int, codim: int,
     the ambient Grassmannian has codimension strictly above C_P, so no
     sphere factor can hide in one.
     """
-    if fld not in _FIELD_DIM:
+    if fld not in GRASSMANNIANS:
         raise ValueError("field must be R, C or H")
     if not (3 <= p and 2 * p < n):
         raise ValueError("need 3 <= p < n/2")
     q = n - p
-    ambient = _grassmannian_instance(fld, p, q)
+    ambient = instantiate(GRASSMANNIANS[fld][0], (p, q))
     idx = index_lower_bound(fld, p) if index_bound is None else index_bound
     if not idx <= codim:
         return ObstructionVerdict(False, f"codim {codim} below index bound {idx}",
@@ -199,11 +195,6 @@ def theorem_b_check(fld: str, p: int, n: int, codim: int,
     return ObstructionVerdict(True, "index <= codim <= C_P", ambient,
                               ambient.cp, idx, mmin,
                               analogy_derived=fld == "R")
-
-
-def _grassmannian_instance(fld: str, p: int, q: int) -> SpaceInstance:
-    from .catalog import instantiate
-    return instantiate(_GRASSMANNIAN[fld], (p, q))
 
 
 def min_meridian_codim(fld: str, p: int, q: int) -> int:

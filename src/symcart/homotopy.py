@@ -42,8 +42,9 @@ _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp,
 
 
 @lru_cache(maxsize=None)
-def _compile_guard(text: str):
-    """Compile a guard expression, allowing only arithmetic/comparison nodes."""
+def _compile_guard(text: str, names: Tuple[str, ...]):
+    """Compile a guard expression, allowing only arithmetic/comparison nodes
+    over integer constants and the variables in ``names``."""
     tree = ast.parse(text, mode="eval")
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
@@ -51,6 +52,8 @@ def _compile_guard(text: str):
                              f"in guard {text!r}")
         if isinstance(node, ast.Constant) and not isinstance(node.value, int):
             raise ValueError(f"non-integer constant in guard {text!r}")
+        if isinstance(node, ast.Name) and node.id not in names:
+            raise ValueError(f"unknown name {node.id!r} in guard {text!r}")
     return compile(tree, "<guard>", "eval")
 
 
@@ -78,7 +81,8 @@ class HomotopyRecord:
             return True
         env = self.bindings(s)
         env["k"] = k
-        return bool(eval(_compile_guard(self.guard_text), {"__builtins__": {}}, env))
+        code = _compile_guard(self.guard_text, tuple(env))
+        return bool(eval(code, {"__builtins__": {}}, env))
 
     def value(self, k: int) -> PartialAbelianGroup:
         if self.stable and k == MAX_DEGREE and MAX_DEGREE not in self.groups:
@@ -112,8 +116,8 @@ def _parse_record(line: str, source: str, stable: bool) -> HomotopyRecord:
         if not 1 <= k <= MAX_DEGREE:
             raise ValueError(f"degree {k} out of range in {source}: {line!r}")
         groups[k] = parse_group(group_text)
-    if guard != "-":
-        _compile_guard(guard)
+    if guard != "-":                  # a guard names the parameters and k
+        _compile_guard(guard, (*filter(None, names), "k"))
     return HomotopyRecord(source, symbol, tuple(names), tuple(values),
                           guard, groups, stable)
 

@@ -9,7 +9,8 @@ alpha_1..alpha_r.  The key quantity computed here is
 The roots whose j-th coefficient vanishes are the positive roots of the
 subsystem left by deleting node j of the Dynkin diagram (Bourbaki, Lie
 Groups and Lie Algebras, Ch. VI), so each node's count follows from the
-types of the pieces left, with no root enumerated, and k costs O(rank):
+types of the pieces left, with no root enumerated, and k costs O(1) for
+a classical type (only four nodes can maximize) and O(rank) otherwise:
 this is ``kp_by_deletion``, the path the catalog uses.  Two independent
 oracles check it: direct enumeration of the positive roots
 (``zero_coeff_counts``, ``kp_enumerated``) and the published closed
@@ -341,9 +342,10 @@ class KpResult(NamedTuple):
     maximizer: int
 
 
-def _kp_over_nodes(t: RootSystemType, m: Multiplicities, counts) -> KpResult:
+def _kp_over_nodes(t: RootSystemType, m: Multiplicities, counts,
+                   nodes) -> KpResult:
     best, best_j = -1, 0
-    for j in range(1, t.rank + 1):
+    for j in nodes:
         n_s, n_l, n_xl = counts(t, j)
         total = m.m_s * n_s + m.m_l * n_l + m.m_xl * n_xl
         if total > best:
@@ -357,16 +359,26 @@ def kp_enumerated(t: RootSystemType, m: Multiplicities) -> KpResult:
     Reports the smallest maximizing simple-root index.  Counts by
     enumerating every positive root; the oracle for ``kp_by_deletion``.
     """
-    return _kp_over_nodes(t, m, zero_coeff_counts)
+    return _kp_over_nodes(t, m, zero_coeff_counts, range(1, t.rank + 1))
 
 
 def kp_by_deletion(t: RootSystemType, m: Multiplicities) -> KpResult:
-    """``kp_enumerated``'s result from ``deletion_counts``, in O(rank)."""
-    return _kp_over_nodes(t, m, deletion_counts)
+    """``kp_enumerated``'s result from ``deletion_counts``.
+
+    For a classical type every per-node total is convex in j on
+    [1, r-2] and on [r-1, r] (a = j(j-1)/2 and b(b +- 1) are convex in j,
+    b = r - j is linear), so the smallest maximizer is one of the nodes
+    1, r-2, r-1, r, and k costs O(1).  Exceptional types visit every node.
+    """
+    r = t.rank
+    nodes = range(1, r + 1)
+    if t.symbol in CLASSICAL_SYMBOLS and r > 4:
+        nodes = (1, r - 2, r - 1, r)
+    return _kp_over_nodes(t, m, deletion_counts, nodes)
 
 
 def kp_closed_form(t: RootSystemType, m: Multiplicities) -> Optional[int]:
-    """Closed-form k where one exists; None signals fallback to enumeration.
+    """Closed-form k where one exists, else None.
 
     B/C/BC at ranks 2 and 3 and F4 with long multiplicity != 1 have no
     closed form here and return None.
@@ -398,14 +410,3 @@ def kp_closed_form(t: RootSystemType, m: Multiplicities) -> Optional[int]:
     if s in ("E6", "E7", "E8"):
         return r + m.m_l * {"E6": 20, "E7": 36, "E8": 63}[s]
     raise AssertionError(s)
-
-
-def kp(t: RootSystemType, m: Multiplicities) -> int:
-    """k for (t, m): closed form when available, else enumeration.
-
-    When both paths apply they must agree; this is asserted.
-    """
-    enum = kp_enumerated(t, m).value
-    closed = kp_closed_form(t, m)
-    assert closed is None or closed == enum, (t, m, closed, enum)
-    return enum

@@ -7,6 +7,7 @@ import pytest
 from symcart import cli, rootsys
 from symcart.catalog import reference_classical
 from symcart.cli import SpaceSyntaxError, main, parse_space
+from symcart.rootsys import deletion_counts
 
 
 def run(capsys, *argv):
@@ -69,6 +70,22 @@ def test_kp_of_a_large_rank_enumerates_no_root(capsys, monkeypatch):
     assert (payload["k_P"], payload["d_P"]) == (998001, 1998)
     assert (payload["d_P"], payload["k_P"]) == \
         reference_classical("SU", (1000,))[:2]
+
+
+def test_kp_of_a_huge_rank_visits_four_nodes(capsys, monkeypatch):
+    calls = []
+
+    def counted(t, j):
+        calls.append(j)
+        return deletion_counts(t, j)
+
+    monkeypatch.setattr(rootsys, "deletion_counts", counted)
+    code, out = run(capsys, "kp", "SU(100000000)", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["d_P"], payload["k_P"]) == \
+        reference_classical("SU", (10 ** 8,))[:2]
+    assert 1 <= len(calls) <= 4
 
 
 def test_homotopy_command(capsys):

@@ -1,0 +1,14 @@
+"""The modules' docstring examples run as part of the test suite."""
+
+import doctest
+
+import pytest
+
+from symcart import abelian, catalog, recognize, rootsys
+
+
+@pytest.mark.parametrize("module", (abelian, catalog, recognize, rootsys),
+                         ids=lambda m: m.__name__)
+def test_module_doctests_pass(module):
+    result = doctest.testmod(module)
+    assert result.failed == 0 and result.attempted > 0

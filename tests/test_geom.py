@@ -120,10 +120,12 @@ def test_index_lower_bounds():
 
 def test_index_bounds_file_goes_through_the_guard_compiler(tmp_path):
     (tmp_path / "index_bounds.txt").write_text(
-        "R | p\nC | __import__('os').getpid()\n")
+        "R | p\nC | __import__('os').getpid()\nH | q + 1\n")
     assert index_lower_bound("R", 5, str(tmp_path)) == 5
     with pytest.raises(ValueError, match="disallowed construct"):
         index_lower_bound("C", 3, str(tmp_path))
+    with pytest.raises(ValueError, match="unknown name 'q'"):
+        index_lower_bound("H", 3, str(tmp_path))
 
 
 def test_theorem_b_verdicts():

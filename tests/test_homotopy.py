@@ -1,7 +1,11 @@
 """Homotopy database: rules, tables, coverage and internal consistency."""
 
+import shutil
+from pathlib import Path
+
 import pytest
 
+import symcart.homotopy
 from symcart.abelian import format_group, parse_group
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
 from symcart.homotopy import (MAX_DEGREE, NOT_COVERED, consistency_violations,
@@ -121,3 +125,13 @@ def test_tables_are_parsed_once_per_process():
     load_records()
     pi_candidates(instantiate("SU", (3,)), 3)
     assert load_records.cache_info().misses == 1
+
+
+def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):
+    data = Path(symcart.homotopy.__file__).parent / "data"
+    for f in data.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    with open(tmp_path / "real_grassmannians.txt", "a") as fh:
+        fh.write("BDI(2,q) | p >= 11 and k <= 2 | 2=Z\n")
+    with pytest.raises(ValueError, match="unknown name 'p'"):
+        load_records(str(tmp_path))

@@ -1,11 +1,13 @@
 """Root-system enumeration, zero-coefficient counts and the two k computations."""
 
+from itertools import product
+
 import pytest
 
 from symcart.rootsys import (EXTRA_LONG, LONG, SHORT, KpResult,
                              Multiplicities, RootSystemType, deletion_counts,
-                             kp, kp_closed_form, kp_enumerated, positive_roots,
-                             zero_coeff_counts)
+                             kp_by_deletion, kp_closed_form, kp_enumerated,
+                             positive_roots, zero_coeff_counts)
 
 
 def _count(symbol, rank=0):
@@ -113,6 +115,22 @@ def test_deletion_counts_match_enumeration_at_every_node():
         [(0, 6, 0), (0, 3, 0), (0, 6, 0), (0, 6, 0)]
 
 
+def test_classical_kp_by_deletion_equals_the_scan_over_every_node():
+    """Only nodes 1, r-2, r-1, r are visited; every node may win a tie."""
+    lowest = {"A": 1, "B": 2, "C": 2, "D": 4, "BC": 1}
+    mult_sets = [Multiplicities(*m) for m in product(range(4), repeat=3)]
+    for symbol, lo in lowest.items():
+        for r in range(lo, 30):
+            t = RootSystemType(symbol, r)
+            counts = [deletion_counts(t, j) for j in range(1, r + 1)]
+            for m in mult_sets:
+                totals = [m.m_s * n_s + m.m_l * n_l + m.m_xl * n_xl
+                          for n_s, n_l, n_xl in counts]
+                best = max(totals)
+                assert kp_by_deletion(t, m) == \
+                    KpResult(r + best, totals.index(best) + 1), (t, m)
+
+
 def test_kp_examples():
     assert kp_enumerated(RootSystemType("E8"), Multiplicities(m_l=2)) == \
         KpResult(134, 8)
@@ -161,7 +179,6 @@ def test_closed_form_matches_enumeration():
             if closed is not None:
                 assert closed == enumerated, (symbol, rank, m)
                 checked += 1
-            assert kp(t, m) == enumerated
     assert checked > 100
 
 

@@ -230,6 +230,7 @@ def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
         raise ReducibleError(f"{symbol}{params}",
                              PRODUCT_ISOMORPHISMS[(symbol, params)])
     if symbol == "S":
+        _require(len(params) == 1, f"S{params}", "one parameter n >= 2")
         n, = params
         _require(n >= 2, f"S({n})", "n >= 2 (the circle is not simply connected)")
         return SpaceInstance("S", params, dim=n, rank=1, kp=1)

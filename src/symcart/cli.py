@@ -298,8 +298,15 @@ def cmd_tgeo(args) -> int:
 
 _CLASS_NAMES = {SHORT: "short", LONG: "long", EXTRA_LONG: "extra_long"}
 
+# dump-roots lists every positive root, about rank^2 roots of rank
+# coefficients each; past this rank the listing outgrows any use of it
+MAX_DUMP_RANK = 32
+
 
 def cmd_dump_roots(args) -> int:
+    if args.rank > MAX_DUMP_RANK:
+        raise ValueError(f"--rank {args.rank} exceeds MAX_DUMP_RANK = "
+                         f"{MAX_DUMP_RANK} (the output grows as rank^3)")
     try:
         t = RootSystemType(args.type, args.rank)
     except ValueError as err:

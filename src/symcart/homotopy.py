@@ -15,6 +15,10 @@ Resolution order for pi(s, k): sphere rules, the complex-projective-space
 fibration rule, the unstable tables, then the stable table (degree 10
 stable values follow from mod-8 periodicity: pi_10 repeats the k=2
 column).  Anything not covered is Unknown.
+
+Which records match a space does not depend on the degree: each space is
+matched against the tables once, and for each k only the guards of its
+few matching records are evaluated.
 """
 
 from __future__ import annotations
@@ -140,12 +144,17 @@ def load_records(data_dir: Optional[str] = None) -> Tuple[HomotopyRecord, ...]:
     return tuple(records)
 
 
-def _matching_records(s: SpaceInstance, k: int, data_dir=None):
+@lru_cache(maxsize=None)
+def _records_for(s: SpaceInstance, data_dir=None) -> Tuple[HomotopyRecord, ...]:
+    """The records whose pattern matches s, for every degree at once."""
     # load_records() and load_records(None) are separate lru_cache keys;
     # asking for the shipped tables one way parses them once per process
     records = load_records() if data_dir is None else load_records(data_dir)
-    return [rec for rec in records
-            if rec.matches(s) and rec.guard_holds(s, k)]
+    return tuple(rec for rec in records if rec.matches(s))
+
+
+def _matching_records(s: SpaceInstance, k: int, data_dir=None):
+    return [rec for rec in _records_for(s, data_dir) if rec.guard_holds(s, k)]
 
 
 def pi_candidates(s: SpaceInstance, k: int, data_dir=None):

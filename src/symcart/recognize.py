@@ -9,8 +9,9 @@ known cells block the decision without ever being guessed).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .abelian import (EQUAL, INCOMPATIBLE, PartialAbelianGroup, RankInterval,
                       compatible, format_group, p_rank, q_rank)
@@ -138,6 +139,21 @@ class ScanReport:
         return not self.violations and not self.undetermined
 
 
+def _blind_sides(members: List[SpaceInstance], max_degree: int):
+    """How many members sit on each side of ``_is_blind_pair``'s set.
+
+    Returns (number of CP^n with 2n + 1 > max_degree, number of Gr(R,2,q)
+    with q > max_degree); a pair is blind iff it takes one from each side.
+    """
+    cp = gr = 0
+    for s in members:
+        if s.symbol == "AIII" and s.params[0] == 1:
+            cp += 2 * s.params[1] + 1 > max_degree
+        elif s.symbol == "BDI" and s.params[0] == 2:
+            gr += s.params[1] > max_degree
+    return cp, gr
+
+
 def corollary1_scan(max_dim: int, max_degree: int = 9,
                     data_dir=None) -> ScanReport:
     """Pairwise scan of all valid irreducible instances up to max_dim.
@@ -149,8 +165,16 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     provably equal (EVII vs CP^n or Gr(R,2,q), E7 vs E8 at degree 9), so
     ``clean`` keeps its strict meaning and is false at max_dim 300;
     acceptance criterion 4 lists the expected violations and undetermined
-    pairs.  Pairs are grouped by profile signature so identical profiles
-    are compared only once.
+    pairs.
+
+    The work is per class pair, not per pair.  Spaces are grouped into
+    classes of equal profile, and each pair of classes is compared once.
+    Its different-symbol pairs are counted from the classes' symbol
+    histograms, |A|.|B| - sum h_A.h_B (or (n^2 - sum h^2)/2 within one
+    class), and its blind pairs from each class's CP^n and Gr(R,2,q)
+    counts.  A distinguishable class pair with no blind pair only adds
+    its count; any other one lists its pairs, in member order, and files
+    each by ``_is_blind_pair``.
     """
     if max_dim < 11:
         raise ValueError("max_dim >= 11 required (no valid space is smaller)")
@@ -166,26 +190,32 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
         profiles[sig] = prof
 
     sigs = sorted(classes, key=lambda sig: classes[sig][0])
-    verdicts = {}
+    hist = {sig: Counter(s.symbol for s in classes[sig]) for sig in sigs}
+    sides = {sig: _blind_sides(classes[sig], max_degree) for sig in sigs}
     for i, sa in enumerate(sigs):
         for sb in sigs[i:]:
             members_a, members_b = classes[sa], classes[sb]
-            pairs = []
+            (cp_a, gr_a), (cp_b, gr_b) = sides[sa], sides[sb]
             if sa == sb:
-                for x in range(len(members_a)):
-                    for y in range(x + 1, len(members_a)):
-                        if members_a[x].symbol != members_a[y].symbol:
-                            pairs.append((members_a[x], members_a[y]))
+                n = len(members_a)
+                diff = (n * n - sum(h * h for h in hist[sa].values())) // 2
+                n_blind = cp_a * gr_a
+            else:
+                diff = len(members_a) * len(members_b) - sum(
+                    h * hist[sb][symbol] for symbol, h in hist[sa].items())
+                n_blind = cp_a * gr_b + gr_a * cp_b
+            if not diff:
+                continue
+            v = distinguish_profiles(profiles[sa], profiles[sb], max_degree)
+            if v.kind == DISTINGUISHABLE and not n_blind:
+                report.distinguishable_pairs += diff
+                continue
+            if sa == sb:
+                pairs = [(a, b) for x, a in enumerate(members_a)
+                         for b in members_a[x + 1:] if a.symbol != b.symbol]
             else:
                 pairs = [(a, b) for a in members_a for b in members_b
                          if a.symbol != b.symbol]
-            if not pairs:
-                continue
-            key = (sa, sb)
-            if key not in verdicts:
-                verdicts[key] = distinguish_profiles(profiles[sa],
-                                                     profiles[sb], max_degree)
-            v = verdicts[key]
             for a, b in pairs:
                 blind = _is_blind_pair(a, b, max_degree)
                 if v.kind == DISTINGUISHABLE and not blind:
@@ -197,12 +227,6 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
                 else:
                     report.violations.append((a, b, v))
     return report
-
-
-def _interval_sum(intervals):
-    lo = sum(i.lo for i in intervals)
-    hi = None if any(i.hi is None for i in intervals) else sum(i.hi for i in intervals)
-    return RankInterval(lo, hi)
 
 
 class CandidateOverflow(RuntimeError):

@@ -90,13 +90,6 @@ class Multiplicities:
         if min(self.m_s, self.m_l, self.m_xl) < 0:
             raise ValueError("multiplicities must be nonnegative")
 
-    def weight(self, root: PositiveRoot) -> int:
-        if root.length_class == SHORT:
-            return self.m_s
-        if root.length_class == LONG:
-            return self.m_l
-        return self.m_xl
-
 
 def _interval(r: int, lo: int, hi: int, value: int = 1) -> list:
     """Coefficient vector of length r with `value` on positions lo..hi (1-based)."""

@@ -96,7 +96,9 @@ def test_constraint_errors():
                             "sphere)"),
             ("CII", (0, 4), "CII(0, 4): requires 1 <= p <= q"),
             ("SU", (3, 4), "SU(3, 4): requires n >= 2"),
-            ("AIII", (3,), "AIII(3,): requires 1 <= p <= q")):
+            ("AIII", (3,), "AIII(3,): requires 1 <= p <= q"),
+            ("S", (2, 3), "S(2, 3): requires one parameter n >= 2"),
+            ("S", (), "S(): requires one parameter n >= 2")):
         with pytest.raises(ConstraintError) as exc:
             instantiate(symbol, params)
         assert str(exc.value) == text

@@ -121,6 +121,26 @@ def test_dump_roots_command(capsys):
     assert code == 0 and out.splitlines()[-1] == "36 positive roots"
 
 
+def test_dump_roots_rank_is_bounded(capsys, monkeypatch):
+    def unreachable(t):
+        raise AssertionError("roots enumerated past the rank bound")
+    monkeypatch.setattr(cli, "positive_roots", unreachable)
+    code = main(["dump-roots", "A", "--rank", str(cli.MAX_DUMP_RANK + 1)])
+    captured = capsys.readouterr()
+    assert cli.MAX_DUMP_RANK >= 12        # the largest rank a session asks for
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --rank {cli.MAX_DUMP_RANK + 1} exceeds "
+                            f"MAX_DUMP_RANK = {cli.MAX_DUMP_RANK} "
+                            "(the output grows as rank^3)\n")
+
+
+def test_sphere_arity_is_a_named_condition(capsys):
+    for spec, text in (("S(2,3)", "S(2, 3): requires one parameter n >= 2"),
+                       ("S", "S(): requires one parameter n >= 2")):
+        assert main(["kp", spec]) == 2
+        assert capsys.readouterr().err == f"error: {text} (at position 0)\n"
+
+
 def test_json_output_is_schema_versioned(capsys):
     code, out = run(capsys, "kp", "S(12)", "--format", "json")
     assert code == 0

@@ -1,11 +1,21 @@
 """Profile recognition: distinguish, the pairwise scan and decomposition."""
 
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import symcart
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
+from symcart.homotopy import pi
 from symcart.recognize import (DISTINGUISHABLE, INDISTINGUISHABLE,
                                UNDETERMINED, CandidateOverflow, corollary1_scan,
-                               decompose, distinguish, _is_blind_pair)
+                               decompose, distinguish, distinguish_profiles,
+                               _is_blind_pair)
 
 
 def test_blind_spot_pair_is_indistinguishable():
@@ -94,6 +104,134 @@ def test_scan_report_structure():
         assert not _is_blind_pair(a, b) or v.kind != INDISTINGUISHABLE
     with pytest.raises(ValueError):
         corollary1_scan(10)
+
+
+def _pair_loop_scan(max_dim, max_degree, data_dir=None):
+    """The scan by visiting every pair: the oracle for the class counting.
+
+    Returns (distinguishable count, blind, violations, undetermined) with
+    the lists in the order the scan reports them.
+    """
+    classes, profiles = {}, {}
+    for s in enumerate_catalog(max_dim):
+        if s.valid:
+            prof = {k: pi(s, k, data_dir) for k in range(1, max_degree + 1)}
+            sig = tuple(sorted((k, g.tag, g.group) for k, g in prof.items()))
+            classes.setdefault(sig, []).append(s)
+            profiles[sig] = prof
+    sigs = sorted(classes, key=lambda sig: classes[sig][0])
+    distinguishable, blind, violations, undetermined = 0, [], [], []
+    for i, sa in enumerate(sigs):
+        for sb in sigs[i:]:
+            ma, mb = classes[sa], classes[sb]
+            if sa == sb:
+                pairs = [(ma[x], ma[y]) for x in range(len(ma))
+                         for y in range(x + 1, len(ma))]
+            else:
+                pairs = [(a, b) for a in ma for b in mb]
+            pairs = [(a, b) for a, b in pairs if a.symbol != b.symbol]
+            if not pairs:
+                continue
+            v = distinguish_profiles(profiles[sa], profiles[sb], max_degree)
+            for a, b in pairs:
+                is_blind = _is_blind_pair(a, b, max_degree)
+                if v.kind == DISTINGUISHABLE and not is_blind:
+                    distinguishable += 1
+                elif v.kind == INDISTINGUISHABLE and is_blind:
+                    blind.append((a, b))
+                elif v.kind == UNDETERMINED:
+                    undetermined.append((a, b, v))
+                else:
+                    violations.append((a, b, v))
+    return distinguishable, blind, violations, undetermined
+
+
+@pytest.mark.parametrize("max_dim", (120, 300))
+@pytest.mark.parametrize("max_degree", (9, 10))
+def test_counted_scan_equals_the_pair_loop(max_dim, max_degree):
+    report = corollary1_scan(max_dim, max_degree)
+    assert (report.distinguishable_pairs, report.blind_pairs,
+            report.violations, report.undetermined) == \
+        _pair_loop_scan(max_dim, max_degree)
+
+
+def test_counted_scan_equals_the_pair_loop_across_classes(tmp_path):
+    """Blind pairs split over profile classes are still found.
+
+    With the shipped tables every blind pair lies inside one class.  Here
+    spurious pi_9 cells move Gr(R,2,q) with odd q, together with AII(4),
+    into a class that sorts before CP^n's, and Gr(R,2,q) with q = 2 mod 4
+    into one that sorts after it; their blind pairs become violations of
+    distinguishable class pairs, counted from either side.
+    """
+    for f in (Path(symcart.__file__).parent / "data").glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    grassmannians = tmp_path / "real_grassmannians.txt"
+    text = grassmannians.read_text()
+    assert "BDI(2,q) | q >= 11 | 2=Z\n" in text
+    grassmannians.write_text(text.replace(
+        "BDI(2,q) | q >= 11 | 2=Z\n",
+        "BDI(2,q) | q >= 11 and q % 2 == 1 | 2=Z; 9=Z_2\n"
+        "BDI(2,q) | q >= 11 and q % 4 == 2 | 2=Z; 9=Z_3\n"
+        "BDI(2,q) | q >= 11 and q % 4 == 0 | 2=Z\n"))
+    spheres = tmp_path / "spheres.txt"   # read first: its rows win ties
+    spheres.write_text("AII(4) | - | 2=Z; 9=Z_2\n" + spheres.read_text())
+    report = corollary1_scan(120, 9, str(tmp_path))
+    blind_violations = [(a.symbol, b.symbol) for a, b, _ in report.violations
+                        if _is_blind_pair(a, b)]
+    assert ("BDI", "AIII") in blind_violations
+    assert ("AIII", "BDI") in blind_violations
+    assert (report.distinguishable_pairs, report.blind_pairs,
+            report.violations, report.undetermined) == \
+        _pair_loop_scan(120, 9, str(tmp_path))
+
+
+_COUNT_WORK = """
+import json
+from symcart import homotopy, recognize
+from symcart.catalog import enumerate_catalog, instantiate
+
+calls = {"matches": 0, "blind": 0}
+matches, is_blind = homotopy.HomotopyRecord.matches, recognize._is_blind_pair
+
+def counted_matches(rec, s):
+    calls["matches"] += 1
+    return matches(rec, s)
+
+def counted_is_blind(*args):
+    calls["blind"] += 1
+    return is_blind(*args)
+
+homotopy.HomotopyRecord.matches = counted_matches
+recognize._is_blind_pair = counted_is_blind
+recognize.corollary1_scan(300)
+homotopy.consistency_violations(300)
+spaces = set(enumerate_catalog(300))
+# the CP^n rule reads pi of S^(2n+1), which may lie just past max_dim
+spaces |= {instantiate("S", (2 * s.params[1] + 1,)) for s in list(spaces)
+           if s.symbol == "AIII" and s.params[0] == 1}
+print(json.dumps({**calls, "records": len(homotopy.load_records()),
+                  "spaces": len(spaces),
+                  "parses": homotopy.load_records.cache_info().misses}))
+"""
+
+
+def test_scan_work_counts_per_space_and_per_class_pair():
+    """Work counters of a cold dim-300 scan plus consistency check.
+
+    Counts, not wall time: the records are parsed once, each space is
+    matched against them once, and only the class pairs that hold a
+    blind, violating or undetermined pair visit their pairs (about 21k of
+    the 866k different-symbol pairs).
+    """
+    src = os.path.dirname(os.path.dirname(symcart.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _COUNT_WORK], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    counts = json.loads(out)
+    assert counts["parses"] == 1
+    assert counts["matches"] <= counts["records"] * counts["spaces"]
+    assert counts["blind"] < 25000
 
 
 def test_decompose_sphere():

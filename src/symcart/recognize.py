@@ -5,12 +5,17 @@ dimensions over Z_2, Z_3, Z_5, Z_7.  A pair is distinguishable when some
 cell pair has provably disjoint rank intervals; indistinguishable when
 every cell is known exactly and equal; undetermined otherwise (partially
 known cells block the decision without ever being guessed).
+
+A space's profile never changes within a process, so ``decompose``
+ranks each space once: its profile and rank vector are cached per
+(space, degree, data directory), as ``pi`` caches each group.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple, Union
 
 from .abelian import (EQUAL, INCOMPATIBLE, PartialAbelianGroup, RankInterval,
@@ -233,6 +238,17 @@ class CandidateOverflow(RuntimeError):
     pass
 
 
+@lru_cache(maxsize=None)
+def _ranked(s: SpaceInstance, max_degree: int, data_dir=None):
+    """The profile of ``s`` through max_degree and its ``RankVector``.
+
+    Computed once per process for each (space, degree, data directory),
+    like ``pi`` itself; callers share the result and must not mutate it.
+    """
+    prof = {k: pi(s, k, data_dir) for k in range(1, max_degree + 1)}
+    return prof, RankVector.of(prof)
+
+
 def decompose(ambient: SpaceInstance, max_degree: int = 9,
               max_candidates: int = 10 ** 6,
               data_dir=None) -> List[ProductSpace]:
@@ -244,17 +260,19 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
     result is deterministic: sorted by total dimension descending, then
     label.  Exceeding max_candidates raises CandidateOverflow rather than
     silently truncating.
+
+    The ambient's and every candidate's profile and rank vector come from
+    a per-process cache (``_ranked``), so a later call ranks only the
+    catalog spaces that no earlier call has seen.
     """
     if not ambient.valid:
         raise ValueError(f"{ambient.label()} does not have a valid dimension")
-    amb_prof = {k: pi(ambient, k, data_dir) for k in range(1, max_degree + 1)}
-    amb_rv = RankVector.of(amb_prof)
+    amb_prof, amb_rv = _ranked(ambient, max_degree, data_dir)
     cells = [(k, f) for k in range(1, max_degree + 1) for f in FIELDS]
 
     cands = []
     for t in enumerate_catalog(ambient.dim):
-        prof = {k: pi(t, k, data_dir) for k in range(1, max_degree + 1)}
-        rv = RankVector.of(prof)
+        prof, rv = _ranked(t, max_degree, data_dir)
         # a factor whose guaranteed ranks already exceed the ambient's
         # ceiling can never appear
         if any(amb_rv.intervals[c].hi is not None

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
 import json
 
 import pytest
@@ -132,6 +133,53 @@ def test_dump_roots_rank_is_bounded(capsys, monkeypatch):
     assert captured.err == (f"error: --rank {cli.MAX_DUMP_RANK + 1} exceeds "
                             f"MAX_DUMP_RANK = {cli.MAX_DUMP_RANK} "
                             "(the output grows as rank^3)\n")
+
+
+def test_max_dim_is_bounded(capsys, monkeypatch):
+    class Scanned(Exception):
+        pass
+
+    def scan(max_dim, *args):
+        raise Scanned(max_dim)
+
+    monkeypatch.setattr(cli, "corollary1_scan", scan)
+    code = main(["corollary1-check", "--max-dim", str(cli.MAX_SCAN_DIM + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --max-dim {cli.MAX_SCAN_DIM + 1} exceeds "
+                            f"MAX_SCAN_DIM = {cli.MAX_SCAN_DIM}\n")
+    # the bound itself and the default of 300 still reach the scan
+    for argv in (["--max-dim", str(cli.MAX_SCAN_DIM)], []):
+        with pytest.raises(Scanned):
+            main(["corollary1-check", *argv])
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    calls = [["kp", "SU(5)"], ["homotopy", "S(7)", "--format", "json"],
+             ["distinguish", "CP(5)", "Gr(R,2,13)"], ["kp", "XYZ(3)"],
+             ["gate", "S(12)", "--codim", "1"],
+             ["tgeo", "C", "3", "23", "--codim", "7"],
+             ["dump-roots", "G2"], ["decompose", "S(12)"],
+             ["homotopy", "S(7)", "--max-degree", "99"]]
+    rejected = 0
+    for i in range(20):
+        try:
+            main(calls[i % len(calls)])
+        except SystemExit:                 # argparse rejects --max-degree 99
+            rejected += 1
+        if i == 0:
+            first = len(built)
+    assert first > 0 and rejected == 2
+    assert len(built) == first
 
 
 def test_sphere_arity_is_a_named_condition(capsys):

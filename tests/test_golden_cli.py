@@ -39,6 +39,12 @@ def test_cli_output_matches_corpus(case):
     assert run(case["argv"], case["format"]) == case
 
 
+def test_corpus_replays_in_reverse_in_one_process():
+    """``main`` reuses one parser per process; no call leaks into the next."""
+    cases = load_corpus()[::-1]
+    assert [run(c["argv"], c["format"]) for c in cases] == cases
+
+
 if __name__ == "__main__":
     cases = [run(c["argv"], c["format"]) for c in load_corpus()]
     CORPUS.write_text("".join(json.dumps(c) + "\n" for c in cases))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import symcart
+from symcart import recognize
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
 from symcart.homotopy import pi
 from symcart.recognize import (DISTINGUISHABLE, INDISTINGUISHABLE,
@@ -259,3 +260,46 @@ def test_decompose_rejects_invalid_ambient():
 def test_decompose_overflow_guard():
     with pytest.raises(CandidateOverflow):
         decompose(instantiate("S", (12,)), max_candidates=2)
+
+
+_FRESH_DECOMPOSE = """
+import json
+from symcart.catalog import instantiate
+from symcart.recognize import decompose
+print(json.dumps([[p.label() for p in decompose(instantiate(*spec))]
+                  for spec in (("S", (20,)), ("AIII", (1, 10)))]))
+"""
+
+
+def test_decompose_ranks_each_space_once(monkeypatch):
+    """Counts of ``RankVector.of``, not wall time.
+
+    A second ``decompose`` of the same ambient ranks nothing again, and
+    one of another ambient ranks only the catalog spaces not seen yet.
+    Neither changes a result: both equal a run in a fresh process.
+    """
+    ranked = []
+    of = recognize.RankVector.of
+
+    def counted(prof):
+        ranked.append(prof)
+        return of(prof)
+
+    monkeypatch.setattr(recognize.RankVector, "of", staticmethod(counted))
+    recognize._ranked.cache_clear()
+    s20, cp10 = instantiate("S", (20,)), instantiate("AIII", (1, 10))
+    seen = set(enumerate_catalog(20)) | {s20}
+
+    first = [p.label() for p in decompose(s20)]
+    assert len(ranked) == len(seen)
+    again = [p.label() for p in decompose(s20)]
+    assert again == first and len(ranked) == len(seen)
+    other = [p.label() for p in decompose(cp10)]
+    unseen = set(enumerate_catalog(cp10.dim)) | {cp10}
+    assert len(ranked) == len(seen) + len(unseen - seen)
+
+    src = os.path.dirname(os.path.dirname(symcart.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _FRESH_DECOMPOSE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [first, other]

@@ -7,9 +7,13 @@ files, so repeated invocations are byte-identical.  ``--format json``
 emits one schema-versioned JSON object per invocation.
 
 ``main`` builds the argument parser on its first call and reuses it for
-every later call in the same process.  The parser holds no per-call
-state: each ``parse_args`` returns a fresh namespace, and the command
-functions read this module's globals when they run.
+every later call in the same process; the ``symcart`` command calls it
+once per process, so only a caller that calls ``main`` repeatedly gains.
+The parser holds no per-call state: each ``parse_args`` returns a fresh
+namespace, and the command functions read this module's globals when
+they run.  The parser binds each subcommand to its ``cmd_*`` function
+when it is built, so a test that replaces a ``cmd_*`` function must call
+``_build_parser.cache_clear()`` before its next ``main`` call.
 """
 
 from __future__ import annotations

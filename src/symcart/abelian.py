@@ -144,7 +144,8 @@ class PartialAbelianGroup:
 
     @staticmethod
     def trivial() -> "PartialAbelianGroup":
-        return PartialAbelianGroup(EXACT, TRIVIAL)
+        """The exact trivial group: one shared instance, frozen as all are."""
+        return _TRIVIAL_PARTIAL
 
     @property
     def is_exact(self) -> bool:
@@ -183,6 +184,9 @@ class PartialAbelianGroup:
 
     def __repr__(self):
         return f"Partial({format_group(self)!r})"
+
+
+_TRIVIAL_PARTIAL = PartialAbelianGroup(EXACT, TRIVIAL)
 
 
 @dataclass(frozen=True)

@@ -339,16 +339,28 @@ def cmd_dump_roots(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose rejections are one ``error:`` line.
+
+    argparse prints its usage block before the message; this parser, and
+    the subcommand parsers it creates, print only ``error: <message>`` on
+    stderr and exit 2, as the commands do for their own errors.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--data-dir", default=None,
                         help="override the bundled homotopy data files")
     common.add_argument("--max-candidates", type=int, default=10 ** 6,
                         help="node budget for the decomposition search")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symcart",
         description="Ricci thresholds, orbit codimensions and homotopy "
                     "recognition for compact symmetric spaces")

@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple, Union
 from .abelian import (EQUAL, INCOMPATIBLE, PartialAbelianGroup, RankInterval,
                       compatible, format_group, p_rank, q_rank)
 from .catalog import ProductSpace, SpaceInstance, enumerate_catalog
-from .homotopy import pi, profile
+from .homotopy import groups, profile
 
 FIELDS = ("Q", 2, 3, 5, 7)
 
@@ -189,7 +189,7 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     classes: Dict[Tuple, List[SpaceInstance]] = {}
     profiles = {}
     for s in spaces:
-        prof = {k: pi(s, k, data_dir) for k in range(1, max_degree + 1)}
+        prof = groups(s, max_degree, data_dir)
         sig = tuple(sorted((k, g.tag, g.group) for k, g in prof.items()))
         classes.setdefault(sig, []).append(s)
         profiles[sig] = prof
@@ -245,7 +245,7 @@ def _ranked(s: SpaceInstance, max_degree: int, data_dir=None):
     Computed once per process for each (space, degree, data directory),
     like ``pi`` itself; callers share the result and must not mutate it.
     """
-    prof = {k: pi(s, k, data_dir) for k in range(1, max_degree + 1)}
+    prof = groups(s, max_degree, data_dir)
     return prof, RankVector.of(prof)
 
 

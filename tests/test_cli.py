@@ -209,3 +209,28 @@ def test_bad_space_exits_nonzero(capsys):
     code = main(["kp", "XYZ(3)"])
     captured = capsys.readouterr()
     assert code == 2 and "error:" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["homotopy", "S(7)", "--max-degree", "99"],
+     "argument --max-degree: invalid choice: 99 "
+     "(choose from 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)"),
+    (["kp"], "the following arguments are required: space"),
+    (["no-such-command"], "argument command: invalid choice: "
+     "'no-such-command' (choose from 'table', 'kp', 'homotopy', "
+     "'distinguish', 'corollary1-check', 'decompose', 'gate', 'tgeo', "
+     "'dump-roots')"),
+], ids=("invalid-choice", "missing-positional", "unknown-command"))
+def test_argparse_rejection_is_one_error_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kp", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: symcart kp [-h]")

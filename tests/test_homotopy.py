@@ -86,10 +86,10 @@ def test_real_grassmannian_rows():
 
 
 def test_out_of_range_degree():
-    with pytest.raises(ValueError):
-        pi(instantiate("S", (5,)), 11)
-    with pytest.raises(ValueError):
-        pi(instantiate("S", (5,)), 0)
+    for read in (pi, coverage, pi_candidates):
+        for k in (0, MAX_DEGREE + 1):
+            with pytest.raises(ValueError):
+                read(instantiate("S", (5,)), k)
 
 
 def test_profile_sums_factors():
@@ -127,6 +127,19 @@ def test_tables_are_parsed_once_per_process():
     assert load_records.cache_info().misses == 1
 
 
+def test_each_cache_has_one_key_per_data_directory():
+    shipped = str(_DATA)
+    load_records.cache_clear()
+    assert load_records() is load_records(None) is load_records(shipped)
+    assert load_records.cache_info().misses == 1
+    s = instantiate("SU", (4,))
+    pi.cache_clear()
+    pi(s, 3)
+    pi(s, 3, None)
+    pi(s, 3, data_dir=shipped)
+    assert pi.cache_info().misses == 1
+
+
 def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):
     data = Path(symcart.homotopy.__file__).parent / "data"
     for f in data.glob("*.txt"):
@@ -135,3 +148,113 @@ def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):
         fh.write("BDI(2,q) | p >= 11 and k <= 2 | 2=Z\n")
     with pytest.raises(ValueError, match="unknown name 'p'"):
         load_records(str(tmp_path))
+
+
+# The per-cell resolution that rows replaced, kept as the reference: for
+# each (space, degree) it matches the space against every record, compiles
+# and evaluates each matching record's guard, reads the record's group
+# from the data file's text, and picks the answer by source precedence.
+_PRECEDENCE = {"sphere_rule": 0, "projective_rule": 0, "spheres": 1,
+               "unstable_classical": 1, "real_grassmannians": 1,
+               "exceptional": 1, "stable": 2, "simply_connected": 3}
+
+_DATA = Path(symcart.homotopy.__file__).parent / "data"
+
+
+def _oracle_records(data_dir):
+    """load_records(data_dir), each with its {degree: group} parsed anew
+    from the file lines in load order."""
+    lines = [line.strip() for name, _ in symcart.homotopy._FILES
+             for line in (Path(data_dir or _DATA) / f"{name}.txt")
+             .read_text().splitlines()
+             if line.strip() and not line.strip().startswith("#")]
+    records = load_records(data_dir)
+    assert len(records) == len(lines)
+    out = []
+    for rec, line in zip(records, lines):
+        groups = {}
+        for cell in line.split("|")[2].split(";"):
+            deg, _, text = cell.partition("=")
+            groups[int(deg)] = parse_group(text)
+        out.append((rec, groups))
+    return out
+
+
+def _oracle_candidates(s, k, records):
+    trivial, z = parse_group("0"), parse_group("Z")
+    out = []
+    if s.symbol == "S":
+        n = s.params[0]
+        if k < n:
+            out.append(("sphere_rule", trivial))
+        elif k == n:
+            out.append(("sphere_rule", z))
+    if s.symbol == "AIII" and s.params[0] == 1:
+        sphere = instantiate("S", (2 * s.params[1] + 1,))
+        out.append(("projective_rule", trivial if k == 1 else z if k == 2
+                    else _oracle_pi(_oracle_candidates(sphere, k, records))))
+    for rec, groups in records:
+        if not rec.matches(s):
+            continue
+        env = {**rec.bindings(s), "k": k}
+        if rec.guard_text != "-" and not eval(
+                symcart.homotopy._compile_guard(rec.guard_text, tuple(env)),
+                {"__builtins__": {}}, env):
+            continue
+        if rec.source == "stable" and k == MAX_DEGREE \
+                and MAX_DEGREE not in groups:
+            out.append((rec.source, groups.get(MAX_DEGREE - 8, trivial)))
+        else:
+            out.append((rec.source, groups.get(k, trivial)))
+    if k == 1 and not out:
+        out.append(("simply_connected", trivial))
+    return out
+
+
+def _oracle_pi(cands):
+    return min(cands, key=lambda sv: _PRECEDENCE[sv[0]])[1] if cands \
+        else parse_group("?")
+
+
+def _oracle_coverage(cands):
+    return min(cands, key=lambda sv: _PRECEDENCE[sv[0]])[0] if cands \
+        else NOT_COVERED
+
+
+def _assert_rows_equal_the_oracle(data_dir=None):
+    spaces = set(enumerate_catalog(300))
+    # the CP^n rule reads pi of S^(2n+1), which may lie just past max_dim
+    spaces |= {instantiate("S", (2 * s.params[1] + 1,)) for s in list(spaces)
+               if s.symbol == "AIII" and s.params[0] == 1}
+    records = _oracle_records(data_dir)
+    for s in sorted(spaces, key=lambda s: s.label()):
+        for k in range(1, MAX_DEGREE + 1):
+            cands = _oracle_candidates(s, k, records)
+            assert pi_candidates(s, k, data_dir) == cands, (s, k)
+            assert pi(s, k, data_dir) == _oracle_pi(cands), (s, k)
+            assert coverage(s, k, data_dir) == _oracle_coverage(cands), (s, k)
+
+
+def test_rows_equal_the_per_cell_oracle():
+    _assert_rows_equal_the_oracle()
+
+
+def test_rows_merge_fixed_and_patterned_records_in_file_order(tmp_path):
+    """BDI(3,12) gains fixed rows in the first and last files and a
+    patterned one between the shipped BDI(3,q) row and the last file."""
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    for name, line in (("spheres", "BDI(3,12) | k >= 9 | 9=Z_5; 10=Z_7"),
+                       ("exceptional", "BDI(p,12) | p == 3 and k <= 4 | "
+                                       "2=Z_2; 4=Z"),
+                       ("stable", "BDI(3,12) | - | 2=Z_2")):
+        with open(tmp_path / f"{name}.txt", "a") as fh:
+            fh.write(line + "\n")
+    _assert_rows_equal_the_oracle(str(tmp_path))
+    s = instantiate("BDI", (3, 12))
+    assert [src for src, _ in pi_candidates(s, 2, str(tmp_path))] == \
+        ["real_grassmannians", "exceptional", "stable"]
+    assert [src for src, _ in pi_candidates(s, 9, str(tmp_path))] == \
+        ["spheres", "real_grassmannians", "stable"]
+    assert coverage(s, 9, str(tmp_path)) == "spheres"
+    assert _fmt(s, 9) == "Z_3"          # the shipped tables' rows are apart

@@ -3,16 +3,17 @@
 Commands: ``table``, ``kp``, ``homotopy``, ``distinguish``,
 ``corollary1-check``, ``decompose``, ``gate``, ``tgeo``, ``dump-roots``.
 Every command is a pure function of its arguments and the shipped data
-files, so repeated invocations are byte-identical.  ``--format json``
-emits one schema-versioned JSON object per invocation.
+files, so repeated invocations are byte-identical.  Each ``cmd_*``
+returns ``(payload, exit code)``; ``main`` prints the payload as one
+schema-versioned JSON object (``--format json``) or as the lines that
+the command's text renderer derives from it.  An option is attached only
+to the commands that read it.
 
-``main`` builds the argument parser on its first call and reuses it for
-every later call in the same process; the ``symcart`` command calls it
-once per process, so only a caller that calls ``main`` repeatedly gains.
+``main`` builds the argument parser on its first call and reuses it in
+the same process; the ``symcart`` command calls it once per process.
 The parser holds no per-call state: each ``parse_args`` returns a fresh
-namespace, and the command functions read this module's globals when
-they run.  The parser binds each subcommand to its ``cmd_*`` function
-when it is built, so a test that replaces a ``cmd_*`` function must call
+namespace.  It binds each subcommand to its ``cmd_*`` function and text
+renderer when it is built, so a test that replaces either must call
 ``_build_parser.cache_clear()`` before its next ``main`` call.
 """
 
@@ -22,19 +23,18 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
 
 from .abelian import format_group
-from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, ConstraintError,
-                      ProductSpace, ReducibleError, SpaceInstance,
-                      classical_presentations, instantiate, product_kp,
-                      reference_classical, reference_exceptional)
+from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, ProductSpace,
+                      ReducibleError, SpaceInstance, classical_presentations,
+                      instantiate, product_kp, reference_classical,
+                      reference_exceptional)
 from .geom import HypothesisSet, theorem_a_gate, theorem_b_check
 from .homotopy import MAX_DEGREE, profile
 from .recognize import corollary1_scan, decompose, distinguish
-from .rootsys import EXTRA_LONG, LONG, SHORT, RootSystemType, positive_roots
+from .rootsys import RootSystemType, positive_roots
 
 SCHEMA_VERSION = 1
 
@@ -48,6 +48,7 @@ class SpaceSyntaxError(ValueError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_SPACE_RE = re.compile(r"\s*")
 
 
 def _int_arg(text: str, pos: int) -> int:
@@ -80,7 +81,7 @@ def _resolve_factor(name: str, args: Tuple[str, ...],
         return [instantiate(symbol, params)]
     except ReducibleError as err:
         return [instantiate(s, ps) for s, ps in err.factors]
-    except (ConstraintError, ValueError) as err:
+    except ValueError as err:         # ConstraintError among them
         raise SpaceSyntaxError(str(err), pos) from err
 
 
@@ -92,9 +93,7 @@ def parse_space(text: str) -> ProductSpace:
     ``Spin(4)`` become products of their factors.
     """
     factors: List[SpaceInstance] = []
-    pos = 0
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
+    pos = _SPACE_RE.match(text).end()
     while True:
         m = _NAME_RE.match(text, pos)
         if not m:
@@ -109,16 +108,12 @@ def parse_space(text: str) -> ProductSpace:
             args = tuple(a.strip() for a in text[pos + 1:close].split(","))
             pos = close + 1
         factors.extend(_resolve_factor(name, args, start))
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        pos = _SPACE_RE.match(text, pos).end()
         if pos == len(text):
-            break
+            return ProductSpace(tuple(factors))
         if text[pos] != "x":
             raise SpaceSyntaxError("expected 'x' between factors", pos)
-        pos += 1
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-    return ProductSpace(tuple(factors))
+        pos = _SPACE_RE.match(text, pos + 1).end()
 
 
 def _single_factor(text: str) -> SpaceInstance:
@@ -128,105 +123,82 @@ def _single_factor(text: str) -> SpaceInstance:
     return space.factors[0]
 
 
-def _rat(x: Fraction) -> str:
-    return str(x)
-
-
-def _emit(args, payload: dict, lines: List[str]) -> None:
-    if args.format == "json":
-        payload["schema_version"] = SCHEMA_VERSION
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
 def _instance_row(s: SpaceInstance) -> dict:
     return {"space": s.label(), "dim": s.dim, "rank": s.rank, "k_P": s.kp,
-            "d_P": s.dp, "C_P": _rat(s.cp), "valid": s.valid}
+            "d_P": s.dp, "C_P": str(s.cp), "valid": s.valid}
 
 
-def cmd_table(args) -> int:
-    rows = []
-    mismatches = []
+def cmd_table(args) -> Tuple[dict, int]:
     if args.kind == "classical":
-        for symbol, params in classical_presentations(args.max_param):
-            s = instantiate(symbol, params)
-            ref = reference_classical(symbol, params)
-            label = f"{symbol}({','.join(map(str, params))})"
-            rows.append({"presentation": label, "canonical": s.label(),
-                         "dim": s.dim, "d_P": s.dp, "k_P": s.kp,
-                         "C_P": _rat(s.cp)})
-            if args.check:
-                for col, got, want in (("d_P", s.dp, ref[0]),
-                                       ("k_P", s.kp, ref[1]),
-                                       ("C_P", s.cp, ref[2])):
-                    if got != want:
-                        mismatches.append({"row": label, "column": col,
-                                           "published": _rat(Fraction(want)),
-                                           "computed": _rat(Fraction(got))})
+        published = [(f"{symbol}({','.join(map(str, params))})",
+                      instantiate(symbol, params),
+                      reference_classical(symbol, params))
+                     for symbol, params
+                     in classical_presentations(args.max_param)]
     else:
-        for symbol in EXCEPTIONAL_SYMBOLS:
-            s = instantiate(symbol)
-            dp_ref, kp_ref = reference_exceptional(symbol)
-            rows.append({"presentation": symbol, "canonical": s.label(),
-                         "dim": s.dim, "d_P": s.dp, "k_P": s.kp,
-                         "C_P": _rat(s.cp)})
-            if args.check:
-                for col, got, want in (("d_P", s.dp, dp_ref),
-                                       ("k_P", s.kp, kp_ref)):
-                    if got != want:
-                        mismatches.append({"row": symbol, "column": col,
-                                           "published": str(want),
-                                           "computed": str(got)})
-    lines = [f"{'presentation':<14} {'dim':>5} {'d_P':>5} {'k_P':>6} {'C_P':>8}"]
-    for r in rows:
-        lines.append(f"{r['presentation']:<14} {r['dim']:>5} {r['d_P']:>5} "
-                     f"{r['k_P']:>6} {r['C_P']:>8}")
-    if args.check:
-        for m in mismatches:
-            lines.append(f"MISMATCH {m['row']} {m['column']}: published "
-                         f"{m['published']}, computed {m['computed']}")
-        lines.append(f"check: {len(mismatches)} mismatch(es) in {len(rows)} rows")
+        published = [(symbol, instantiate(symbol),
+                      reference_exceptional(symbol))
+                     for symbol in EXCEPTIONAL_SYMBOLS]
+    rows, mismatches = [], []
+    for label, s, ref in published:
+        rows.append({"presentation": label, "canonical": s.label(),
+                     "dim": s.dim, "d_P": s.dp, "k_P": s.kp, "C_P": str(s.cp)})
+        if args.check:                # the exceptional rows publish no C_P
+            mismatches += [{"row": label, "column": col,
+                            "published": str(want), "computed": str(got)}
+                           for col, got, want in zip(("d_P", "k_P", "C_P"),
+                                                     (s.dp, s.kp, s.cp), ref)
+                           if got != want]
     payload = {"command": "table", "kind": args.kind, "rows": rows}
     if args.check:
         payload["mismatches"] = mismatches
-    _emit(args, payload, lines)
-    return 1 if mismatches else 0
+    return payload, 1 if mismatches else 0
 
 
-def cmd_kp(args) -> int:
+def _text_table(p, args):
+    yield f"{'presentation':<14} {'dim':>5} {'d_P':>5} {'k_P':>6} {'C_P':>8}"
+    for r in p["rows"]:
+        yield (f"{r['presentation']:<14} {r['dim']:>5} {r['d_P']:>5} "
+               f"{r['k_P']:>6} {r['C_P']:>8}")
+    if "mismatches" in p:
+        for m in p["mismatches"]:
+            yield (f"MISMATCH {m['row']} {m['column']}: published "
+                   f"{m['published']}, computed {m['computed']}")
+        yield (f"check: {len(p['mismatches'])} mismatch(es) in "
+               f"{len(p['rows'])} rows")
+
+
+def cmd_kp(args) -> Tuple[dict, int]:
     space = parse_space(args.space)
     if len(space.factors) == 1:
-        s = space.factors[0]
-        payload = {"command": "kp", **_instance_row(s)}
-        lines = [f"{s.label()}: dim={s.dim} rank={s.rank} k_P={s.kp} "
-                 f"d_P={s.dp} C_P={_rat(s.cp)} valid={s.valid}"]
-    else:
-        k = product_kp(space)
-        payload = {"command": "kp", "space": space.label(), "dim": space.dim,
-                   "k_P": k, "d_P": space.dim - k,
-                   "factors": [_instance_row(f) for f in space.factors]}
-        lines = [f"{space.label()}: dim={space.dim} k_P={k} "
-                 f"d_P={space.dim - k}"]
-    _emit(args, payload, lines)
-    return 0
+        return {"command": "kp", **_instance_row(space.factors[0])}, 0
+    k = product_kp(space)
+    return {"command": "kp", "space": space.label(), "dim": space.dim,
+            "k_P": k, "d_P": space.dim - k,
+            "factors": [_instance_row(f) for f in space.factors]}, 0
 
 
-def cmd_homotopy(args) -> int:
+def _text_kp(p, args):
+    # a product's payload has no rank, C_P or validity of its own
+    yield f"{p['space']}: " + " ".join(
+        f"{key}={p[key]}"
+        for key in ("dim", "rank", "k_P", "d_P", "C_P", "valid") if key in p)
+
+
+def cmd_homotopy(args) -> Tuple[dict, int]:
     space = parse_space(args.space)
     prof = profile(space, args.max_degree, args.data_dir)
-    groups = {k: format_group(g) for k, g in prof.items()}
-    payload = {"command": "homotopy", "space": space.label(),
-               "max_degree": args.max_degree,
-               "groups": {str(k): v for k, v in groups.items()}}
-    lines = [f"pi_{k}({space.label()}) = {groups[k]}"
-             for k in sorted(groups)]
-    _emit(args, payload, lines)
-    return 0
+    return {"command": "homotopy", "space": space.label(),
+            "max_degree": args.max_degree,
+            "groups": {str(k): format_group(g) for k, g in prof.items()}}, 0
 
 
-def cmd_distinguish(args) -> int:
+def _text_homotopy(p, args):
+    for k, group in p["groups"].items():
+        yield f"pi_{k}({p['space']}) = {group}"
+
+
+def cmd_distinguish(args) -> Tuple[dict, int]:
     a, b = parse_space(args.a), parse_space(args.b)
     v = distinguish(a, b, args.max_degree, args.data_dir)
     payload = {"command": "distinguish", "a": a.label(), "b": b.label(),
@@ -234,8 +206,11 @@ def cmd_distinguish(args) -> int:
     if v.degree:
         payload["degree"] = v.degree
         payload["field"] = str(v.field)
-    _emit(args, payload, [str(v)])
-    return 0
+    return payload, 0
+
+
+def _text_verdict(p, args):
+    yield p["verdict"]
 
 
 # the largest scan measured: dim 2000 took 4.8 s and 183 MB peak RSS on a
@@ -243,100 +218,97 @@ def cmd_distinguish(args) -> int:
 MAX_SCAN_DIM = 2000
 
 
-def cmd_corollary1_check(args) -> int:
+def cmd_corollary1_check(args) -> Tuple[dict, int]:
     if args.max_dim > MAX_SCAN_DIM:
         raise ValueError(f"--max-dim {args.max_dim} exceeds MAX_SCAN_DIM = "
                          f"{MAX_SCAN_DIM}")
     report = corollary1_scan(args.max_dim, args.max_degree, args.data_dir)
-    payload = {"command": "corollary1-check", "max_dim": report.max_dim,
-               "max_degree": report.max_degree,
-               "instances": report.instances,
-               "distinguishable_pairs": report.distinguishable_pairs,
-               "blind_pairs": len(report.blind_pairs),
-               "violations": [{"a": a.label(), "b": b.label(),
-                               "verdict": str(v)}
-                              for a, b, v in report.violations],
-               "undetermined": [{"a": a.label(), "b": b.label(),
-                                 "verdict": str(v)}
-                                for a, b, v in report.undetermined],
-               "clean": report.clean}
-    lines = [f"instances: {report.instances}",
-             f"distinguishable pairs: {report.distinguishable_pairs}",
-             f"blind pairs: {len(report.blind_pairs)}",
-             f"violations: {len(report.violations)}",
-             f"undetermined: {len(report.undetermined)}"]
-    for a, b, v in report.violations[:args.max_listed]:
-        lines.append(f"violation: {a.label()} vs {b.label()}: {v}")
-    for a, b, v in report.undetermined[:args.max_listed]:
-        lines.append(f"undetermined: {a.label()} vs {b.label()}: {v}")
-    lines.append("clean" if report.clean else "NOT CLEAN")
-    _emit(args, payload, lines)
-    return 0 if report.clean else 1
+
+    def listed(pairs):
+        return [{"a": a.label(), "b": b.label(), "verdict": str(v)}
+                for a, b, v in pairs]
+    return {"command": "corollary1-check", "max_dim": report.max_dim,
+            "max_degree": report.max_degree, "instances": report.instances,
+            "distinguishable_pairs": report.distinguishable_pairs,
+            "blind_pairs": len(report.blind_pairs),
+            "violations": listed(report.violations),
+            "undetermined": listed(report.undetermined),
+            "clean": report.clean}, 0 if report.clean else 1
 
 
-def cmd_decompose(args) -> int:
+def _text_corollary1_check(p, args):
+    yield f"instances: {p['instances']}"
+    yield f"distinguishable pairs: {p['distinguishable_pairs']}"
+    yield f"blind pairs: {p['blind_pairs']}"
+    for bucket in ("violations", "undetermined"):
+        yield f"{bucket}: {len(p[bucket])}"
+    for bucket, name in (("violations", "violation"),
+                         ("undetermined", "undetermined")):
+        for pair in p[bucket][:args.max_listed]:
+            yield f"{name}: {pair['a']} vs {pair['b']}: {pair['verdict']}"
+    yield "clean" if p["clean"] else "NOT CLEAN"
+
+
+def cmd_decompose(args) -> Tuple[dict, int]:
     s = _single_factor(args.space)
     results = decompose(s, args.max_degree, args.max_candidates,
                         args.data_dir)
-    payload = {"command": "decompose", "space": s.label(),
-               "max_degree": args.max_degree,
-               "candidates": [{"product": r.label(), "dim": r.dim}
-                              for r in results]}
-    lines = [f"{r.label()} (dim {r.dim})" for r in results]
-    lines.append(f"{len(results)} candidate(s)")
-    _emit(args, payload, lines)
-    return 0
+    return {"command": "decompose", "space": s.label(),
+            "max_degree": args.max_degree,
+            "candidates": [{"product": r.label(), "dim": r.dim}
+                           for r in results]}, 0
 
 
-def cmd_gate(args) -> int:
+def _text_decompose(p, args):
+    for c in p["candidates"]:
+        yield f"{c['product']} (dim {c['dim']})"
+    yield f"{len(p['candidates'])} candidate(s)"
+
+
+def cmd_gate(args) -> Tuple[dict, int]:
     s = _single_factor(args.space)
-    h = HypothesisSet(args.delta, args.focal_r, args.codim)
-    v = theorem_a_gate(s, h)
+    v = theorem_a_gate(s, HypothesisSet(args.delta, args.focal_r, args.codim))
     payload = {"command": "gate", "space": s.label(), "kind": v.kind,
                "reason": v.reason, "allowed": v.allowed,
                "verdict": str(v)}
     if v.trace_bound is not None:
         payload["trace_bound"] = v.trace_bound
-    _emit(args, payload, [str(v)])
-    return 0
+    return payload, 0
 
 
-def cmd_tgeo(args) -> int:
+def cmd_tgeo(args) -> Tuple[dict, int]:
     v = theorem_b_check(args.field, args.p, args.n, args.codim, args.index)
     payload = {"command": "tgeo", "field": args.field, "p": args.p,
                "n": args.n, "codim": args.codim,
-               "ambient": v.ambient.label(), "C_P": _rat(v.cp),
+               "ambient": v.ambient.label(), "C_P": str(v.cp),
                "index_bound": v.index_bound, "applicable": v.applicable,
                "verdict": str(v)}
     if v.min_meridian_codim is not None:
         payload["min_meridian_codim"] = v.min_meridian_codim
-    _emit(args, payload, [str(v)])
-    return 0
+    return payload, 0
 
-
-_CLASS_NAMES = {SHORT: "short", LONG: "long", EXTRA_LONG: "extra_long"}
 
 # dump-roots lists every positive root, about rank^2 roots of rank
 # coefficients each; past this rank the listing outgrows any use of it
 MAX_DUMP_RANK = 32
 
 
-def cmd_dump_roots(args) -> int:
+def cmd_dump_roots(args) -> Tuple[dict, int]:
     if args.rank > MAX_DUMP_RANK:
         raise ValueError(f"--rank {args.rank} exceeds MAX_DUMP_RANK = "
                          f"{MAX_DUMP_RANK} (the output grows as rank^3)")
     t = RootSystemType(args.type, args.rank)
     roots = positive_roots(t)
-    payload = {"command": "dump-roots", "type": args.type, "rank": t.rank,
-               "count": len(roots),
-               "roots": [{"coeffs": list(r.coeffs),
-                          "class": _CLASS_NAMES[r.length_class]}
-                         for r in roots]}
-    lines = [f"{' '.join(map(str, r.coeffs))}  {_CLASS_NAMES[r.length_class]}"
-             for r in roots]
-    lines.append(f"{len(roots)} positive roots")
-    _emit(args, payload, lines)
-    return 0
+    return {"command": "dump-roots", "type": args.type, "rank": t.rank,
+            "count": len(roots),
+            "roots": [{"coeffs": list(r.coeffs), "class": r.length_class}
+                      for r in roots]}, 0
+
+
+def _text_dump_roots(p, args):
+    for r in p["roots"]:
+        yield f"{' '.join(map(str, r['coeffs']))}  {r['class']}"
+    yield f"{p['count']} positive roots"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -353,12 +325,13 @@ class _Parser(argparse.ArgumentParser):
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--data-dir", default=None,
-                        help="override the bundled homotopy data files")
-    common.add_argument("--max-candidates", type=int, default=10 ** 6,
-                        help="node budget for the decomposition search")
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    cells = _Parser(add_help=False)     # the commands that read pi_k cells
+    cells.add_argument("--max-degree", type=int, default=9,
+                       choices=range(1, MAX_DEGREE + 1))
+    cells.add_argument("--data-dir", default=None,
+                       help="override the bundled homotopy data files")
 
     parser = _Parser(
         prog="symcart",
@@ -366,74 +339,64 @@ def _build_parser() -> argparse.ArgumentParser:
                     "recognition for compact symmetric spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", parents=[common],
-                       help="reproduce the classical/exceptional tables")
+    def command(name, func, render, help, *parents):
+        p = sub.add_parser(name, parents=[output, *parents], help=help)
+        p.set_defaults(func=func, render=render)
+        return p
+
+    p = command("table", cmd_table, _text_table,
+                "reproduce the classical/exceptional tables")
     p.add_argument("kind", choices=("classical", "exceptional"))
     p.add_argument("--check", action="store_true",
                    help="compare against the published values; exit nonzero "
                         "on any mismatch")
     p.add_argument("--max-param", type=int, default=30)
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("kp", parents=[common],
-                       help="dim, rank, k_P, d_P, C_P of a space")
+    p = command("kp", cmd_kp, _text_kp, "dim, rank, k_P, d_P, C_P of a space")
     p.add_argument("space")
-    p.set_defaults(func=cmd_kp)
 
-    p = sub.add_parser("homotopy", parents=[common],
-                       help="homotopy groups of a space through a degree")
+    p = command("homotopy", cmd_homotopy, _text_homotopy,
+                "homotopy groups of a space through a degree", cells)
     p.add_argument("space")
-    p.add_argument("--max-degree", type=int, default=9,
-                   choices=range(1, MAX_DEGREE + 1))
-    p.set_defaults(func=cmd_homotopy)
 
-    p = sub.add_parser("distinguish", parents=[common],
-                       help="compare the homotopy profiles of two spaces")
+    p = command("distinguish", cmd_distinguish, _text_verdict,
+                "compare the homotopy profiles of two spaces", cells)
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--max-degree", type=int, default=9,
-                   choices=range(1, MAX_DEGREE + 1))
-    p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser("corollary1-check", parents=[common],
-                       help="pairwise recognition scan over the catalog")
+    p = command("corollary1-check", cmd_corollary1_check,
+                _text_corollary1_check,
+                "pairwise recognition scan over the catalog", cells)
     p.add_argument("--max-dim", type=int, default=300)
-    p.add_argument("--max-degree", type=int, default=9,
-                   choices=range(1, MAX_DEGREE + 1))
     p.add_argument("--max-listed", type=int, default=20,
                    help="cap on violations/undetermined pairs listed as text")
-    p.set_defaults(func=cmd_corollary1_check)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="products indistinguishable from the ambient")
+    p = command("decompose", cmd_decompose, _text_decompose,
+                "products indistinguishable from the ambient", cells)
     p.add_argument("space")
-    p.add_argument("--max-degree", type=int, default=9,
-                   choices=range(1, MAX_DEGREE + 1))
-    p.set_defaults(func=cmd_decompose)
+    p.add_argument("--max-candidates", type=int, default=10 ** 6,
+                   help="node budget for the decomposition search")
 
-    p = sub.add_parser("gate", parents=[common],
-                       help="allowed submanifold types for an ambient space")
+    p = command("gate", cmd_gate, _text_verdict,
+                "allowed submanifold types for an ambient space")
     p.add_argument("space")
     p.add_argument("--codim", type=int, required=True)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--focal-r", type=float, default=0.0)
-    p.set_defaults(func=cmd_gate)
 
-    p = sub.add_parser("tgeo", parents=[common],
-                       help="meridian obstruction gate for Grassmannians")
+    p = command("tgeo", cmd_tgeo, _text_verdict,
+                "meridian obstruction gate for Grassmannians")
     p.add_argument("field", choices=tuple(GRASSMANNIANS))
     p.add_argument("p", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--codim", type=int, required=True)
     p.add_argument("--index", type=int, default=None,
                    help="override the bundled index lower bound")
-    p.set_defaults(func=cmd_tgeo)
 
-    p = sub.add_parser("dump-roots", parents=[common],
-                       help="positive roots of a restricted root system")
+    p = command("dump-roots", cmd_dump_roots, _text_dump_roots,
+                "positive roots of a restricted root system")
     p.add_argument("type", help="A, B, C, D, BC, E6, E7, E8, F4 or G2")
     p.add_argument("--rank", type=int, default=0)
-    p.set_defaults(func=cmd_dump_roots)
 
     return parser
 
@@ -441,10 +404,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (SpaceSyntaxError, ConstraintError, ValueError) as err:
+        payload, code = args.func(args)
+    except ValueError as err:        # spec, constraint and bound errors
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if args.format == "json":
+        print(json.dumps({**payload, "schema_version": SCHEMA_VERSION},
+                         sort_keys=True))
+    else:
+        for line in args.render(payload, args):
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,14 +13,11 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, SpaceInstance,
                       instantiate, sharp)
-from .homotopy import _compile_guard
-
-_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+from .homotopy import _cached_per_data_dir, _compile_guard
 
 
 def connectivity(ambient: SpaceInstance, sub_dim: int) -> int:
@@ -129,15 +126,17 @@ def meridian_codim(fld: str, p: int, q: int, a: int, b: int) -> int:
     return c * p * q - (c * a * (n - 2 * b - a) + c * b * b)
 
 
-@lru_cache(maxsize=None)
+@_cached_per_data_dir
 def index_lower_bound(fld: str, p: int, data_dir: Optional[str] = None) -> int:
     """Bundled external-source index value for Gr(F, p, n) submanifolds.
 
     The index expression is compiled by the homotopy tables' guard
     compiler, so a construct outside its whitelist, or a name other than
-    p, raises ValueError.
+    p, raises ValueError.  Results are cached per data directory as the
+    homotopy tables are: no directory, None and the shipped one share an
+    entry.
     """
-    with open(os.path.join(data_dir or _DATA_DIR, "index_bounds.txt")) as fh:
+    with open(os.path.join(data_dir, "index_bounds.txt")) as fh:
         for line in fh:
             line = line.strip()
             if line.startswith("#") or not line:

@@ -291,8 +291,7 @@ def groups(s: SpaceInstance, max_degree: int = 9,
 def profile(q: ProductSpace, max_degree: int = 9,
             data_dir=None) -> Dict[int, PartialAbelianGroup]:
     """Degreewise direct sum of the factors' homotopy groups."""
-    if not 1 <= max_degree <= MAX_DEGREE:
-        raise ValueError("max_degree out of range")
+    _check_degree(max_degree)
     out = {}
     for k in range(1, max_degree + 1):
         acc = PartialAbelianGroup.trivial()

@@ -105,6 +105,23 @@ def distinguish(a: Space, b: Space, max_degree: int = 9,
                                 max_degree)
 
 
+_CP_SIDE, _GR_SIDE = "CP^n", "Gr(R,2,q)"
+
+
+def _blind_side(s: SpaceInstance, max_degree: int):
+    """The side of the degree-max_degree blind spot ``s`` sits on, or None.
+
+    CP^n with 2n + 1 > max_degree is on ``_CP_SIDE``, Gr(R,2,q) with
+    q > max_degree on ``_GR_SIDE``; a pair is blind iff it takes one space
+    from each side (see ``_is_blind_pair``).
+    """
+    if s.symbol == "AIII" and s.params[0] == 1:
+        return _CP_SIDE if 2 * s.params[1] + 1 > max_degree else None
+    if s.symbol == "BDI" and s.params[0] == 2:
+        return _GR_SIDE if s.params[1] > max_degree else None
+    return None
+
+
 def _is_blind_pair(a: SpaceInstance, b: SpaceInstance,
                    max_degree: int = 9) -> bool:
     """The recognition blind spot through max_degree: CP^n vs Gr(R,2,q).
@@ -120,13 +137,8 @@ def _is_blind_pair(a: SpaceInstance, b: SpaceInstance,
     E8 -- fall outside it and are reported as violations by design;
     acceptance criterion 4 lists them with the reason for each.
     """
-    for x, y in ((a, b), (b, a)):
-        if (x.symbol == "AIII" and x.params[0] == 1
-                and 2 * x.params[1] + 1 > max_degree
-                and y.symbol == "BDI" and y.params[0] == 2
-                and y.params[1] > max_degree):
-            return True
-    return False
+    side = _blind_side(a, max_degree)
+    return side is not None and _blind_side(b, max_degree) not in (None, side)
 
 
 @dataclass
@@ -142,21 +154,6 @@ class ScanReport:
     @property
     def clean(self) -> bool:
         return not self.violations and not self.undetermined
-
-
-def _blind_sides(members: List[SpaceInstance], max_degree: int):
-    """How many members sit on each side of ``_is_blind_pair``'s set.
-
-    Returns (number of CP^n with 2n + 1 > max_degree, number of Gr(R,2,q)
-    with q > max_degree); a pair is blind iff it takes one from each side.
-    """
-    cp = gr = 0
-    for s in members:
-        if s.symbol == "AIII" and s.params[0] == 1:
-            cp += 2 * s.params[1] + 1 > max_degree
-        elif s.symbol == "BDI" and s.params[0] == 2:
-            gr += s.params[1] > max_degree
-    return cp, gr
 
 
 def corollary1_scan(max_dim: int, max_degree: int = 9,
@@ -186,36 +183,36 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     spaces = [s for s in enumerate_catalog(max_dim) if s.valid]
     report = ScanReport(max_dim, max_degree, instances=len(spaces))
 
-    classes: Dict[Tuple, List[SpaceInstance]] = {}
-    profiles = {}
+    by_signature: Dict[Tuple, Tuple[List[SpaceInstance], Dict]] = {}
     for s in spaces:
         prof = groups(s, max_degree, data_dir)
         sig = tuple(sorted((k, g.tag, g.group) for k, g in prof.items()))
-        classes.setdefault(sig, []).append(s)
-        profiles[sig] = prof
-
-    sigs = sorted(classes, key=lambda sig: classes[sig][0])
-    hist = {sig: Counter(s.symbol for s in classes[sig]) for sig in sigs}
-    sides = {sig: _blind_sides(classes[sig], max_degree) for sig in sigs}
-    for i, sa in enumerate(sigs):
-        for sb in sigs[i:]:
-            members_a, members_b = classes[sa], classes[sb]
-            (cp_a, gr_a), (cp_b, gr_b) = sides[sa], sides[sb]
-            if sa == sb:
+        by_signature.setdefault(sig, ([], prof))[0].append(s)
+    # one entry per class, in member order: its members, its profile, its
+    # symbol histogram and its counts of spaces on each blind side
+    classes = sorted(((members, prof, Counter(s.symbol for s in members),
+                       Counter(_blind_side(s, max_degree) for s in members))
+                      for members, prof in by_signature.values()),
+                     key=lambda c: c[0][0])
+    for i, (members_a, prof_a, hist_a, sides_a) in enumerate(classes):
+        for j in range(i, len(classes)):
+            members_b, prof_b, hist_b, sides_b = classes[j]
+            if i == j:
                 n = len(members_a)
-                diff = (n * n - sum(h * h for h in hist[sa].values())) // 2
-                n_blind = cp_a * gr_a
+                diff = (n * n - sum(h * h for h in hist_a.values())) // 2
+                n_blind = sides_a[_CP_SIDE] * sides_a[_GR_SIDE]
             else:
                 diff = len(members_a) * len(members_b) - sum(
-                    h * hist[sb][symbol] for symbol, h in hist[sa].items())
-                n_blind = cp_a * gr_b + gr_a * cp_b
+                    h * hist_b[symbol] for symbol, h in hist_a.items())
+                n_blind = (sides_a[_CP_SIDE] * sides_b[_GR_SIDE]
+                           + sides_a[_GR_SIDE] * sides_b[_CP_SIDE])
             if not diff:
                 continue
-            v = distinguish_profiles(profiles[sa], profiles[sb], max_degree)
+            v = distinguish_profiles(prof_a, prof_b, max_degree)
             if v.kind == DISTINGUISHABLE and not n_blind:
                 report.distinguishable_pairs += diff
                 continue
-            if sa == sb:
+            if i == j:
                 pairs = [(a, b) for x, a in enumerate(members_a)
                          for b in members_a[x + 1:] if a.symbol != b.symbol]
             else:

@@ -2,9 +2,12 @@
 
 import argparse
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+import symcart
 from symcart import cli, rootsys
 from symcart.catalog import reference_classical
 from symcart.cli import SpaceSyntaxError, main, parse_space
@@ -234,3 +237,47 @@ def test_help_still_prints_usage(capsys):
         main(["kp", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: symcart kp [-h]")
+
+
+# each command with its required arguments only
+_CALLS = {"table": ["table", "exceptional"], "kp": ["kp", "S(12)"],
+          "homotopy": ["homotopy", "S(7)"],
+          "distinguish": ["distinguish", "S(7)", "S(8)"],
+          "corollary1-check": ["corollary1-check"],
+          "decompose": ["decompose", "S(12)"],
+          "gate": ["gate", "S(12)", "--codim", "1"],
+          "tgeo": ["tgeo", "C", "3", "23", "--codim", "7"],
+          "dump-roots": ["dump-roots", "G2"]}
+
+
+@pytest.mark.parametrize("argv", [
+    *(_CALLS[c] + ["--data-dir", "X"]
+      for c in ("kp", "table", "gate", "tgeo", "dump-roots")),
+    *(_CALLS[c] + ["--max-candidates", "3"] for c in _CALLS
+      if c != "decompose"),
+], ids=lambda argv: f"{argv[0]} {' '.join(argv[-2:])}")
+def test_options_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == \
+        f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+
+
+def test_data_dir_reaches_the_tables(capsys, tmp_path):
+    for f in (Path(symcart.__file__).parent / "data").glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    grassmannians = tmp_path / "real_grassmannians.txt"
+    text = grassmannians.read_text()
+    assert "BDI(2,q) | q >= 11 | 2=Z\n" in text
+    grassmannians.write_text(text.replace("BDI(2,q) | q >= 11 | 2=Z\n",
+                                          "BDI(2,q) | q >= 11 | 2=Z; 9=Z_2\n"))
+    for data, pi_9, verdict in (
+            ([], "0", "Indistinguishable(9)"),
+            (["--data-dir", str(tmp_path)], "Z_2",
+             "Distinguishable(degree=9, field=Z_2, ranks [0,0] vs [1,1])")):
+        code, out = run(capsys, "homotopy", "Gr(R,2,13)", *data)
+        assert code == 0 and f"pi_9(BDI(2,11)) = {pi_9}\n" in out
+        code, out = run(capsys, "distinguish", "CP(5)", "Gr(R,2,13)", *data)
+        assert code == 0 and out == f"{verdict}\n"

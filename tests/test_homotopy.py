@@ -8,6 +8,7 @@ import pytest
 import symcart.homotopy
 from symcart.abelian import format_group, parse_group
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
+from symcart.geom import index_lower_bound
 from symcart.homotopy import (MAX_DEGREE, NOT_COVERED, consistency_violations,
                               coverage, load_records, pi, pi_candidates,
                               profile)
@@ -138,6 +139,10 @@ def test_each_cache_has_one_key_per_data_directory():
     pi(s, 3, None)
     pi(s, 3, data_dir=shipped)
     assert pi.cache_info().misses == 1
+    index_lower_bound.cache_clear()
+    assert index_lower_bound("C", 3) == index_lower_bound("C", 3, None) == \
+        index_lower_bound("C", 3, data_dir=shipped) == 6
+    assert index_lower_bound.cache_info().misses == 1
 
 
 def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):

@@ -33,7 +33,8 @@ from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, ProductSpace,
                       reference_exceptional)
 from .geom import HypothesisSet, theorem_a_gate, theorem_b_check
 from .homotopy import MAX_DEGREE, profile
-from .recognize import corollary1_scan, decompose, distinguish
+from .recognize import (CandidateOverflow, corollary1_scan, decompose,
+                        distinguish)
 from .rootsys import RootSystemType, positive_roots
 
 SCHEMA_VERSION = 1
@@ -251,8 +252,12 @@ def _text_corollary1_check(p, args):
 
 def cmd_decompose(args) -> Tuple[dict, int]:
     s = _single_factor(args.space)
-    results = decompose(s, args.max_degree, args.max_candidates,
-                        args.data_dir)
+    try:
+        results = decompose(s, args.max_degree, args.max_candidates,
+                            args.data_dir)
+    except CandidateOverflow as err:      # a named bound, like --max-dim's
+        raise ValueError(f"decomposition search exceeded --max-candidates = "
+                         f"{args.max_candidates} nodes") from err
     return {"command": "decompose", "space": s.label(),
             "max_degree": args.max_degree,
             "candidates": [{"product": r.label(), "dim": r.dim}

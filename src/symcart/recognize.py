@@ -6,6 +6,11 @@ cell pair has provably disjoint rank intervals; indistinguishable when
 every cell is known exactly and equal; undetermined otherwise (partially
 known cells block the decision without ever being guessed).
 
+A whole catalog's profiles hold only a handful of distinct cell values,
+so each value's five rank intervals are computed once per process
+(``_field_ranks``); ``distinguish_profiles`` and ``RankVector`` both
+read them there.
+
 A space's profile never changes within a process, so ``decompose``
 ranks each space once: its profile and rank vector are cached per
 (space, degree, data directory), as ``pi`` caches each group.
@@ -18,8 +23,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Tuple, Union
 
-from .abelian import (EQUAL, INCOMPATIBLE, PartialAbelianGroup, RankInterval,
-                      compatible, format_group, p_rank, q_rank)
+from .abelian import (PartialAbelianGroup, RankInterval, format_group, p_rank,
+                      q_rank)
 from .catalog import ProductSpace, SpaceInstance, enumerate_catalog
 from .homotopy import groups, profile
 
@@ -30,6 +35,17 @@ INDISTINGUISHABLE = "Indistinguishable"
 UNDETERMINED = "Undetermined"
 
 
+@lru_cache(maxsize=None)
+def _field_ranks(
+        g: PartialAbelianGroup) -> Tuple[Tuple[object, RankInterval], ...]:
+    """``(field, rank interval)`` of the cell g over each of ``FIELDS``.
+
+    Cells are frozen values, and a profile holds few distinct ones, so
+    each is ranked once per process; callers share the tuple.
+    """
+    return (("Q", q_rank(g)),) + tuple((p, p_rank(g, p)) for p in FIELDS[1:])
+
+
 @dataclass(frozen=True)
 class RankVector:
     """Per-degree, per-field rank intervals of a homotopy profile."""
@@ -38,12 +54,8 @@ class RankVector:
 
     @staticmethod
     def of(prof: Dict[int, PartialAbelianGroup]) -> "RankVector":
-        out = {}
-        for k, g in prof.items():
-            out[(k, "Q")] = q_rank(g)
-            for p in FIELDS[1:]:
-                out[(k, p)] = p_rank(g, p)
-        return RankVector(out)
+        return RankVector({(k, f): i for k, g in prof.items()
+                           for f, i in _field_ranks(g)})
 
 
 @dataclass(frozen=True)
@@ -71,15 +83,24 @@ class Verdict:
 def distinguish_profiles(pa: Dict[int, PartialAbelianGroup],
                          pb: Dict[int, PartialAbelianGroup],
                          max_degree: int) -> Verdict:
+    """Compare two profiles cell by cell through max_degree.
+
+    The first degree with a field whose rank intervals are disjoint (Q
+    before Z_2, Z_3, Z_5, Z_7) makes the pair distinguishable.  Otherwise
+    a degree blocks the verdict unless its two cells are one exact group.
+    Equal cells have equal intervals, so only unequal ones are ranked.
+    """
     blockers = []
     for k in range(1, max_degree + 1):
         a, b = pa[k], pb[k]
-        verdict, witness = compatible(a, b, (2, 3, 5, 7))
-        if verdict == INCOMPATIBLE:
-            f, ia, ib = witness
-            return Verdict(DISTINGUISHABLE, max_degree, k, f, (ia, ib))
-        if verdict != EQUAL:
-            blockers.append((k, a, b))
+        if a == b:
+            if not a.is_exact:
+                blockers.append((k, a, b))
+            continue
+        for (f, ia), (_, ib) in zip(_field_ranks(a), _field_ranks(b)):
+            if ia.disjoint(ib):
+                return Verdict(DISTINGUISHABLE, max_degree, k, f, (ia, ib))
+        blockers.append((k, a, b))
     if blockers:
         return Verdict(UNDETERMINED, max_degree, blockers=tuple(blockers))
     return Verdict(INDISTINGUISHABLE, max_degree)
@@ -106,6 +127,8 @@ def distinguish(a: Space, b: Space, max_degree: int = 9,
 
 
 _CP_SIDE, _GR_SIDE = "CP^n", "Gr(R,2,q)"
+# a pair is blind iff its spaces' blind sides are one of these
+_BLIND_SIDE_PAIRS = frozenset({(_CP_SIDE, _GR_SIDE), (_GR_SIDE, _CP_SIDE)})
 
 
 def _blind_side(s: SpaceInstance, max_degree: int):
@@ -137,8 +160,8 @@ def _is_blind_pair(a: SpaceInstance, b: SpaceInstance,
     E8 -- fall outside it and are reported as violations by design;
     acceptance criterion 4 lists them with the reason for each.
     """
-    side = _blind_side(a, max_degree)
-    return side is not None and _blind_side(b, max_degree) not in (None, side)
+    return (_blind_side(a, max_degree),
+            _blind_side(b, max_degree)) in _BLIND_SIDE_PAIRS
 
 
 @dataclass
@@ -176,36 +199,41 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     class), and its blind pairs from each class's CP^n and Gr(R,2,q)
     counts.  A distinguishable class pair with no blind pair only adds
     its count; any other one lists its pairs, in member order, and files
-    each by ``_is_blind_pair``.
+    each by its members' blind sides, found once per space when the
+    classes are formed (``_BLIND_SIDE_PAIRS``, the rule of
+    ``_is_blind_pair``).  The comparison itself reads each distinct cell
+    value's rank intervals from ``_field_ranks``, so it too costs per
+    value, not per class pair.
     """
     if max_dim < 11:
         raise ValueError("max_dim >= 11 required (no valid space is smaller)")
     spaces = [s for s in enumerate_catalog(max_dim) if s.valid]
     report = ScanReport(max_dim, max_degree, instances=len(spaces))
 
-    by_signature: Dict[Tuple, Tuple[List[SpaceInstance], Dict]] = {}
+    # a profile dict is in degree order, so its values name its class
+    by_profile: Dict[Tuple, Tuple[List, Dict]] = {}
     for s in spaces:
         prof = groups(s, max_degree, data_dir)
-        sig = tuple(sorted((k, g.tag, g.group) for k, g in prof.items()))
-        by_signature.setdefault(sig, ([], prof))[0].append(s)
-    # one entry per class, in member order: its members, its profile, its
-    # symbol histogram and its counts of spaces on each blind side
-    classes = sorted(((members, prof, Counter(s.symbol for s in members),
-                       Counter(_blind_side(s, max_degree) for s in members))
-                      for members, prof in by_signature.values()),
-                     key=lambda c: c[0][0])
-    for i, (members_a, prof_a, hist_a, sides_a) in enumerate(classes):
+        by_profile.setdefault(tuple(prof.values()), ([], prof))[0].append(
+            (s, _blind_side(s, max_degree)))
+    # one entry per class, in member order: its (member, blind side) list,
+    # its profile, its symbol histogram and its count of members per side
+    classes = sorted(((members, prof, Counter(s.symbol for s, _ in members),
+                       Counter(side for _, side in members))
+                      for members, prof in by_profile.values()),
+                     key=lambda c: c[0][0][0])
+    for i, (members_a, prof_a, hist_a, on_side_a) in enumerate(classes):
         for j in range(i, len(classes)):
-            members_b, prof_b, hist_b, sides_b = classes[j]
+            members_b, prof_b, hist_b, on_side_b = classes[j]
             if i == j:
                 n = len(members_a)
                 diff = (n * n - sum(h * h for h in hist_a.values())) // 2
-                n_blind = sides_a[_CP_SIDE] * sides_a[_GR_SIDE]
+                n_blind = on_side_a[_CP_SIDE] * on_side_a[_GR_SIDE]
             else:
                 diff = len(members_a) * len(members_b) - sum(
                     h * hist_b[symbol] for symbol, h in hist_a.items())
-                n_blind = (sides_a[_CP_SIDE] * sides_b[_GR_SIDE]
-                           + sides_a[_GR_SIDE] * sides_b[_CP_SIDE])
+                n_blind = (on_side_a[_CP_SIDE] * on_side_b[_GR_SIDE]
+                           + on_side_a[_GR_SIDE] * on_side_b[_CP_SIDE])
             if not diff:
                 continue
             v = distinguish_profiles(prof_a, prof_b, max_degree)
@@ -214,12 +242,13 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
                 continue
             if i == j:
                 pairs = [(a, b) for x, a in enumerate(members_a)
-                         for b in members_a[x + 1:] if a.symbol != b.symbol]
+                         for b in members_a[x + 1:]
+                         if a[0].symbol != b[0].symbol]
             else:
                 pairs = [(a, b) for a in members_a for b in members_b
-                         if a.symbol != b.symbol]
-            for a, b in pairs:
-                blind = _is_blind_pair(a, b, max_degree)
+                         if a[0].symbol != b[0].symbol]
+            for (a, side_a), (b, side_b) in pairs:
+                blind = (side_a, side_b) in _BLIND_SIDE_PAIRS
                 if v.kind == DISTINGUISHABLE and not blind:
                     report.distinguishable_pairs += 1
                 elif v.kind == INDISTINGUISHABLE and blind:

@@ -120,6 +120,14 @@ def test_decompose_command(capsys):
                                     "S(10) (dim 10)"]
 
 
+def test_decompose_node_bound_is_one_error_line(capsys):
+    code = main(["decompose", "S(12)", "--max-candidates", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: decomposition search exceeded "
+                            "--max-candidates = 2 nodes\n")
+
+
 def test_dump_roots_command(capsys):
     code, out = run(capsys, "dump-roots", "E6")
     assert code == 0 and out.splitlines()[-1] == "36 positive roots"

@@ -8,15 +8,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import symcart
 from symcart import recognize
+from symcart.abelian import EQUAL, INCOMPATIBLE, compatible
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
-from symcart.homotopy import pi
+from symcart.homotopy import groups, pi
 from symcart.recognize import (DISTINGUISHABLE, INDISTINGUISHABLE,
-                               UNDETERMINED, CandidateOverflow, corollary1_scan,
-                               decompose, distinguish, distinguish_profiles,
-                               _is_blind_pair)
+                               UNDETERMINED, CandidateOverflow, Verdict,
+                               corollary1_scan, decompose, distinguish,
+                               distinguish_profiles, _is_blind_pair)
+from test_abelian import partial_groups
 
 
 def test_blind_spot_pair_is_indistinguishable():
@@ -156,8 +159,8 @@ def test_counted_scan_equals_the_pair_loop(max_dim, max_degree):
         _pair_loop_scan(max_dim, max_degree)
 
 
-def test_counted_scan_equals_the_pair_loop_across_classes(tmp_path):
-    """Blind pairs split over profile classes are still found.
+def _split_blind_pairs(tmp_path):
+    """A copy of the shipped tables whose blind pairs span profile classes.
 
     With the shipped tables every blind pair lies inside one class.  Here
     spurious pi_9 cells move Gr(R,2,q) with odd q, together with AII(4),
@@ -177,23 +180,105 @@ def test_counted_scan_equals_the_pair_loop_across_classes(tmp_path):
         "BDI(2,q) | q >= 11 and q % 4 == 0 | 2=Z\n"))
     spheres = tmp_path / "spheres.txt"   # read first: its rows win ties
     spheres.write_text("AII(4) | - | 2=Z; 9=Z_2\n" + spheres.read_text())
-    report = corollary1_scan(120, 9, str(tmp_path))
+    return str(tmp_path)
+
+
+def test_counted_scan_equals_the_pair_loop_across_classes(tmp_path):
+    """Blind pairs split over profile classes are still found."""
+    data_dir = _split_blind_pairs(tmp_path)
+    report = corollary1_scan(120, 9, data_dir)
     blind_violations = [(a.symbol, b.symbol) for a, b, _ in report.violations
                         if _is_blind_pair(a, b)]
     assert ("BDI", "AIII") in blind_violations
     assert ("AIII", "BDI") in blind_violations
     assert (report.distinguishable_pairs, report.blind_pairs,
             report.violations, report.undetermined) == \
-        _pair_loop_scan(120, 9, str(tmp_path))
+        _pair_loop_scan(120, 9, data_dir)
+
+
+def _compatible_verdict(pa, pb, max_degree):
+    """``distinguish_profiles`` by one ``compatible`` call per degree.
+
+    The oracle for the comparison from per-value field ranks: the first
+    Incompatible degree (Q before Z_2, Z_3, Z_5, Z_7) distinguishes, and
+    every degree that is not Equal blocks.
+    """
+    blockers = []
+    for k in range(1, max_degree + 1):
+        a, b = pa[k], pb[k]
+        verdict, witness = compatible(a, b, (2, 3, 5, 7))
+        if verdict == INCOMPATIBLE:
+            f, ia, ib = witness
+            return Verdict(DISTINGUISHABLE, max_degree, k, f, (ia, ib))
+        if verdict != EQUAL:
+            blockers.append((k, a, b))
+    if blockers:
+        return Verdict(UNDETERMINED, max_degree, blockers=tuple(blockers))
+    return Verdict(INDISTINGUISHABLE, max_degree)
+
+
+def _class_profiles(max_dim, max_degree, data_dir=None):
+    """One profile per class of equal profiles among the valid spaces."""
+    out = {}
+    for s in enumerate_catalog(max_dim):
+        if s.valid:
+            prof = groups(s, max_degree, data_dir)
+            out.setdefault(tuple(sorted((k, g.tag, g.group)
+                                        for k, g in prof.items())), prof)
+    return list(out.values())
+
+
+def _assert_verdicts_equal_the_oracle(profiles, max_degree):
+    kinds = set()
+    for pa in profiles:
+        for pb in profiles:
+            v = distinguish_profiles(pa, pb, max_degree)
+            assert v == _compatible_verdict(pa, pb, max_degree), (pa, pb)
+            kinds.add(v.kind)
+    return kinds
+
+
+@pytest.mark.parametrize("max_dim", (120, 300))
+@pytest.mark.parametrize("max_degree", (9, 10))
+def test_verdicts_equal_the_compatible_oracle(max_dim, max_degree):
+    """Every ordered pair of class profiles: kind, degree, field, witness
+    and blockers all equal."""
+    kinds = _assert_verdicts_equal_the_oracle(
+        _class_profiles(max_dim, max_degree), max_degree)
+    assert kinds == {DISTINGUISHABLE, INDISTINGUISHABLE, UNDETERMINED}
+
+
+def test_verdicts_equal_the_compatible_oracle_across_classes(tmp_path):
+    data_dir = _split_blind_pairs(tmp_path)
+    profiles = _class_profiles(120, 9, data_dir)
+    assert len(profiles) > len(_class_profiles(120, 9))
+    _assert_verdicts_equal_the_oracle(profiles, 9)
+
+
+# a degree's two cells: independent, or one value on both sides
+_cell_pairs = st.one_of(st.tuples(partial_groups, partial_groups),
+                        partial_groups.map(lambda g: (g, g)))
+
+
+@given(st.lists(_cell_pairs, min_size=1, max_size=10))
+def test_verdicts_equal_the_compatible_oracle_on_drawn_cells(cells):
+    """All six tags (exact, finite, rank one, rank >= 1, contains,
+    unknown), drawn into profiles of 1 to 10 degrees."""
+    pa = {k: a for k, (a, _) in enumerate(cells, 1)}
+    pb = {k: b for k, (_, b) in enumerate(cells, 1)}
+    for x, y in ((pa, pb), (pb, pa)):
+        assert distinguish_profiles(x, y, len(cells)) == \
+            _compatible_verdict(x, y, len(cells))
 
 
 _COUNT_WORK = """
 import json
-from symcart import homotopy, recognize
+from symcart import abelian, homotopy, recognize
 from symcart.catalog import enumerate_catalog, instantiate
 
-calls = {"matches": 0, "blind": 0}
+calls = {"matches": 0, "blind": 0, "compatible": 0}
 matches, is_blind = homotopy.HomotopyRecord.matches, recognize._is_blind_pair
+compatible = abelian.compatible
 
 def counted_matches(rec, s):
     calls["matches"] += 1
@@ -203,11 +288,23 @@ def counted_is_blind(*args):
     calls["blind"] += 1
     return is_blind(*args)
 
+def counted_compatible(*args):
+    calls["compatible"] += 1
+    return compatible(*args)
+
 homotopy.HomotopyRecord.matches = counted_matches
 recognize._is_blind_pair = counted_is_blind
+# every symcart module that holds compatible, as perfbench's tracer rebinds it
+for module in (abelian, homotopy, recognize):
+    if hasattr(module, "compatible"):
+        module.compatible = counted_compatible
 recognize.corollary1_scan(300)
+scan_compatible = calls["compatible"]
+field_ranks = recognize._field_ranks.cache_info().misses
 homotopy.consistency_violations(300)
 spaces = set(enumerate_catalog(300))
+cell_values = {g for s in spaces if s.valid
+               for g in homotopy.groups(s, 9).values()}
 # the CP^n rule reads pi of S^(2n+1), which may lie just past max_dim
 spaces |= {instantiate("S", (2 * s.params[1] + 1,)) for s in list(spaces)
            if s.symbol == "AIII" and s.params[0] == 1}
@@ -217,7 +314,10 @@ patterned = sum(1 for s in spaces for rec in records
 print(json.dumps({**calls, "records": len(records), "spaces": len(spaces),
                   "patterned": patterned,
                   "rows": homotopy.row.cache_info().misses,
-                  "parses": homotopy.load_records.cache_info().misses}))
+                  "parses": homotopy.load_records.cache_info().misses,
+                  "scan_compatible": scan_compatible,
+                  "field_ranks": field_ranks,
+                  "cell_values": len(cell_values)}))
 """
 
 
@@ -229,7 +329,12 @@ def test_scan_work_counts_per_space_and_per_class_pair():
     patterned records of its own symbol (6,742 ``matches`` calls for the
     1,577 spaces read, where matching all 113 records would take 178,201),
     and only the class pairs that hold a blind, violating or undetermined
-    pair visit their pairs (about 21k of the 866k different-symbol pairs).
+    pair visit their pairs (about 21k of the 866k different-symbol pairs),
+    filing each by its members' blind sides without a per-pair
+    ``_is_blind_pair`` call.  The scan compares class profiles without
+    ``compatible`` (the consistency check still calls it), ranking each
+    distinct cell value at most once: 8 of the 17 at dim 300, since a
+    comparison stops at its first distinguishing degree.
     """
     src = os.path.dirname(os.path.dirname(symcart.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -239,7 +344,9 @@ def test_scan_work_counts_per_space_and_per_class_pair():
     assert counts["parses"] == 1
     assert counts["rows"] == counts["spaces"]
     assert counts["matches"] <= counts["patterned"]
-    assert counts["blind"] < 25000
+    assert counts["blind"] == 0
+    assert counts["scan_compatible"] == 0 < counts["compatible"]
+    assert 0 < counts["field_ranks"] <= counts["cell_values"]
 
 
 def test_decompose_sphere():

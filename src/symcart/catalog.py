@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
 
@@ -47,7 +47,7 @@ class SpaceInstance:
     @property
     def valid(self) -> bool:
         """Valid dimension: C_P >= 1, equivalently d_P >= 10."""
-        return self.cp >= 1
+        return self.dp >= 10
 
     def label(self) -> str:
         if not self.params:
@@ -402,17 +402,14 @@ def classical_presentations(max_param: int = 30):
         yield "DIII", (n,)
 
 
-def enumerate_catalog(max_dim: int, include_spheres: bool = True):
-    """Every canonical irreducible instance with dim <= max_dim, once each.
+# every canonical instance with dim <= _catalog_dim, in enumerate_catalog's
+# order; built for the largest max_dim asked so far in this process
+_catalog: List[SpaceInstance] = []
+_catalog_dim = 0
 
-    Spheres are included (from S^2 up) unless disabled.  A classical
-    presentation is kept only when instantiate() returns it unchanged, so
-    presentations merged by special isomorphism are never emitted twice.
-    """
-    if max_dim < 1:
-        raise ValueError("max_dim >= 1 required")
-    out = [instantiate("S", (n,)) for n in range(2, max_dim + 1)] \
-        if include_spheres else []
+
+def _build_catalog(max_dim: int) -> List[SpaceInstance]:
+    out = [instantiate("S", (n,)) for n in range(2, max_dim + 1)]
     for symbol, family in _CLASSICAL.items():
         for params in family.sweep(max_dim):
             try:
@@ -424,3 +421,23 @@ def enumerate_catalog(max_dim: int, include_spheres: bool = True):
     out += [s for s in map(instantiate, EXCEPTIONAL_SYMBOLS) if s.dim <= max_dim]
     assert len({s.label() for s in out}) == len(out)
     return sorted(out)
+
+
+def enumerate_catalog(max_dim: int, include_spheres: bool = True):
+    """Every canonical irreducible instance with dim <= max_dim, once each.
+
+    Spheres are included (from S^2 up) unless disabled.  A classical
+    presentation is kept only when instantiate() returns it unchanged, so
+    presentations merged by special isomorphism are never emitted twice.
+
+    The catalog is built once per process, for the largest max_dim asked
+    so far; each call returns a fresh list of its instances with
+    dim <= max_dim, in the catalog's (symbol, params) order.
+    """
+    global _catalog, _catalog_dim
+    if max_dim < 1:
+        raise ValueError("max_dim >= 1 required")
+    if max_dim > _catalog_dim:
+        _catalog, _catalog_dim = _build_catalog(max_dim), max_dim
+    return [s for s in _catalog if s.dim <= max_dim
+            and (include_spheres or s.symbol != "S")]

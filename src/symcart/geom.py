@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, SpaceInstance,
-                      instantiate, sharp)
+                      instantiate)
 from .homotopy import _cached_per_data_dir, _compile_guard
 
 

@@ -306,15 +306,23 @@ def consistency_violations(max_dim: int, data_dir=None):
 
     Returns a list of (space, degree, source_a, value_a, source_b, value_b)
     tuples; an empty list certifies the shipped tables agree wherever they
-    overlap, up to dimension max_dim.
+    overlap, up to dimension max_dim.  A cell with one candidate has
+    nothing to compare, and the tables hold few distinct values, so
+    ``compatible`` runs once per distinct (value_a, value_b) pair.
     """
     from .catalog import enumerate_catalog
     bad = []
+    incompatible = {}       # (value_a, value_b) -> whether INCOMPATIBLE
     for s in enumerate_catalog(max_dim):
         for k, cands in enumerate(row(s, data_dir), 1):
+            if len(cands) < 2:
+                continue
             for i, (src_a, val_a) in enumerate(cands):
                 for src_b, val_b in cands[i + 1:]:
-                    verdict, _ = compatible(val_a, val_b)
-                    if verdict == INCOMPATIBLE:
+                    key = (val_a, val_b)
+                    if key not in incompatible:
+                        incompatible[key] = \
+                            compatible(val_a, val_b)[0] == INCOMPATIBLE
+                    if incompatible[key]:
                         bad.append((s, k, src_a, val_a, src_b, val_b))
     return bad

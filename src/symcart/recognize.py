@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Tuple, Union
+from operator import eq
+from typing import Dict, List, Optional, Tuple, Union
 
 from .abelian import (PartialAbelianGroup, RankInterval, format_group, p_rank,
                       q_rank)
@@ -164,13 +165,98 @@ def _is_blind_pair(a: SpaceInstance, b: SpaceInstance,
             _blind_side(b, max_degree)) in _BLIND_SIDE_PAIRS
 
 
+# a blind pair takes one space from each side
+_OTHER_SIDE = dict(_BLIND_SIDE_PAIRS)
+
+
+class _ProfileClass:
+    """The valid spaces of one profile, in catalog order, by blind side."""
+
+    def __init__(self, prof: Dict[int, PartialAbelianGroup]):
+        self.prof = prof
+        self.members: List[Tuple[SpaceInstance, Optional[str]]] = []
+        self.unsided: List[Tuple[SpaceInstance, None]] = []
+        self.by_side: Dict[str, List[SpaceInstance]] = {
+            side: [] for side in _OTHER_SIDE}
+        self.symbols: Counter = Counter()
+
+    def add(self, s: SpaceInstance, side: Optional[str]) -> None:
+        self.members.append((s, side))
+        self.symbols[s.symbol] += 1
+        if side is None:
+            self.unsided.append((s, None))
+        else:
+            self.by_side[side].append(s)
+
+
+def _pairs(ca: _ProfileClass, cb: Optional[_ProfileClass], sided_too: bool):
+    """The different-symbol pairs of a class pair, in member order.
+
+    ``cb`` None pairs ``ca``'s members among themselves.  Without
+    ``sided_too`` a member with a blind side is paired only with members
+    that have none: two sided members either share a symbol or form a
+    blind pair.
+    """
+    unsided = 0                     # ca's unsided members up to a
+    for x, (a, side) in enumerate(ca.members):
+        unsided += side is None
+        if side is None or sided_too:
+            partners = ca.members[x + 1:] if cb is None else cb.members
+        else:
+            partners = ca.unsided[unsided:] if cb is None else cb.unsided
+        yield from ((a, b) for b, _ in partners if a.symbol != b.symbol)
+
+
+def _blind(ca: _ProfileClass, cb: Optional[_ProfileClass]):
+    """The blind pairs of a class pair, in member order (see ``_pairs``)."""
+    before = dict.fromkeys(_OTHER_SIDE, 0)   # ca's members per side up to a
+    for a, side in ca.members:
+        if side is None:
+            continue
+        other = _OTHER_SIDE[side]
+        if cb is None:
+            before[side] += 1
+            yield from ((a, b) for b in ca.by_side[other][before[other]:])
+        else:
+            yield from ((a, b) for b in cb.by_side[other])
+
+
+class BlindPairs:
+    """The scan's blind pairs, counted rather than listed: a read-only view.
+
+    It holds the class pairs that contain them, as ``(ca, cb)`` with
+    ``cb`` None for a class paired with itself, and their count from the
+    classes' side counts, so ``len`` lists nothing; iterating yields every
+    pair in scan order, and the view equals a list of those pairs.
+    """
+
+    def __init__(self, class_pairs=(), count: int = 0):
+        self._class_pairs = tuple(class_pairs)
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        for ca, cb in self._class_pairs:
+            yield from _blind(ca, cb)
+
+    def __eq__(self, other):
+        if not isinstance(other, (BlindPairs, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self):
+        return f"<BlindPairs: {len(self)} pairs>"
+
+
 @dataclass
 class ScanReport:
     max_dim: int
     max_degree: int
     instances: int = 0
     distinguishable_pairs: int = 0
-    blind_pairs: List[Tuple[SpaceInstance, SpaceInstance]] = field(default_factory=list)
+    blind_pairs: BlindPairs = field(default_factory=BlindPairs)
     violations: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = field(default_factory=list)
     undetermined: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = field(default_factory=list)
 
@@ -197,13 +283,14 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     Its different-symbol pairs are counted from the classes' symbol
     histograms, |A|.|B| - sum h_A.h_B (or (n^2 - sum h^2)/2 within one
     class), and its blind pairs from each class's CP^n and Gr(R,2,q)
-    counts.  A distinguishable class pair with no blind pair only adds
-    its count; any other one lists its pairs, in member order, and files
-    each by its members' blind sides, found once per space when the
-    classes are formed (``_BLIND_SIDE_PAIRS``, the rule of
-    ``_is_blind_pair``).  The comparison itself reads each distinct cell
-    value's rank intervals from ``_field_ranks``, so it too costs per
-    value, not per class pair.
+    counts (the sides of ``_is_blind_pair``, found once per space).  A
+    distinguishable class pair only adds its count and lists its blind
+    pairs as violations; an indistinguishable one files its blind pairs in
+    ``BlindPairs``, a view that counts them and lists nothing, and lists
+    only its other pairs, as violations; an undetermined one lists all its
+    pairs.  The comparison itself reads each distinct cell value's rank
+    intervals from ``_field_ranks``, so it too costs per value, not per
+    class pair.
     """
     if max_dim < 11:
         raise ValueError("max_dim >= 11 required (no valid space is smaller)")
@@ -211,52 +298,45 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     report = ScanReport(max_dim, max_degree, instances=len(spaces))
 
     # a profile dict is in degree order, so its values name its class
-    by_profile: Dict[Tuple, Tuple[List, Dict]] = {}
+    by_profile: Dict[Tuple, _ProfileClass] = {}
     for s in spaces:
         prof = groups(s, max_degree, data_dir)
-        by_profile.setdefault(tuple(prof.values()), ([], prof))[0].append(
-            (s, _blind_side(s, max_degree)))
-    # one entry per class, in member order: its (member, blind side) list,
-    # its profile, its symbol histogram and its count of members per side
-    classes = sorted(((members, prof, Counter(s.symbol for s, _ in members),
-                       Counter(side for _, side in members))
-                      for members, prof in by_profile.values()),
-                     key=lambda c: c[0][0][0])
-    for i, (members_a, prof_a, hist_a, on_side_a) in enumerate(classes):
+        cls = by_profile.get(key := tuple(prof.values()))
+        if cls is None:
+            cls = by_profile[key] = _ProfileClass(prof)
+        cls.add(s, _blind_side(s, max_degree))
+    classes = sorted(by_profile.values(), key=lambda c: c.members[0][0])
+    blind, n_blind_total = [], 0
+    for i, ca in enumerate(classes):
         for j in range(i, len(classes)):
-            members_b, prof_b, hist_b, on_side_b = classes[j]
-            if i == j:
-                n = len(members_a)
-                diff = (n * n - sum(h * h for h in hist_a.values())) // 2
-                n_blind = on_side_a[_CP_SIDE] * on_side_a[_GR_SIDE]
+            cb = None if i == j else classes[j]
+            if cb is None:
+                n = len(ca.members)
+                diff = (n * n - sum(h * h for h in ca.symbols.values())) // 2
+                n_blind = len(ca.by_side[_CP_SIDE]) * len(ca.by_side[_GR_SIDE])
             else:
-                diff = len(members_a) * len(members_b) - sum(
-                    h * hist_b[symbol] for symbol, h in hist_a.items())
-                n_blind = (on_side_a[_CP_SIDE] * on_side_b[_GR_SIDE]
-                           + on_side_a[_GR_SIDE] * on_side_b[_CP_SIDE])
+                diff = len(ca.members) * len(cb.members) - sum(
+                    h * cb.symbols[symbol] for symbol, h in ca.symbols.items())
+                n_blind = sum(len(ca.by_side[side]) * len(cb.by_side[other])
+                              for side, other in _OTHER_SIDE.items())
             if not diff:
                 continue
-            v = distinguish_profiles(prof_a, prof_b, max_degree)
-            if v.kind == DISTINGUISHABLE and not n_blind:
-                report.distinguishable_pairs += diff
-                continue
-            if i == j:
-                pairs = [(a, b) for x, a in enumerate(members_a)
-                         for b in members_a[x + 1:]
-                         if a[0].symbol != b[0].symbol]
+            v = distinguish_profiles(ca.prof, (cb or ca).prof, max_degree)
+            if v.kind == DISTINGUISHABLE:
+                report.distinguishable_pairs += diff - n_blind
+                if n_blind:
+                    report.violations += [(a, b, v)
+                                          for a, b in _blind(ca, cb)]
+            elif v.kind == INDISTINGUISHABLE:
+                if n_blind:
+                    blind.append((ca, cb))
+                    n_blind_total += n_blind
+                report.violations += [(a, b, v)
+                                      for a, b in _pairs(ca, cb, False)]
             else:
-                pairs = [(a, b) for a in members_a for b in members_b
-                         if a[0].symbol != b[0].symbol]
-            for (a, side_a), (b, side_b) in pairs:
-                blind = (side_a, side_b) in _BLIND_SIDE_PAIRS
-                if v.kind == DISTINGUISHABLE and not blind:
-                    report.distinguishable_pairs += 1
-                elif v.kind == INDISTINGUISHABLE and blind:
-                    report.blind_pairs.append((a, b))
-                elif v.kind == UNDETERMINED:
-                    report.undetermined.append((a, b, v))
-                else:
-                    report.violations.append((a, b, v))
+                report.undetermined += [(a, b, v)
+                                        for a, b in _pairs(ca, cb, True)]
+    report.blind_pairs = BlindPairs(blind, n_blind_total)
     return report
 
 

@@ -10,7 +10,7 @@ from symcart.catalog import (EXCEPTIONAL_SYMBOLS, ConstraintError,
                              SPECIAL_ISOMORPHISMS, classical_presentations,
                              enumerate_catalog, instantiate, product_kp,
                              reference_classical, reference_exceptional,
-                             sharp)
+                             sharp, _build_catalog)
 
 
 def test_classical_reference_rows_match_computation():
@@ -112,6 +112,24 @@ def test_enumerate_catalog_is_canonical_and_deduplicated():
         assert s.dim <= 150
         assert instantiate(s.symbol, s.params) == s
     assert not any(s.symbol == "S" for s in enumerate_catalog(150, False))
+
+
+def test_enumerate_catalog_slices_one_catalog():
+    """A smaller max_dim after a larger one is the larger catalog's slice,
+    equal to a catalog built for it alone, and a fresh list each time."""
+    big = enumerate_catalog(300)
+    small = enumerate_catalog(120)
+    assert small == [s for s in big if s.dim <= 120]
+    assert small == _build_catalog(120)
+    small.clear()
+    assert enumerate_catalog(120) == [s for s in big if s.dim <= 120]
+
+
+def test_valid_is_codimension_budget_at_least_one():
+    spaces = enumerate_catalog(300)
+    assert {s.valid for s in spaces} == {True, False}
+    for s in spaces:
+        assert s.valid == (s.cp >= 1), s
 
 
 def test_sharp_formula():

@@ -110,6 +110,46 @@ def test_scan_report_structure():
         corollary1_scan(10)
 
 
+@pytest.mark.parametrize("max_degree, count", ((9, 20445), (10, 20300)))
+def test_blind_pairs_are_a_sized_view(max_degree, count):
+    """``len`` comes from the class counts, before any pair is listed;
+    iterating yields that many pairs, the same sequence each time."""
+    view = corollary1_scan(300, max_degree).blind_pairs
+    assert len(view) == count
+    first = list(view)
+    assert len(first) == count
+    assert list(view) == first
+    assert view == first and first == view and view != first[:-1]
+
+
+_SCAN_PEAK = """
+import json, sys, tracemalloc
+from symcart.recognize import corollary1_scan
+corollary1_scan(1000)               # the catalog and rows are cached
+tracemalloc.start()
+report = corollary1_scan(1000)
+print(json.dumps({"peak": tracemalloc.get_traced_memory()[1],
+                  "blind": len(report.blind_pairs),
+                  "tuple": sys.getsizeof((None, None))}))
+"""
+
+
+def test_scan_memory_does_not_grow_with_the_blind_pairs():
+    """Allocation peak of a warm dim-1000 scan, measured by ``tracemalloc``.
+
+    Listing its 243,045 blind pairs would take one 2-tuple and one list
+    slot each, about 15 MB; the scan stays under a third of that.
+    """
+    src = os.path.dirname(os.path.dirname(symcart.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _SCAN_PEAK], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    got = json.loads(out)
+    assert got["blind"] == 243045
+    listed = got["blind"] * (got["tuple"] + 8)
+    assert got["peak"] < listed / 3, (got["peak"], listed)
+
+
 def _pair_loop_scan(max_dim, max_degree, data_dir=None):
     """The scan by visiting every pair: the oracle for the class counting.
 
@@ -273,7 +313,7 @@ def test_verdicts_equal_the_compatible_oracle_on_drawn_cells(cells):
 
 _COUNT_WORK = """
 import json
-from symcart import abelian, homotopy, recognize
+from symcart import abelian, catalog, homotopy, recognize
 from symcart.catalog import enumerate_catalog, instantiate
 
 calls = {"matches": 0, "blind": 0, "compatible": 0}
@@ -301,8 +341,13 @@ for module in (abelian, homotopy, recognize):
 recognize.corollary1_scan(300)
 scan_compatible = calls["compatible"]
 field_ranks = recognize._field_ranks.cache_info().misses
+instantiated = catalog.instantiate.cache_info().misses
 homotopy.consistency_violations(300)
+check_instantiated = catalog.instantiate.cache_info().misses - instantiated
 spaces = set(enumerate_catalog(300))
+# the (value, value) pairs that the consistency check may compare
+value_pairs = {(a, b) for s in spaces for cands in homotopy.row(s)
+               for i, (_, a) in enumerate(cands) for _, b in cands[i + 1:]}
 cell_values = {g for s in spaces if s.valid
                for g in homotopy.groups(s, 9).values()}
 # the CP^n rule reads pi of S^(2n+1), which may lie just past max_dim
@@ -317,7 +362,9 @@ print(json.dumps({**calls, "records": len(records), "spaces": len(spaces),
                   "parses": homotopy.load_records.cache_info().misses,
                   "scan_compatible": scan_compatible,
                   "field_ranks": field_ranks,
-                  "cell_values": len(cell_values)}))
+                  "cell_values": len(cell_values),
+                  "check_instantiated": check_instantiated,
+                  "value_pairs": len(value_pairs)}))
 """
 
 
@@ -328,13 +375,15 @@ def test_scan_work_counts_per_space_and_per_class_pair():
     builds its homotopy row once, a space is matched only against the
     patterned records of its own symbol (6,742 ``matches`` calls for the
     1,577 spaces read, where matching all 113 records would take 178,201),
-    and only the class pairs that hold a blind, violating or undetermined
-    pair visit their pairs (about 21k of the 866k different-symbol pairs),
-    filing each by its members' blind sides without a per-pair
+    and only the class pairs that hold a violating or undetermined pair
+    visit their pairs, never a blind one (the 20,445 blind pairs are
+    counted from the classes' side counts), without a per-pair
     ``_is_blind_pair`` call.  The scan compares class profiles without
-    ``compatible`` (the consistency check still calls it), ranking each
-    distinct cell value at most once: 8 of the 17 at dim 300, since a
-    comparison stops at its first distinguishing degree.
+    ``compatible``, ranking each distinct cell value at most once: 8 of
+    the 17 at dim 300, since a comparison stops at its first
+    distinguishing degree.  The consistency check that follows reuses the
+    scan's catalog, so it instantiates no space, and calls ``compatible``
+    once per distinct pair of overlapping values: 3 at dim 300.
     """
     src = os.path.dirname(os.path.dirname(symcart.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -347,6 +396,8 @@ def test_scan_work_counts_per_space_and_per_class_pair():
     assert counts["blind"] == 0
     assert counts["scan_compatible"] == 0 < counts["compatible"]
     assert 0 < counts["field_ranks"] <= counts["cell_values"]
+    assert counts["check_instantiated"] == 0
+    assert counts["compatible"] <= counts["value_pairs"] == 3
 
 
 def test_decompose_sphere():

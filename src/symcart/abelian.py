@@ -18,6 +18,7 @@ RankInterval(1, None)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Tuple
 
 
@@ -126,7 +127,12 @@ UNKNOWN = "unknown"          # blank table cell
 
 @dataclass(frozen=True)
 class PartialAbelianGroup:
-    """An exactly or partially known finitely generated abelian group."""
+    """An exactly or partially known finitely generated abelian group.
+
+    Cells key the recognition scan's profile classes and several caches,
+    so a value computes its hash once, on first use; it equals the
+    dataclass hash of its fields.
+    """
 
     tag: str
     group: Optional[AbelianGroup] = None   # payload for EXACT / CONTAINS
@@ -146,6 +152,17 @@ class PartialAbelianGroup:
     def trivial() -> "PartialAbelianGroup":
         """The exact trivial group: one shared instance, frozen as all are."""
         return _TRIVIAL_PARTIAL
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.tag, self.group))
+
+    def __reduce__(self):
+        # rebuilt from its fields: a cached hash is valid in one process only
+        return PartialAbelianGroup, (self.tag, self.group)
 
     @property
     def is_exact(self) -> bool:

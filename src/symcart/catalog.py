@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
@@ -402,6 +403,8 @@ def classical_presentations(max_param: int = 30):
         yield "DIII", (n,)
 
 
+_name = attrgetter("symbol", "params")     # a space's (symbol, params)
+
 # every canonical instance with dim <= _catalog_dim, in enumerate_catalog's
 # order; built for the largest max_dim asked so far in this process
 _catalog: List[SpaceInstance] = []
@@ -419,16 +422,17 @@ def _build_catalog(max_dim: int) -> List[SpaceInstance]:
             if (s.symbol, s.params) == (symbol, params):
                 out.append(s)
     out += [s for s in map(instantiate, EXCEPTIONAL_SYMBOLS) if s.dim <= max_dim]
-    assert len({s.label() for s in out}) == len(out)
-    return sorted(out)
+    out.sort(key=_name)
+    assert len(set(map(_name, out))) == len(out)
+    return out
 
 
-def enumerate_catalog(max_dim: int, include_spheres: bool = True):
+def enumerate_catalog(max_dim: int):
     """Every canonical irreducible instance with dim <= max_dim, once each.
 
-    Spheres are included (from S^2 up) unless disabled.  A classical
-    presentation is kept only when instantiate() returns it unchanged, so
-    presentations merged by special isomorphism are never emitted twice.
+    Spheres are included, from S^2 up.  A classical presentation is kept
+    only when instantiate() returns it unchanged, so presentations merged
+    by special isomorphism are never emitted twice.
 
     The catalog is built once per process, for the largest max_dim asked
     so far; each call returns a fresh list of its instances with
@@ -439,5 +443,4 @@ def enumerate_catalog(max_dim: int, include_spheres: bool = True):
         raise ValueError("max_dim >= 1 required")
     if max_dim > _catalog_dim:
         _catalog, _catalog_dim = _build_catalog(max_dim), max_dim
-    return [s for s in _catalog if s.dim <= max_dim
-            and (include_spheres or s.symbol != "S")]
+    return [s for s in _catalog if s.dim <= max_dim]

@@ -214,9 +214,10 @@ def _text_verdict(p, args):
     yield p["verdict"]
 
 
-# the largest scan measured: `corollary1-check --max-dim 2000` took 1.2 s and
-# 39 MB peak RSS (Python 3.11, 2-vCPU Xeon host); the blind pairs are
-# counted, not listed, so memory grows linearly in the instance count
+# the largest scan measured: `corollary1-check --max-dim 2000` took 0.8-0.9 s
+# and 38 MB peak RSS as a whole process (Python 3.11, 2-vCPU Xeon host); the
+# blind pairs are counted, not listed, so memory grows linearly in the
+# instance count
 MAX_SCAN_DIM = 2000
 
 

@@ -22,11 +22,18 @@ no candidate is Unknown.  ``pi``, ``coverage``, ``pi_candidates``,
 ``consistency_violations`` and the recognition scan all read rows; each
 row is built once per (space, data directory).
 
-Records are found through an index built on the first lookup: a record
-whose pattern fixes every parameter (``BDI(3,12)``, ``E6``) is keyed by
-(symbol, params), any other by symbol, so a space is matched only against
-the patterned records of its own symbol.  Each record compiles its guard
-and builds its per-degree cells when it is parsed; rows share those cells.
+Records are found through an index built on the first lookup.  A
+record's shape is its symbol, arity and the positions of the parameters
+its pattern fixes (``BDI(3,q)`` fixes slot 0, ``E6`` and ``BDI(3,12)``
+fix all); the index files each record under its shape and fixed values,
+so a space takes one lookup per shape of its symbol (three for BDI) and
+no pattern is tested slot by slot.  Each record is parsed once: its
+per-degree cells are built then, equal values shared between records,
+and its guard is compiled into one expression that lists the guard's
+truth at k = 1..MAX_DEGREE, so a row evaluates a matched guard once, not
+once per degree.  The sphere and CP^n rules are applied only to spaces
+of their symbols.  A missing table file, or a row that does not parse,
+raises ``ValueError``; a row's message starts with its ``file:line``.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -61,11 +68,13 @@ _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp,
                   ast.Name, ast.Load, ast.Constant)
 
 
-@lru_cache(maxsize=None)
-def _compile_guard(text: str, names: Tuple[str, ...]):
-    """Compile a guard expression, allowing only arithmetic/comparison nodes
+def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
+    """Parse a guard expression, allowing only arithmetic/comparison nodes
     over integer constants and the variables in ``names``."""
-    tree = ast.parse(text, mode="eval")
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as err:
+        raise ValueError(f"guard {text!r} does not parse: {err.msg}") from None
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"disallowed construct {type(node).__name__} "
@@ -74,7 +83,33 @@ def _compile_guard(text: str, names: Tuple[str, ...]):
             raise ValueError(f"non-integer constant in guard {text!r}")
         if isinstance(node, ast.Name) and node.id not in names:
             raise ValueError(f"unknown name {node.id!r} in guard {text!r}")
-    return compile(tree, "<guard>", "eval")
+    return tree
+
+
+@lru_cache(maxsize=None)
+def _compile_guard(text: str, names: Tuple[str, ...]) -> CodeType:
+    """A checked guard compiled for ``eval`` over ``names``."""
+    return compile(_check_guard(text, names), "<guard>", "eval")
+
+
+_DEGREES = tuple(range(1, MAX_DEGREE + 1))
+
+
+@lru_cache(maxsize=None)
+def _compile_degree_guard(text: str, names: Tuple[str, ...]) -> CodeType:
+    """A checked guard over ``names`` and k, compiled as the list of its
+    values at k = 1..MAX_DEGREE.
+
+    The whitelist check runs on the guard alone; the comprehension is
+    built around the checked tree, so the text is never re-parsed.  Its
+    code reads the parameters as globals: pass their bindings, with an
+    empty ``__builtins__``, as ``eval``'s globals.
+    """
+    loop = ast.comprehension(target=ast.Name("k", ast.Store()),
+                             iter=ast.Constant(_DEGREES), ifs=[], is_async=0)
+    tree = ast.Expression(ast.ListComp(
+        _check_guard(text, (*names, "k")).body, [loop]))
+    return compile(ast.fix_missing_locations(tree), "<guard>", "eval")
 
 
 def _cached_per_data_dir(fn):
@@ -115,14 +150,9 @@ class HomotopyRecord:
     param_names: Tuple[str, ...]      # variable names or "" for fixed slots
     param_values: Tuple[Optional[int], ...]
     guard_text: str
-    guard: Optional[CodeType]         # guard_text compiled; None for "-"
+    guard: Optional[CodeType]         # guard_text's values at k = 1..MAX_DEGREE
+                                      # (see _compile_degree_guard); None for "-"
     cells: Tuple[Cell, ...]           # (source, pi_k) for k = 1..MAX_DEGREE
-
-    def matches(self, s: SpaceInstance) -> bool:
-        if s.symbol != self.symbol or len(s.params) != len(self.param_values):
-            return False
-        return all(v is None or v == p
-                   for v, p in zip(self.param_values, s.params))
 
     def bindings(self, s: SpaceInstance) -> Dict[str, int]:
         return {name: p for name, p in zip(self.param_names, s.params) if name}
@@ -131,11 +161,17 @@ class HomotopyRecord:
 _PATTERN_RE = re.compile(r"^([A-Za-z0-9]+)(?:\(([^)]*)\))?$")
 
 
-def _parse_record(line: str, source: str, stable: bool) -> HomotopyRecord:
-    pattern, guard, cells = (part.strip() for part in line.split("|"))
+def _parse_record(line: str, source: str, stable: bool,
+                  parsed: Dict[str, PartialAbelianGroup]) -> HomotopyRecord:
+    """One table row as a record; ``parsed`` holds the group texts seen
+    so far, so each distinct text is parsed once and its value shared."""
+    parts = [part.strip() for part in line.split("|")]
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 '|'-separated fields, found {len(parts)}")
+    pattern, guard, cells = parts
     m = _PATTERN_RE.match(pattern)
     if not m:
-        raise ValueError(f"bad pattern {pattern!r} in {source}")
+        raise ValueError(f"bad pattern {pattern!r}")
     symbol, args = m.group(1), m.group(2)
     names, values = [], []
     if args:
@@ -152,18 +188,20 @@ def _parse_record(line: str, source: str, stable: bool) -> HomotopyRecord:
         deg, _, group_text = cell.partition("=")
         k = int(deg.strip())
         if not 1 <= k <= MAX_DEGREE:
-            raise ValueError(f"degree {k} out of range in {source}: {line!r}")
-        by_degree[k] = parse_group(group_text)
+            raise ValueError(f"degree {k} out of range 1..{MAX_DEGREE}")
+        text = group_text.strip()
+        if text not in parsed:
+            parsed[text] = parse_group(text)
+        by_degree[k] = parsed[text]
     if stable:
         by_degree.setdefault(MAX_DEGREE,
                              by_degree.get(MAX_DEGREE - 8, _TRIVIAL))
     code = None
     if guard != "-":                  # a guard names the parameters and k
-        code = _compile_guard(guard, (*filter(None, names), "k"))
+        code = _compile_degree_guard(guard, tuple(filter(None, names)))
     return HomotopyRecord(
         source, symbol, tuple(names), tuple(values), guard, code,
-        tuple((source, by_degree.get(k, _TRIVIAL))
-              for k in range(1, MAX_DEGREE + 1)))
+        tuple((source, by_degree.get(k, _TRIVIAL)) for k in _DEGREES))
 
 
 _FILES = (("spheres", False), ("unstable_classical", False),
@@ -173,52 +211,73 @@ _FILES = (("spheres", False), ("unstable_classical", False),
 
 @_cached_per_data_dir
 def load_records(data_dir: Optional[str] = None) -> Tuple[HomotopyRecord, ...]:
+    """Every table record, in file order.
+
+    A missing table file or a malformed row raises ``ValueError``; a bad
+    row's message starts with its ``file:line``.
+    """
     records = []
+    parsed = {"0": _TRIVIAL, "Z": _Z, "?": _UNKNOWN}
     for name, stable in _FILES:
-        with open(os.path.join(data_dir, name + ".txt")) as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    records.append(_parse_record(line, name, stable))
+        path = os.path.join(data_dir, name + ".txt")
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except FileNotFoundError:
+            raise ValueError(f"homotopy table {path} not found") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    records.append(_parse_record(line, name, stable, parsed))
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
     return tuple(records)
 
 
 @lru_cache(maxsize=None)
 def _index(data_dir: str):
-    """``load_records(data_dir)`` as (fixed, patterned) dicts.
+    """``load_records(data_dir)`` filed by pattern shape.
 
-    A record whose pattern fixes every parameter is filed in ``fixed``
-    under (symbol, params), any other in ``patterned`` under its symbol;
-    each entry is a list of (file position, record) in file order.
+    A record's shape is its arity and the positions of the parameters
+    its pattern fixes.  ``shapes`` maps each symbol to its records'
+    shapes in first-seen order; ``by_key`` files each record under
+    (symbol, shape, its fixed values) as (file position, record), in file
+    order.  A space's records are then those under (symbol, shape, its
+    parameters at the shape's positions), for each shape of its arity.
     """
-    fixed, patterned = {}, {}
+    by_key, shapes = {}, {}
     for pos, rec in enumerate(load_records(data_dir)):
-        if None in rec.param_values:
-            patterned.setdefault(rec.symbol, []).append((pos, rec))
-        else:
-            fixed.setdefault((rec.symbol, rec.param_values), []).append(
-                (pos, rec))
-    return fixed, patterned
+        fixed = tuple(i for i, v in enumerate(rec.param_values)
+                      if v is not None)
+        shape = (len(rec.param_values), fixed)
+        if shape not in shapes.setdefault(rec.symbol, []):
+            shapes[rec.symbol].append(shape)
+        by_key.setdefault((rec.symbol, shape, tuple(
+            rec.param_values[i] for i in fixed)), []).append((pos, rec))
+    return by_key, shapes
 
 
-def _rule_cells(s: SpaceInstance, k: int, data_dir: str) -> List[Cell]:
-    """The sphere and complex-projective-space rules' cells for pi_k(s)."""
-    if s.symbol == "S":
-        n = s.params[0]
-        if k < n:
-            return [("sphere_rule", _TRIVIAL)]
-        if k == n:
-            return [("sphere_rule", _Z)]
-    elif s.symbol == "AIII" and s.params[0] == 1:
-        # CP^n fibers over a point with fiber S^1 under S^(2n+1); hence
-        # pi_2 = Z and pi_k = pi_k(S^(2n+1)) for k >= 3.
-        if k == 1:
-            return [("projective_rule", _TRIVIAL)]
-        if k == 2:
-            return [("projective_rule", _Z)]
-        return [("projective_rule",
-                 pi(instantiate("S", (2 * s.params[1] + 1,)), k, data_dir))]
-    return []
+def _sphere_rule(s: SpaceInstance, data_dir: str) -> List[List[Cell]]:
+    """pi_k(S^n) is trivial below n and Z at n."""
+    n = s.params[0]
+    return [[("sphere_rule", _TRIVIAL if k < n else _Z)] if k <= n else []
+            for k in _DEGREES]
+
+
+def _projective_rule(s: SpaceInstance, data_dir: str) -> List[List[Cell]]:
+    """CP^n fibers over a point with fiber S^1 under S^(2n+1); hence
+    pi_2 = Z and pi_k = pi_k(S^(2n+1)) for k >= 3."""
+    if s.params[0] != 1:
+        return [[] for _ in _DEGREES]
+    sphere = instantiate("S", (2 * s.params[1] + 1,))
+    return [[("projective_rule", _TRIVIAL if k == 1 else _Z if k == 2
+              else pi(sphere, k, data_dir))] for k in _DEGREES]
+
+
+# each rule's cells for pi_1..pi_MAX_DEGREE of a space of its symbol
+_RULES = {"S": _sphere_rule, "AIII": _projective_rule}
+_UNGUARDED = (True,) * MAX_DEGREE      # a "-" guard holds at every degree
 
 
 @_cached_per_data_dir
@@ -229,25 +288,25 @@ def row(s: SpaceInstance, data_dir=None) -> Tuple[Tuple[Cell, ...], ...]:
     the module docstring): the first answers ``pi(s, k)``, and an empty
     tuple means no table covers the cell.
     """
-    fixed, patterned = _index(data_dir)
-    found = fixed.get((s.symbol, s.params), []) + [
-        (pos, rec) for pos, rec in patterned.get(s.symbol, ())
-        if rec.matches(s)]
+    by_key, shapes = _index(data_dir)
+    found = []
+    for shape in shapes.get(s.symbol, ()):
+        arity, fixed = shape
+        if arity == len(s.params):
+            found += by_key.get(
+                (s.symbol, shape, tuple(s.params[i] for i in fixed)), ())
     found.sort(key=itemgetter(0))
-    bound = [(rec, rec.bindings(s)) for _, rec in found]
-    out = []
-    for k in range(1, MAX_DEGREE + 1):
-        cands = _rule_cells(s, k, data_dir)
-        for rec, env in bound:
-            if rec.guard is not None:
-                env["k"] = k
-                if not eval(rec.guard, _NO_BUILTINS, env):
-                    continue
-            cands.append(rec.cells[k - 1])
-        if k == 1 and not cands:
-            cands.append(("simply_connected", _TRIVIAL))
-        out.append(tuple(cands))
-    return tuple(out)
+    rule = _RULES.get(s.symbol)
+    out = rule(s, data_dir) if rule else [[] for _ in _DEGREES]
+    for _, rec in found:
+        holds = _UNGUARDED if rec.guard is None else eval(
+            rec.guard, {**_NO_BUILTINS, **rec.bindings(s)})
+        for cands, cell, ok in zip(out, rec.cells, holds):
+            if ok:
+                cands.append(cell)
+    if not out[0]:
+        out[0].append(("simply_connected", _TRIVIAL))
+    return tuple(map(tuple, out))
 
 
 def _check_degree(k: int) -> None:

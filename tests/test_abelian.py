@@ -1,6 +1,8 @@
 """Unit and property tests for exact / partial abelian groups."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,6 +27,16 @@ partial_groups = st.one_of(
                      PartialAbelianGroup(UNKNOWN)]),
     exact_groups.filter(lambda g: not g.is_trivial)
     .map(lambda g: PartialAbelianGroup(CONTAINS, g)))
+
+
+@given(partial_groups)
+def test_hash_is_the_fields_hash_and_is_not_pickled(g):
+    """A cell's hash is computed once and equals the dataclass hash of its
+    fields; a pickled or copied cell rebuilds it from its fields."""
+    assert hash(g) == hash(g) == hash((g.tag, g.group))
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert clone == g and hash(clone) == hash(g)
+    assert "_hash" not in pickle.loads(pickle.dumps(g)).__dict__
 
 
 def test_composite_orders_split_into_prime_powers():

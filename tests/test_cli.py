@@ -289,3 +289,30 @@ def test_data_dir_reaches_the_tables(capsys, tmp_path):
         assert code == 0 and f"pi_9(BDI(2,11)) = {pi_9}\n" in out
         code, out = run(capsys, "distinguish", "CP(5)", "Gr(R,2,13)", *data)
         assert code == 0 and out == f"{verdict}\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("E6 | - | 2=Z | 3=Z", "expected 3 '|'-separated fields, found 4"),
+    ("BDI(3,q) | q >= | 2=Z", "guard 'q >=' does not parse"),
+])
+def test_a_malformed_data_row_is_one_error_line(capsys, tmp_path, row,
+                                                message):
+    for f in (Path(symcart.__file__).parent / "data").glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    table = tmp_path / "exceptional.txt"
+    text = table.read_text()
+    table.write_text(text + row + "\n")
+    lineno = text.count("\n") + 1
+    code = main(["homotopy", "S(7)", "--data-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {table}:{lineno}: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_data_dir_without_the_tables_is_one_error_line(capsys, tmp_path):
+    code = main(["distinguish", "S(7)", "S(8)", "--data-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == \
+        f"error: homotopy table {tmp_path / 'spheres.txt'} not found\n"

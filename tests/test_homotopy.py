@@ -1,5 +1,6 @@
 """Homotopy database: rules, tables, coverage and internal consistency."""
 
+import re
 import shutil
 from pathlib import Path
 
@@ -155,6 +156,25 @@ def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):
         load_records(str(tmp_path))
 
 
+@pytest.mark.parametrize("guard, message", [
+    ("[q for q in k]", "disallowed construct ListComp"),
+    ("__import__('os') == 0", "disallowed construct Call"),
+    ("q.real >= 11", "disallowed construct Attribute"),
+    ("q >= 11 and k <= 2", None),
+])
+def test_degree_guards_pass_the_whitelist_before_the_wrapper(guard, message):
+    """A guard is checked as written, before it is wrapped in the
+    comprehension over k, whose own nodes the whitelist would reject."""
+    compile_degree_guard = symcart.homotopy._compile_degree_guard
+    if message is None:
+        holds = eval(compile_degree_guard(guard, ("q",)),
+                     {"__builtins__": {}, "q": 12})
+        assert holds == [k <= 2 for k in range(1, MAX_DEGREE + 1)]
+    else:
+        with pytest.raises(ValueError, match=message):
+            compile_degree_guard(guard, ("q",))
+
+
 # The per-cell resolution that rows replaced, kept as the reference: for
 # each (space, degree) it matches the space against every record, compiles
 # and evaluates each matching record's guard, reads the record's group
@@ -185,6 +205,13 @@ def _oracle_records(data_dir):
     return out
 
 
+def _matches(rec, s):
+    """Whether the record's pattern matches s, slot by slot."""
+    if s.symbol != rec.symbol or len(s.params) != len(rec.param_values):
+        return False
+    return all(v is None or v == p for v, p in zip(rec.param_values, s.params))
+
+
 def _oracle_candidates(s, k, records):
     trivial, z = parse_group("0"), parse_group("Z")
     out = []
@@ -199,7 +226,7 @@ def _oracle_candidates(s, k, records):
         out.append(("projective_rule", trivial if k == 1 else z if k == 2
                     else _oracle_pi(_oracle_candidates(sphere, k, records))))
     for rec, groups in records:
-        if not rec.matches(s):
+        if not _matches(rec, s):
             continue
         env = {**rec.bindings(s), "k": k}
         if rec.guard_text != "-" and not eval(
@@ -263,3 +290,57 @@ def test_rows_merge_fixed_and_patterned_records_in_file_order(tmp_path):
         ["spheres", "real_grassmannians", "stable"]
     assert coverage(s, 9, str(tmp_path)) == "spheres"
     assert _fmt(s, 9) == "Z_3"          # the shipped tables' rows are apart
+
+
+def test_rows_equal_the_oracle_on_shapes_the_tables_lack(tmp_path):
+    """Patterns that fix a later slot only (BDI(p,12)) or have another
+    arity (BDI(q)), and a k-free guard beside a k-guard on SU, each fall
+    under their own index shape; rows still equal the oracle."""
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    for name, line in (("spheres", "BDI(p,12) | p >= 4 and k >= 8 | 8=Z_7"),
+                       ("spheres", "BDI(q) | - | 5=Z_11"),
+                       ("unstable_classical", "SU(n) | n >= 7 | 4=Z_5"),
+                       ("exceptional", "BDI(p,12) | - | 6=Z_13"),
+                       ("exceptional", "SU(n) | n == 3 or n == 4 | 8=Z_9")):
+        with open(tmp_path / f"{name}.txt", "a") as fh:
+            fh.write(line + "\n")
+    _assert_rows_equal_the_oracle(str(tmp_path))
+    data_dir = str(tmp_path)
+    assert [src for src, _ in pi_candidates(
+        instantiate("BDI", (5, 12)), 8, data_dir)][:2] == \
+        ["spheres", "real_grassmannians"]
+    assert "spheres" not in {src for src, _ in pi_candidates(
+        instantiate("BDI", (3, 12)), 8, data_dir)}
+    assert parse_group("Z_11") not in {g for _, g in pi_candidates(
+        instantiate("BDI", (2, 12)), 5, data_dir)}
+    assert format_group(pi(instantiate("SU", (7,)), 4, data_dir)) == "Z_5"
+    for k in range(1, MAX_DEGREE + 1):      # a k-free guard holds at every k
+        assert "exceptional" in {src for src, _ in pi_candidates(
+            instantiate("SU", (4,)), k, data_dir)}
+        assert "exceptional" not in {src for src, _ in pi_candidates(
+            instantiate("SU", (5,)), k, data_dir)}
+
+
+def test_malformed_rows_name_their_file_and_line(tmp_path):
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    table = tmp_path / "exceptional.txt"
+    shipped = table.read_text()
+    lineno = shipped.count("\n") + 1
+    for row, message in (("E6 | - | 2=Z | 3=Z", "expected 3 '|'-separated "
+                                                "fields, found 4"),
+                         ("BDI(3,q) | q >= | 2=Z", "guard 'q >=' does not "
+                                                   "parse"),
+                         ("E6 | - | 11=Z", "degree 11 out of range"),
+                         ("E6( | - | 2=Z", "bad pattern 'E6\\('")):
+        table.write_text(shipped + row + "\n")
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(table))}:{lineno}: "
+                                 f"{message}"):
+            load_records(str(tmp_path))
+
+
+def test_a_missing_table_is_a_value_error(tmp_path):
+    with pytest.raises(ValueError, match="spheres.txt not found"):
+        load_records(str(tmp_path))

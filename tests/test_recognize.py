@@ -312,17 +312,16 @@ def test_verdicts_equal_the_compatible_oracle_on_drawn_cells(cells):
 
 
 _COUNT_WORK = """
-import json
+import cProfile, json, pstats
 from symcart import abelian, catalog, homotopy, recognize
 from symcart.catalog import enumerate_catalog, instantiate
 
-calls = {"matches": 0, "blind": 0, "compatible": 0}
-matches, is_blind = homotopy.HomotopyRecord.matches, recognize._is_blind_pair
-compatible = abelian.compatible
+calls = {"guard_evals": 0, "blind": 0, "compatible": 0}
+is_blind, compatible = recognize._is_blind_pair, abelian.compatible
 
-def counted_matches(rec, s):
-    calls["matches"] += 1
-    return matches(rec, s)
+def counted_eval(*args):
+    calls["guard_evals"] += 1
+    return eval(*args)
 
 def counted_is_blind(*args):
     calls["blind"] += 1
@@ -332,7 +331,7 @@ def counted_compatible(*args):
     calls["compatible"] += 1
     return compatible(*args)
 
-homotopy.HomotopyRecord.matches = counted_matches
+homotopy.eval = counted_eval        # rows evaluate guards by the global name
 recognize._is_blind_pair = counted_is_blind
 # every symcart module that holds compatible, as perfbench's tracer rebinds it
 for module in (abelian, homotopy, recognize):
@@ -350,14 +349,23 @@ value_pairs = {(a, b) for s in spaces for cands in homotopy.row(s)
                for i, (_, a) in enumerate(cands) for _, b in cands[i + 1:]}
 cell_values = {g for s in spaces if s.valid
                for g in homotopy.groups(s, 9).values()}
+instances = sum(s.valid for s in spaces)
 # the CP^n rule reads pi of S^(2n+1), which may lie just past max_dim
 spaces |= {instantiate("S", (2 * s.params[1] + 1,)) for s in list(spaces)
            if s.symbol == "AIII" and s.params[0] == 1}
 records = homotopy.load_records()
-patterned = sum(1 for s in spaces for rec in records
-                if rec.symbol == s.symbol and None in rec.param_values)
+guarded = sum(1 for s in spaces for rec in records
+              if rec.guard is not None and rec.symbol == s.symbol
+              and len(rec.param_values) == len(s.params)
+              and all(v is None or v == p
+                      for v, p in zip(rec.param_values, s.params)))
+warm = cProfile.Profile()
+warm.runcall(recognize.corollary1_scan, 300)
+warm_hash = sum(stat[1] for (_, _, name), stat in pstats.Stats(warm).stats.items()
+                if name == "<built-in method builtins.hash>")
 print(json.dumps({**calls, "records": len(records), "spaces": len(spaces),
-                  "patterned": patterned,
+                  "guarded": guarded, "instances": instances,
+                  "warm_hash": warm_hash,
                   "rows": homotopy.row.cache_info().misses,
                   "parses": homotopy.load_records.cache_info().misses,
                   "scan_compatible": scan_compatible,
@@ -372,18 +380,22 @@ def test_scan_work_counts_per_space_and_per_class_pair():
     """Work counters of a cold dim-300 scan plus consistency check.
 
     Counts, not wall time: the records are parsed once, each space read
-    builds its homotopy row once, a space is matched only against the
-    patterned records of its own symbol (6,742 ``matches`` calls for the
-    1,577 spaces read, where matching all 113 records would take 178,201),
-    and only the class pairs that hold a violating or undetermined pair
-    visit their pairs, never a blind one (the 20,445 blind pairs are
-    counted from the classes' side counts), without a per-pair
-    ``_is_blind_pair`` call.  The scan compares class profiles without
-    ``compatible``, ranking each distinct cell value at most once: 8 of
-    the 17 at dim 300, since a comparison stops at its first
-    distinguishing degree.  The consistency check that follows reuses the
-    scan's catalog, so it instantiates no space, and calls ``compatible``
-    once per distinct pair of overlapping values: 3 at dim 300.
+    builds its homotopy row once, and a row evaluates each matched guard
+    once, for all degrees at a time (1,872 evaluations for the 1,577
+    spaces read, where one per degree would take 18,720).  Only the class
+    pairs that hold a violating or undetermined pair visit their pairs,
+    never a blind one (the 20,445 blind pairs are counted from the
+    classes' side counts), without a per-pair ``_is_blind_pair`` call.
+    The scan compares class profiles without ``compatible``, ranking each
+    distinct cell value at most once: 8 of the 17 at dim 300, since a
+    comparison stops at its first distinguishing degree.  A warm scan
+    keys each space's class by cell values whose hashes are cached, so
+    builtin ``hash`` runs only for the spaces' own keys into the row
+    cache, at most three times per space (3,992 for 1,524 spaces, where
+    rehashing the cells took 36,824).  The consistency check that
+    follows reuses the scan's catalog, so it instantiates no space, and
+    calls ``compatible`` once per distinct pair of overlapping values: 3
+    at dim 300.
     """
     src = os.path.dirname(os.path.dirname(symcart.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -392,12 +404,13 @@ def test_scan_work_counts_per_space_and_per_class_pair():
     counts = json.loads(out)
     assert counts["parses"] == 1
     assert counts["rows"] == counts["spaces"]
-    assert counts["matches"] <= counts["patterned"]
+    assert 0 < counts["guard_evals"] <= counts["guarded"]
     assert counts["blind"] == 0
     assert counts["scan_compatible"] == 0 < counts["compatible"]
     assert 0 < counts["field_ranks"] <= counts["cell_values"]
     assert counts["check_instantiated"] == 0
     assert counts["compatible"] <= counts["value_pairs"] == 3
+    assert counts["warm_hash"] <= 3 * counts["instances"]
 
 
 def test_decompose_sphere():

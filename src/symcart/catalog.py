@@ -17,7 +17,7 @@ Fraction(5, 2)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -28,6 +28,13 @@ from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
 
 @dataclass(frozen=True, order=True)
 class SpaceInstance:
+    """One catalog space.
+
+    Spaces key the homotopy rows and several caches, so an instance
+    computes its hash once, on first use; it equals the dataclass hash of
+    its fields.
+    """
+
     symbol: str
     params: Tuple[int, ...]
     dim: int
@@ -36,6 +43,18 @@ class SpaceInstance:
     root: Optional[RootSystemType] = None
     mults: Optional[Multiplicities] = None
     kp_maximizer: int = 0
+
+    def __hash__(self):
+        # kept in the instance dict, as functools.cached_property would
+        # keep it, without that descriptor's cost on the first call
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(_fields_of(self))
+        return h
+
+    def __reduce__(self):
+        # rebuilt from its fields: a cached hash is valid in one process only
+        return SpaceInstance, _fields_of(self)
 
     @property
     def dp(self) -> int:
@@ -57,6 +76,10 @@ class SpaceInstance:
 
     def __repr__(self):
         return f"<{self.label()} dim={self.dim} k={self.kp}>"
+
+
+# a space's fields in declaration order, as its dataclass hash reads them
+_fields_of = attrgetter(*(f.name for f in fields(SpaceInstance)))
 
 
 class ConstraintError(ValueError):

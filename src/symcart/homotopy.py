@@ -32,8 +32,11 @@ per-degree cells are built then, equal values shared between records,
 and its guard is compiled into one expression that lists the guard's
 truth at k = 1..MAX_DEGREE, so a row evaluates a matched guard once, not
 once per degree.  The sphere and CP^n rules are applied only to spaces
-of their symbols.  A missing table file, or a row that does not parse,
-raises ``ValueError``; a row's message starts with its ``file:line``.
+of their symbols.  A missing table file, or a row that does not parse
+(a repeated degree among them), raises ``ValueError``; a row's message
+starts with its ``file:line``.  A guard that fails when evaluated (a
+division by zero) raises ``ValueError`` naming its file, pattern, guard
+and the space.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -145,7 +148,8 @@ _UNKNOWN = PartialAbelianGroup(UNKNOWN)
 
 @dataclass(frozen=True)
 class HomotopyRecord:
-    source: str
+    source: str                       # the table file's name, without .txt
+    pattern: str
     symbol: str
     param_names: Tuple[str, ...]      # variable names or "" for fixed slots
     param_values: Tuple[Optional[int], ...]
@@ -189,6 +193,8 @@ def _parse_record(line: str, source: str, stable: bool,
         k = int(deg.strip())
         if not 1 <= k <= MAX_DEGREE:
             raise ValueError(f"degree {k} out of range 1..{MAX_DEGREE}")
+        if k in by_degree:
+            raise ValueError(f"degree {k} repeated")
         text = group_text.strip()
         if text not in parsed:
             parsed[text] = parse_group(text)
@@ -200,7 +206,7 @@ def _parse_record(line: str, source: str, stable: bool,
     if guard != "-":                  # a guard names the parameters and k
         code = _compile_degree_guard(guard, tuple(filter(None, names)))
     return HomotopyRecord(
-        source, symbol, tuple(names), tuple(values), guard, code,
+        source, pattern, symbol, tuple(names), tuple(values), guard, code,
         tuple((source, by_degree.get(k, _TRIVIAL)) for k in _DEGREES))
 
 
@@ -299,8 +305,14 @@ def row(s: SpaceInstance, data_dir=None) -> Tuple[Tuple[Cell, ...], ...]:
     rule = _RULES.get(s.symbol)
     out = rule(s, data_dir) if rule else [[] for _ in _DEGREES]
     for _, rec in found:
-        holds = _UNGUARDED if rec.guard is None else eval(
-            rec.guard, {**_NO_BUILTINS, **rec.bindings(s)})
+        try:
+            holds = _UNGUARDED if rec.guard is None else eval(
+                rec.guard, {**_NO_BUILTINS, **rec.bindings(s)})
+        except ArithmeticError as err:    # a whitelisted // or % by zero
+            path = os.path.join(data_dir, rec.source + ".txt")
+            raise ValueError(f"{path}: guard {rec.guard_text!r} of "
+                             f"{rec.pattern} fails on {s.label()}: "
+                             f"{err}") from None
         for cands, cell, ok in zip(out, rec.cells, holds):
             if ok:
                 cands.append(cell)

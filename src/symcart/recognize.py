@@ -8,21 +8,30 @@ known cells block the decision without ever being guessed).
 
 A whole catalog's profiles hold only a handful of distinct cell values,
 so each value's five rank intervals are computed once per process
-(``_field_ranks``); ``distinguish_profiles`` and ``RankVector`` both
+(``_field_ranks``); ``distinguish_profiles`` and ``decompose`` both
 read them there.
 
-A space's profile never changes within a process, so ``decompose``
-ranks each space once: its profile and rank vector are cached per
-(space, degree, data directory), as ``pi`` caches each group.
+``decompose`` searches cores, not products.  A space whose every pi_k
+through the degree is exactly trivial (S^n for n > max_degree) is
+invisible: padding a product with it changes no rank interval and no
+direct sum.  Only multisets of visible spaces are visited, each with one
+exact comparison at most; the paddings that fit beside a core are
+counted by an integer recurrence for the node bound and listed only for
+the cores that pass.  A space's profile never changes within a process,
+so each space is ranked once: its profile, rank intervals and
+visibility are cached per (space, degree, data directory), as ``pi``
+caches each group.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import eq
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import accumulate
+from operator import add, attrgetter, eq, ge
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .abelian import (PartialAbelianGroup, RankInterval, format_group, p_rank,
                       q_rank)
@@ -45,18 +54,6 @@ def _field_ranks(
     each is ranked once per process; callers share the tuple.
     """
     return (("Q", q_rank(g)),) + tuple((p, p_rank(g, p)) for p in FIELDS[1:])
-
-
-@dataclass(frozen=True)
-class RankVector:
-    """Per-degree, per-field rank intervals of a homotopy profile."""
-
-    intervals: Dict[Tuple[int, object], RankInterval]
-
-    @staticmethod
-    def of(prof: Dict[int, PartialAbelianGroup]) -> "RankVector":
-        return RankVector({(k, f): i for k, g in prof.items()
-                           for f, i in _field_ranks(g)})
 
 
 @dataclass(frozen=True)
@@ -344,15 +341,92 @@ class CandidateOverflow(RuntimeError):
     pass
 
 
+class _Ranked(NamedTuple):
+    """A space's profile through one degree, ranked for ``decompose``.
+
+    Cell ``c`` is field ``FIELDS[c % len(FIELDS)]`` at degree
+    ``c // len(FIELDS) + 1``.
+    """
+
+    prof: Dict[int, PartialAbelianGroup]
+    intervals: Tuple[RankInterval, ...]       # per cell
+    floors: Tuple[Tuple[int, int], ...]       # (cell, lower rank) where > 0
+    invisible: bool                           # every pi_k exactly trivial
+
+
 @lru_cache(maxsize=None)
-def _ranked(s: SpaceInstance, max_degree: int, data_dir=None):
-    """The profile of ``s`` through max_degree and its ``RankVector``.
+def _ranked(s: SpaceInstance, max_degree: int, data_dir=None) -> _Ranked:
+    """The profile of ``s`` through max_degree and its rank intervals.
 
     Computed once per process for each (space, degree, data directory),
     like ``pi`` itself; callers share the result and must not mutate it.
     """
     prof = groups(s, max_degree, data_dir)
-    return prof, RankVector.of(prof)
+    intervals = tuple(i for g in prof.values() for _, i in _field_ranks(g))
+    return _Ranked(prof, intervals,
+                   tuple((c, i.lo) for c, i in enumerate(intervals) if i.lo),
+                   all(g.is_exact_trivial for g in prof.values()))
+
+
+def _cores(cands, budget: int, ceiling, need):
+    """Every multiset of ``cands`` within ``budget`` and ``ceiling``, once.
+
+    ``ceiling`` holds the ambient's upper rank per cell (None for none),
+    ``need`` its positive lower ranks, in cell order.  ``cands`` holds
+    ``(space, floors, reach)`` in search order: the space's positive
+    lower ranks as ``(cell, rank)`` and its upper ranks on the cells of
+    ``need``, each capped at the rank needed there.  A multiset is kept
+    while its summed lower ranks stay within ``ceiling``; each is yielded
+    as ``(core, budget left, reaches)``, where ``reaches`` says whether
+    its summed upper ranks reach every ``need``.  Lower ranks only grow,
+    so every prefix of a kept multiset is kept, and only the cells a
+    space raises are checked.
+    """
+    floor = [0] * len(ceiling)
+    core: List[SpaceInstance] = []
+
+    def visit(start, left, reach):
+        yield tuple(core), left, all(map(ge, reach, need))
+        for i in range(start, len(cands)):
+            t, floors, more = cands[i]
+            if t.dim > left:
+                continue
+            for c, lo in floors:
+                floor[c] += lo
+            if all(ceiling[c] is None or floor[c] <= ceiling[c]
+                   for c, _ in floors):
+                core.append(t)
+                yield from visit(i, left - t.dim, tuple(map(add, reach, more)))
+                core.pop()
+            for c, lo in floors:
+                floor[c] -= lo
+
+    return visit(0, budget, (0,) * len(need))
+
+
+def _paddings(padding: List[SpaceInstance], left: int):
+    """Every multiset of ``padding`` with total dimension <= left, the
+    empty one first.  ``padding`` is in decreasing dimension, so each
+    step starts at the first space that fits and every step yields."""
+    neg_dims = [-t.dim for t in padding]
+
+    def extend(start, left, chosen):
+        yield chosen
+        for i in range(max(start, bisect_left(neg_dims, -left)),
+                       len(padding)):
+            yield from extend(i, left - padding[i].dim, chosen + (padding[i],))
+
+    return extend(0, left, ())
+
+
+def _padding_counts(padding: List[SpaceInstance], budget: int) -> List[int]:
+    """``counts[L]``: the multisets of ``padding`` with total dimension
+    <= L, the empty one included, for L = 0..budget."""
+    exact = [1] + [0] * budget
+    for t in padding:
+        for total in range(t.dim, budget + 1):
+            exact[total] += exact[total - t.dim]
+    return list(accumulate(exact))
 
 
 def decompose(ambient: SpaceInstance, max_degree: int = 9,
@@ -360,80 +434,76 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
               data_dir=None) -> List[ProductSpace]:
     """All catalog products whose profile could equal the ambient's.
 
-    Searches nonnegative-integer multiplicities of candidate factors under
-    per-degree, per-field rank box constraints and the dimension budget,
-    then re-filters survivors by exact degreewise compatibility.  The
-    result is deterministic: sorted by total dimension descending, then
-    label.  Exceeding max_candidates raises CandidateOverflow rather than
-    silently truncating.
+    A product is a multiset of catalog spaces within the ambient's
+    dimension.  It splits into a core of visible factors and a padding
+    of invisible ones, whose every pi_k through max_degree is exactly
+    trivial (S^n for n > max_degree, found from the profiles).  Padding
+    adds [0, 0] to every rank interval and an exact 0 to every direct
+    sum, so it never changes a verdict: only cores are searched.
 
-    The ambient's and every candidate's profile and rank vector come from
-    a per-process cache (``_ranked``), so a later call ranks only the
-    catalog spaces that no earlier call has seen.
+    The search runs over nonnegative multiplicities of the visible
+    factors that can fit, pruned by the dimension budget and by the
+    ambient's per-degree, per-field rank ceilings.  A core whose upper
+    ranks reach the ambient's lower ones gets one exact degreewise
+    comparison; each core that passes is listed with every padding that
+    fits its leftover dimension (the empty core with every non-empty
+    one).  The result is sorted by total dimension descending, then
+    label.
+
+    max_candidates bounds the nodes of the search over whole products:
+    one per product that fits the budget and the ceilings, the empty one
+    included.  Each core stands for itself with every padding that fits,
+    whose number an integer count over the invisible factors' dimensions
+    gives, so the nodes are counted, not visited; CandidateOverflow is
+    raised, rather than a result truncated, as soon as the count passes
+    the bound, before any exact comparison.
+
+    Every space's profile and rank intervals come from a per-process
+    cache (``_ranked``), so a later call ranks only the catalog spaces
+    that no earlier call has seen.
     """
     if not ambient.valid:
         raise ValueError(f"{ambient.label()} does not have a valid dimension")
-    amb_prof, amb_rv = _ranked(ambient, max_degree, data_dir)
-    cells = [(k, f) for k in range(1, max_degree + 1) for f in FIELDS]
+    amb = _ranked(ambient, max_degree, data_dir)
+    ceiling = [i.hi for i in amb.intervals]
+    need = [want for _, want in amb.floors]
 
-    cands = []
-    for t in enumerate_catalog(ambient.dim):
-        prof, rv = _ranked(t, max_degree, data_dir)
+    visible, padding = [], []
+    for t in sorted(enumerate_catalog(ambient.dim), key=attrgetter("dim"),
+                    reverse=True):
+        r = _ranked(t, max_degree, data_dir)
+        if r.invisible:
+            padding.append(t)
         # a factor whose guaranteed ranks already exceed the ambient's
         # ceiling can never appear
-        if any(amb_rv.intervals[c].hi is not None
-               and rv.intervals[c].lo > amb_rv.intervals[c].hi for c in cells):
-            continue
-        cands.append((t, prof, rv))
-    cands.sort(key=lambda tpr: (-tpr[0].dim, tpr[0].label()))
+        elif all(ceiling[c] is None or lo <= ceiling[c] for c, lo in r.floors):
+            # an upper rank capped at the rank needed, an unbounded one
+            # there too: their sum reaches it exactly when the true one does
+            visible.append((t, r.floors, tuple(
+                want if r.intervals[c].hi is None
+                else min(r.intervals[c].hi, want)
+                for c, want in amb.floors)))
 
-    results = []
-    explored = 0
-
-    def feasible_completion(chosen_lo):
-        for c in cells:
-            amb = amb_rv.intervals[c]
-            if amb.hi is not None and chosen_lo[c] > amb.hi:
-                return False
-        return True
-
-    def closes(chosen, chosen_hi):
-        for c in cells:
-            need = amb_rv.intervals[c].lo
-            hi = chosen_hi[c]
-            if hi is not None and hi < need:
-                return False
-        # exact degreewise filter
-        prod = ProductSpace(tuple(chosen))
-        prof = profile(prod, max_degree, data_dir)
-        v = distinguish_profiles(prof, amb_prof, max_degree)
-        return v.kind != DISTINGUISHABLE
-
-    def dfs(idx, budget, chosen, chosen_lo, chosen_hi):
-        nonlocal explored
-        explored += 1
-        if explored > max_candidates:
+    counts = _padding_counts(padding, ambient.dim)
+    nodes, reaching = 0, []
+    for core, left, reaches in _cores(visible, ambient.dim, ceiling, need):
+        nodes += counts[left]
+        if nodes > max_candidates:
             raise CandidateOverflow(
                 f"decomposition search exceeded {max_candidates} nodes")
-        if chosen and closes(chosen, chosen_hi):
-            results.append(ProductSpace(tuple(chosen)))
-        for i in range(idx, len(cands)):
-            t, prof, rv = cands[i]
-            if t.dim > budget:
-                continue
-            new_lo = dict(chosen_lo)
-            new_hi = dict(chosen_hi)
-            for c in cells:
-                new_lo[c] += rv.intervals[c].lo
-                hi = rv.intervals[c].hi
-                new_hi[c] = (None if hi is None or new_hi[c] is None
-                             else new_hi[c] + hi)
-            if not feasible_completion(new_lo):
-                continue
-            chosen.append(t)
-            dfs(i, budget - t.dim, chosen, new_lo, new_hi)
-            chosen.pop()
+        if reaches:
+            reaching.append((core, left))
 
-    dfs(0, ambient.dim, [], {c: 0 for c in cells}, {c: 0 for c in cells})
+    trivial = dict.fromkeys(range(1, max_degree + 1),
+                            PartialAbelianGroup.trivial())
+    results = []
+    for core, left in reaching:
+        prof = profile(ProductSpace(core), max_degree, data_dir) \
+            if core else trivial
+        if distinguish_profiles(prof, amb.prof,
+                                max_degree).kind == DISTINGUISHABLE:
+            continue
+        results += [ProductSpace(core + pad)
+                    for pad in _paddings(padding, left) if core or pad]
     results.sort(key=lambda r: (-r.dim, r.label()))
     return results

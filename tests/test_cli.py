@@ -128,6 +128,14 @@ def test_decompose_node_bound_is_one_error_line(capsys):
                             "--max-candidates = 2 nodes\n")
 
 
+def test_decompose_of_a_big_ambient_is_one_error_line(capsys):
+    code = main(["decompose", "E8"])          # past the default bound
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: decomposition search exceeded "
+                            "--max-candidates = 1000000 nodes\n")
+
+
 def test_dump_roots_command(capsys):
     code, out = run(capsys, "dump-roots", "E6")
     assert code == 0 and out.splitlines()[-1] == "36 positive roots"
@@ -307,6 +315,20 @@ def test_a_malformed_data_row_is_one_error_line(capsys, tmp_path, row,
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: {table}:{lineno}: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_guard_that_fails_when_evaluated_is_one_error_line(capsys,
+                                                             tmp_path):
+    for f in (Path(symcart.__file__).parent / "data").glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    table = tmp_path / "exceptional.txt"
+    table.write_text(table.read_text() + "E6 | k // (k - k) >= 1 | 2=Z\n")
+    code = main(["homotopy", "E6", "--data-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(
+        f"error: {table}: guard 'k // (k - k) >= 1' of E6 fails on E6: ")
     assert captured.err.count("\n") == 1
 
 

@@ -12,7 +12,7 @@ from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
 from symcart.geom import index_lower_bound
 from symcart.homotopy import (MAX_DEGREE, NOT_COVERED, consistency_violations,
                               coverage, load_records, pi, pi_candidates,
-                              profile)
+                              profile, row)
 
 
 def _fmt(s, k):
@@ -333,12 +333,25 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
                          ("BDI(3,q) | q >= | 2=Z", "guard 'q >=' does not "
                                                    "parse"),
                          ("E6 | - | 11=Z", "degree 11 out of range"),
+                         ("E6 | - | 2=Z; 2=Z_2", "degree 2 repeated"),
                          ("E6( | - | 2=Z", "bad pattern 'E6\\('")):
         table.write_text(shipped + row + "\n")
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(table))}:{lineno}: "
                                  f"{message}"):
             load_records(str(tmp_path))
+
+
+def test_a_guard_that_fails_when_evaluated_is_a_named_value_error(tmp_path):
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    table = tmp_path / "exceptional.txt"
+    table.write_text(table.read_text() + "E6 | k // (k - k) >= 1 | 2=Z\n")
+    e6 = instantiate("E6")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(table))}: guard "
+                       "'k // \\(k - k\\) >= 1' of E6 fails on E6: "):
+        row(e6, str(tmp_path))
+    assert pi(instantiate("E7"), 2, str(tmp_path)) == pi(instantiate("E7"), 2)
 
 
 def test_a_missing_table_is_a_value_error(tmp_path):

@@ -14,11 +14,12 @@ import symcart
 from symcart import recognize
 from symcart.abelian import EQUAL, INCOMPATIBLE, compatible
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
-from symcart.homotopy import groups, pi
-from symcart.recognize import (DISTINGUISHABLE, INDISTINGUISHABLE,
+from symcart.homotopy import groups, pi, profile
+from symcart.recognize import (DISTINGUISHABLE, FIELDS, INDISTINGUISHABLE,
                                UNDETERMINED, CandidateOverflow, Verdict,
                                corollary1_scan, decompose, distinguish,
-                               distinguish_profiles, _is_blind_pair)
+                               distinguish_profiles, _field_ranks,
+                               _is_blind_pair)
 from test_abelian import partial_groups
 
 
@@ -450,20 +451,20 @@ print(json.dumps([[p.label() for p in decompose(instantiate(*spec))]
 
 
 def test_decompose_ranks_each_space_once(monkeypatch):
-    """Counts of ``RankVector.of``, not wall time.
+    """Counts of the profiles ``_ranked`` reads, not wall time.
 
     A second ``decompose`` of the same ambient ranks nothing again, and
     one of another ambient ranks only the catalog spaces not seen yet.
     Neither changes a result: both equal a run in a fresh process.
     """
     ranked = []
-    of = recognize.RankVector.of
+    read = recognize.groups
 
-    def counted(prof):
-        ranked.append(prof)
-        return of(prof)
+    def counted(s, *args):
+        ranked.append(s)
+        return read(s, *args)
 
-    monkeypatch.setattr(recognize.RankVector, "of", staticmethod(counted))
+    monkeypatch.setattr(recognize, "groups", counted)
     recognize._ranked.cache_clear()
     s20, cp10 = instantiate("S", (20,)), instantiate("AIII", (1, 10))
     seen = set(enumerate_catalog(20)) | {s20}
@@ -481,3 +482,137 @@ def test_decompose_ranks_each_space_once(monkeypatch):
     out = subprocess.run([sys.executable, "-c", _FRESH_DECOMPOSE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [first, other]
+
+
+def _product_dfs(ambient, max_degree=9, max_candidates=10 ** 6):
+    """The search over whole products: the oracle for the core search.
+
+    Visits every multiset of catalog spaces that fits the dimension
+    budget and whose summed lower ranks stay within the ambient's upper
+    ones, sphere padding included, and compares each whose upper ranks
+    reach the ambient's lower ones exactly.  Returns (results, nodes
+    visited); raises CandidateOverflow past max_candidates nodes.
+    """
+    cells = [(k, f) for k in range(1, max_degree + 1) for f in FIELDS]
+
+    def ranks(s):
+        return {(k, f): i for k, g in groups(s, max_degree).items()
+                for f, i in _field_ranks(g)}
+
+    amb_prof, amb = groups(ambient, max_degree), ranks(ambient)
+    cands = [(t, r) for t, r in ((t, ranks(t))
+                                 for t in enumerate_catalog(ambient.dim))
+             if not any(amb[c].hi is not None and r[c].lo > amb[c].hi
+                        for c in cells)]
+    cands.sort(key=lambda tr: (-tr[0].dim, tr[0].label()))
+    results, nodes = [], 0
+
+    def dfs(start, budget, chosen, lo, hi):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_candidates:
+            raise CandidateOverflow(
+                f"decomposition search exceeded {max_candidates} nodes")
+        if chosen and all(hi[c] is None or hi[c] >= amb[c].lo
+                          for c in cells):
+            q = ProductSpace(tuple(chosen))
+            if distinguish_profiles(profile(q, max_degree), amb_prof,
+                                    max_degree).kind != DISTINGUISHABLE:
+                results.append(q)
+        for i in range(start, len(cands)):
+            t, r = cands[i]
+            if t.dim > budget:
+                continue
+            new_lo = {c: lo[c] + r[c].lo for c in cells}
+            new_hi = {c: None if hi[c] is None or r[c].hi is None
+                      else hi[c] + r[c].hi for c in cells}
+            if any(amb[c].hi is not None and new_lo[c] > amb[c].hi
+                   for c in cells):
+                continue
+            chosen.append(t)
+            dfs(i, budget - t.dim, chosen, new_lo, new_hi)
+            chosen.pop()
+
+    zero = {c: 0 for c in cells}
+    dfs(0, ambient.dim, [], zero, zero)
+    results.sort(key=lambda r: (-r.dim, r.label()))
+    return results, nodes
+
+
+_ORACLE_AMBIENTS = [("S", (12,)), ("S", (30,)), ("AIII", (1, 10)),
+                    ("DIII", (5,)), ("CII", (1, 3)), ("G2", ())]
+
+
+@pytest.mark.parametrize("max_degree, spec", [
+    pytest.param(degree, spec, id=f"{instantiate(*spec).label()}-{degree}")
+    for degree, specs in (
+        (9, _ORACLE_AMBIENTS + [("AIII", (1, 20)), ("EVII", ())]),
+        # at degree 3 factors other than spheres are invisible too
+        (3, _ORACLE_AMBIENTS))
+    for spec in specs])
+def test_core_search_equals_the_product_dfs(max_degree, spec):
+    """Same products in the same order, and CandidateOverflow from exactly
+    the oracle's node count on: the padding is counted exactly."""
+    ambient = instantiate(*spec)
+    expected, nodes = _product_dfs(ambient, max_degree)
+    got = decompose(ambient, max_degree)
+    assert [p.label() for p in got] == [p.label() for p in expected]
+    assert got == expected
+    assert decompose(ambient, max_degree, max_candidates=nodes) == expected
+    with pytest.raises(CandidateOverflow):
+        decompose(ambient, max_degree, max_candidates=nodes - 1)
+
+
+@pytest.mark.parametrize("spec", [("S", (12,)), ("S", (30,)),
+                                  ("AIII", (1, 10)), ("EVII", ())])
+@pytest.mark.parametrize("max_candidates", (0, 1, 2, 3, 5, 10, 100))
+def test_overflow_equals_the_product_dfs(spec, max_candidates):
+    ambient = instantiate(*spec)
+    try:
+        expected = _product_dfs(ambient, 9, max_candidates)[0]
+    except CandidateOverflow as err:
+        with pytest.raises(CandidateOverflow, match=f"^{err}$"):
+            decompose(ambient, 9, max_candidates)
+    else:
+        assert decompose(ambient, 9, max_candidates) == expected
+
+
+@pytest.mark.parametrize("spec", [("E8", ()), ("E7", ()), ("AI", (20,))])
+def test_a_big_ambient_overflows_before_any_exact_comparison(monkeypatch,
+                                                             spec):
+    """Counts, not wall time: the padding is counted, so a big ambient
+    passes the default bound after few visited cores and no exact
+    comparison."""
+    visited, compared = [], []
+    cores, read = recognize._cores, recognize.profile
+
+    def counted_cores(*args):
+        for node in cores(*args):
+            visited.append(node)
+            yield node
+
+    def counted_profile(*args):
+        compared.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(recognize, "_cores", counted_cores)
+    monkeypatch.setattr(recognize, "profile", counted_profile)
+    with pytest.raises(CandidateOverflow,
+                       match="^decomposition search exceeded 1000000 nodes$"):
+        decompose(instantiate(*spec))
+    assert 0 < len(visited) <= 1000 and not compared
+
+
+def test_sphere_padding_costs_no_exact_comparison(monkeypatch):
+    compared = []
+    read = recognize.profile
+
+    def counted_profile(*args):
+        compared.append(args)
+        return read(*args)
+
+    monkeypatch.setattr(recognize, "profile", counted_profile)
+    assert len(decompose(instantiate("S", (60,)))) == 2364
+    assert not compared
+    assert len(decompose(instantiate("EVII"))) == 1987
+    assert len(compared) <= 43

@@ -4,21 +4,24 @@ An exact group is stored as a free rank together with its torsion in
 primary (prime-power) decomposition, canonically ordered.  Partially
 known groups (as they occur in homotopy tables: "finite", "rank one",
 "contains Z_2", blank) are modelled as tagged variants; the only
-arithmetic ever extracted from them are rank intervals over Q and over
-the prime fields Z_p.
+arithmetic ever extracted from them are rank intervals over ``FIELDS``:
+Q, Z_2, Z_3, Z_5 and Z_7.  Two cells differ provably only where one of
+those intervals is disjoint (``separating_field``), the one rule that
+recognition and ``compatible`` read; the homotopy tables reject other
+primes.
 
 >>> parse_group("Z + Z_12")
 Partial('Z + Z_4 + Z_3')
 >>> q_rank(parse_group("r>=1"))
 RankInterval(1, None)
->>> compatible(parse_group("Z_2"), parse_group("0"), frozenset({2}))[0]
+>>> compatible(parse_group("Z_2"), parse_group("0"))[0]
 'Incompatible'
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Tuple
 
 
@@ -291,31 +294,37 @@ EQUAL = "Equal"
 POSSIBLY_EQUAL = "PossiblyEqual"
 INCOMPATIBLE = "Incompatible"
 
-DEFAULT_PRIMES = frozenset({2, 3, 5, 7})
+FIELDS = ("Q", 2, 3, 5, 7)
 
 
-def comparison_primes(a: PartialAbelianGroup, b: PartialAbelianGroup) -> frozenset:
-    """Default prime set: {2,3,5,7} plus every prime in either operand."""
-    return DEFAULT_PRIMES | a.primes() | b.primes()
+@lru_cache(maxsize=None)
+def field_ranks(
+        g: PartialAbelianGroup) -> Tuple[Tuple[object, RankInterval], ...]:
+    """``(field, rank interval)`` of the cell g over each of ``FIELDS``.
+
+    Cells are frozen values, and a profile holds few distinct ones, so
+    each is ranked once per process; callers share the tuple.
+    """
+    return (("Q", q_rank(g)),) + tuple((p, p_rank(g, p)) for p in FIELDS[1:])
 
 
-def compatible(a: PartialAbelianGroup, b: PartialAbelianGroup,
-               primes: Iterable[int] = None):
+def separating_field(a: PartialAbelianGroup, b: PartialAbelianGroup):
+    """The first ``(field, interval_a, interval_b)`` of ``FIELDS`` whose
+    rank intervals are disjoint, or None."""
+    for (f, ia), (_, ib) in zip(field_ranks(a), field_ranks(b)):
+        if ia.disjoint(ib):
+            return f, ia, ib
+    return None
+
+
+def compatible(a: PartialAbelianGroup, b: PartialAbelianGroup):
     """Decide whether two cells can denote the same group.
 
     Returns (verdict, witness); the witness of an Incompatible verdict
-    is (field, interval_a, interval_b) with field "Q" or a prime.
+    is ``separating_field(a, b)``.
     """
-    primes = frozenset(primes) if primes is not None else comparison_primes(a, b)
-    if not primes:
-        raise ValueError("prime set must be nonempty")
-    ia, ib = q_rank(a), q_rank(b)
-    if ia.disjoint(ib):
-        return INCOMPATIBLE, ("Q", ia, ib)
-    for p in sorted(primes):
-        ia, ib = p_rank(a, p), p_rank(b, p)
-        if ia.disjoint(ib):
-            return INCOMPATIBLE, (p, ia, ib)
+    if witness := separating_field(a, b):
+        return INCOMPATIBLE, witness
     if a.is_exact and b.is_exact and a.group == b.group:
         return EQUAL, None
     return POSSIBLY_EQUAL, None

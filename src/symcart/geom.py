@@ -30,11 +30,13 @@ def connectivity(ambient: SpaceInstance, sub_dim: int) -> int:
 def trace_bound(delta: float, k: int, r: float) -> float:
     """Shape-operator trace bound sqrt(d/k) * k * cot(pi/2 - sqrt(d/k)*r).
 
-    Defined while sqrt(delta/k) * r < pi/2; r = 0 gives 0 (the totally
-    geodesic threshold).
+    Defined for finite delta > 0 while sqrt(delta/k) * r < pi/2; r = 0
+    gives 0 (the totally geodesic threshold).
     """
-    if delta <= 0 or k <= 0:
-        raise ValueError("delta and k must be positive")
+    if not 0 < delta < math.inf:        # NaN fails both comparisons
+        raise ValueError("delta must be positive and finite")
+    if k <= 0:
+        raise ValueError("k must be positive")
     if r < 0:
         raise ValueError("r must be nonnegative")
     lam = math.sqrt(delta / k)
@@ -50,8 +52,8 @@ class HypothesisSet:
     codim: int
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be positive and finite")
         if not 0 <= self.focal_floor < math.pi / 2:
             raise ValueError("focal radius floor must lie in [0, pi/2)")
         if self.codim < 1:
@@ -200,9 +202,13 @@ def min_meridian_codim(fld: str, p: int, q: int) -> int:
     """Smallest proper-meridian codimension over the family a + b = p, a < p.
 
     When p = q the a = 0 meridian is the whole Grassmannian (codimension
-    0) and is not a proper submanifold, so it is excluded.
+    0) and is not a proper submanifold, so it is excluded.  The
+    codimension c * (p(q - p) - 2a^2 - a(q - 3p)) is concave in a and 0
+    at a = p, so it is positive for 0 < a < p (and at a = 0 when p < q),
+    and its minimum over the proper range lies at one of its two ends.
     """
-    codims = [meridian_codim(fld, p, q, a, p - a) for a in range(p)]
-    proper = [c for c in codims if c > 0]
+    ends = {0 if p < q else 1, p - 1}
+    proper = [c for c in (meridian_codim(fld, p, q, a, p - a)
+                          for a in ends if 0 <= a < p) if c > 0]
     assert proper, (fld, p, q)
     return min(proper)

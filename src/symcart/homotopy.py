@@ -33,10 +33,10 @@ and its guard is compiled into one expression that lists the guard's
 truth at k = 1..MAX_DEGREE, so a row evaluates a matched guard once, not
 once per degree.  The sphere and CP^n rules are applied only to spaces
 of their symbols.  A missing table file, or a row that does not parse
-(a repeated degree among them), raises ``ValueError``; a row's message
-starts with its ``file:line``.  A guard that fails when evaluated (a
-division by zero) raises ``ValueError`` naming its file, pattern, guard
-and the space.
+(a repeated degree, or a prime outside ``abelian.FIELDS``, among them)
+raises ``ValueError``; a row's message starts with its ``file:line``.
+A guard that fails when evaluated (a division by zero) raises
+``ValueError`` naming its file, pattern, guard and the space.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -56,8 +56,8 @@ from operator import itemgetter
 from types import CodeType
 from typing import Dict, List, Optional, Tuple
 
-from .abelian import (UNKNOWN, AbelianGroup, PartialAbelianGroup, compatible,
-                      direct_sum, parse_group, INCOMPATIBLE)
+from .abelian import (FIELDS, UNKNOWN, AbelianGroup, PartialAbelianGroup,
+                      compatible, direct_sum, parse_group, INCOMPATIBLE)
 from .catalog import ProductSpace, SpaceInstance, instantiate
 
 MAX_DEGREE = 10
@@ -197,7 +197,11 @@ def _parse_record(line: str, source: str, stable: bool,
             raise ValueError(f"degree {k} repeated")
         text = group_text.strip()
         if text not in parsed:
-            parsed[text] = parse_group(text)
+            g = parse_group(text)
+            if extra := g.primes().difference(FIELDS):
+                raise ValueError(f"group {text!r} has prime {min(extra)}; "
+                                 f"cells are compared over {FIELDS} only")
+            parsed[text] = g
         by_degree[k] = parsed[text]
     if stable:
         by_degree.setdefault(MAX_DEGREE,
@@ -379,7 +383,8 @@ def consistency_violations(max_dim: int, data_dir=None):
     tuples; an empty list certifies the shipped tables agree wherever they
     overlap, up to dimension max_dim.  A cell with one candidate has
     nothing to compare, and the tables hold few distinct values, so
-    ``compatible`` runs once per distinct (value_a, value_b) pair.
+    ``compatible``, the recognition verdicts' rule, runs once per
+    distinct (value_a, value_b) pair.
     """
     from .catalog import enumerate_catalog
     bad = []

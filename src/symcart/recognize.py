@@ -1,15 +1,12 @@
 """Cartan-type recognition from homotopy profiles through degree 9.
 
-Two profiles are compared field by field: free ranks over Q first, then
-dimensions over Z_2, Z_3, Z_5, Z_7.  A pair is distinguishable when some
-cell pair has provably disjoint rank intervals; indistinguishable when
-every cell is known exactly and equal; undetermined otherwise (partially
-known cells block the decision without ever being guessed).
-
-A whole catalog's profiles hold only a handful of distinct cell values,
-so each value's five rank intervals are computed once per process
-(``_field_ranks``); ``distinguish_profiles`` and ``decompose`` both
-read them there.
+Two profiles are compared cell by cell by the one rule of ``abelian``:
+a pair is distinguishable when some cell pair has disjoint rank
+intervals over one of ``abelian.FIELDS`` (Q, Z_2, Z_3, Z_5, Z_7);
+indistinguishable when every cell is known exactly and equal;
+undetermined otherwise (partially known cells block the decision without
+ever being guessed).  Each cell value is ranked once per process
+(``abelian.field_ranks``); ``decompose`` reads the same intervals.
 
 ``decompose`` searches cores, not products.  A space whose every pi_k
 through the degree is exactly trivial (S^n for n > max_degree) is
@@ -33,27 +30,14 @@ from itertools import accumulate
 from operator import add, attrgetter, eq, ge
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .abelian import (PartialAbelianGroup, RankInterval, format_group, p_rank,
-                      q_rank)
+from .abelian import (PartialAbelianGroup, RankInterval, field_ranks,
+                      format_group, separating_field)
 from .catalog import ProductSpace, SpaceInstance, enumerate_catalog
 from .homotopy import groups, profile
-
-FIELDS = ("Q", 2, 3, 5, 7)
 
 DISTINGUISHABLE = "Distinguishable"
 INDISTINGUISHABLE = "Indistinguishable"
 UNDETERMINED = "Undetermined"
-
-
-@lru_cache(maxsize=None)
-def _field_ranks(
-        g: PartialAbelianGroup) -> Tuple[Tuple[object, RankInterval], ...]:
-    """``(field, rank interval)`` of the cell g over each of ``FIELDS``.
-
-    Cells are frozen values, and a profile holds few distinct ones, so
-    each is ranked once per process; callers share the tuple.
-    """
-    return (("Q", q_rank(g)),) + tuple((p, p_rank(g, p)) for p in FIELDS[1:])
 
 
 @dataclass(frozen=True)
@@ -83,10 +67,10 @@ def distinguish_profiles(pa: Dict[int, PartialAbelianGroup],
                          max_degree: int) -> Verdict:
     """Compare two profiles cell by cell through max_degree.
 
-    The first degree with a field whose rank intervals are disjoint (Q
-    before Z_2, Z_3, Z_5, Z_7) makes the pair distinguishable.  Otherwise
-    a degree blocks the verdict unless its two cells are one exact group.
-    Equal cells have equal intervals, so only unequal ones are ranked.
+    The first degree with a ``separating_field`` makes the pair
+    distinguishable.  Otherwise a degree blocks the verdict unless its
+    two cells are one exact group.  Equal cells have equal intervals, so
+    only unequal ones are ranked.
     """
     blockers = []
     for k in range(1, max_degree + 1):
@@ -95,9 +79,9 @@ def distinguish_profiles(pa: Dict[int, PartialAbelianGroup],
             if not a.is_exact:
                 blockers.append((k, a, b))
             continue
-        for (f, ia), (_, ib) in zip(_field_ranks(a), _field_ranks(b)):
-            if ia.disjoint(ib):
-                return Verdict(DISTINGUISHABLE, max_degree, k, f, (ia, ib))
+        if witness := separating_field(a, b):
+            f, ia, ib = witness
+            return Verdict(DISTINGUISHABLE, max_degree, k, f, (ia, ib))
         blockers.append((k, a, b))
     if blockers:
         return Verdict(UNDETERMINED, max_degree, blockers=tuple(blockers))
@@ -286,8 +270,8 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     ``BlindPairs``, a view that counts them and lists nothing, and lists
     only its other pairs, as violations; an undetermined one lists all its
     pairs.  The comparison itself reads each distinct cell value's rank
-    intervals from ``_field_ranks``, so it too costs per value, not per
-    class pair.
+    intervals from ``abelian.field_ranks``, so it too costs per value, not
+    per class pair.
     """
     if max_dim < 11:
         raise ValueError("max_dim >= 11 required (no valid space is smaller)")
@@ -344,8 +328,8 @@ class CandidateOverflow(RuntimeError):
 class _Ranked(NamedTuple):
     """A space's profile through one degree, ranked for ``decompose``.
 
-    Cell ``c`` is field ``FIELDS[c % len(FIELDS)]`` at degree
-    ``c // len(FIELDS) + 1``.
+    Cell ``c`` is field ``FIELDS[c % len(FIELDS)]`` of ``abelian`` at
+    degree ``c // len(FIELDS) + 1``.
     """
 
     prof: Dict[int, PartialAbelianGroup]
@@ -362,7 +346,7 @@ def _ranked(s: SpaceInstance, max_degree: int, data_dir=None) -> _Ranked:
     like ``pi`` itself; callers share the result and must not mutate it.
     """
     prof = groups(s, max_degree, data_dir)
-    intervals = tuple(i for g in prof.values() for _, i in _field_ranks(g))
+    intervals = tuple(i for g in prof.values() for _, i in field_ranks(g))
     return _Ranked(prof, intervals,
                    tuple((c, i.lo) for c, i in enumerate(intervals) if i.lo),
                    all(g.is_exact_trivial for g in prof.values()))

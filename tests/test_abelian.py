@@ -157,6 +157,9 @@ def test_compatible_verdicts_and_witness():
     assert verdict == INCOMPATIBLE and witness[0] == 2
     verdict, witness = compatible(parse_group("Z"), parse_group("f"))
     assert verdict == INCOMPATIBLE and witness[0] == "Q"
+    # only the primes of FIELDS are compared; the tables admit no other
+    assert compatible(parse_group("Z_11"),
+                      parse_group("0"))[0] == POSSIBLY_EQUAL
 
 
 def test_widening_cases():

@@ -108,6 +108,15 @@ def test_gate_command(capsys):
     assert code == 0 and out.startswith("Item1")
 
 
+@pytest.mark.parametrize("delta", ("nan", "inf", "0"))
+def test_gate_rejects_a_non_finite_or_non_positive_delta(capsys, delta):
+    code = main(["gate", "SU(20)", "--codim", "1", "--delta", delta,
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: delta must be positive and finite\n"
+
+
 def test_tgeo_command(capsys):
     code, out = run(capsys, "tgeo", "C", "3", "23", "--codim", "7")
     assert code == 0 and out.startswith("Applicable")
@@ -152,6 +161,20 @@ def test_dump_roots_rank_is_bounded(capsys, monkeypatch):
     assert captured.err == (f"error: --rank {cli.MAX_DUMP_RANK + 1} exceeds "
                             f"MAX_DUMP_RANK = {cli.MAX_DUMP_RANK} "
                             "(the output grows as rank^3)\n")
+
+
+def test_table_param_is_bounded(capsys, monkeypatch):
+    def unreachable(max_param):
+        raise AssertionError("rows listed past the parameter bound")
+    monkeypatch.setattr(cli, "classical_presentations", unreachable)
+    code = main(["table", "classical",
+                 "--max-param", str(cli.MAX_TABLE_PARAM + 1)])
+    captured = capsys.readouterr()
+    assert cli.MAX_TABLE_PARAM >= 30      # the default
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --max-param {cli.MAX_TABLE_PARAM + 1} "
+                            f"exceeds MAX_TABLE_PARAM = "
+                            f"{cli.MAX_TABLE_PARAM}\n")
 
 
 def test_max_dim_is_bounded(capsys, monkeypatch):
@@ -235,11 +258,14 @@ def test_bad_space_exits_nonzero(capsys):
      "argument --max-degree: invalid choice: 99 "
      "(choose from 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)"),
     (["kp"], "the following arguments are required: space"),
+    (["corollary1-check", "--max-dim", "120", "--max-listed", "-1"],
+     "argument --max-listed: expected an integer >= 0, got '-1'"),
     (["no-such-command"], "argument command: invalid choice: "
      "'no-such-command' (choose from 'table', 'kp', 'homotopy', "
      "'distinguish', 'corollary1-check', 'decompose', 'gate', 'tgeo', "
      "'dump-roots')"),
-], ids=("invalid-choice", "missing-positional", "unknown-command"))
+], ids=("invalid-choice", "missing-positional", "negative-count",
+        "unknown-command"))
 def test_argparse_rejection_is_one_error_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -302,6 +328,8 @@ def test_data_dir_reaches_the_tables(capsys, tmp_path):
 @pytest.mark.parametrize("row, message", [
     ("E6 | - | 2=Z | 3=Z", "expected 3 '|'-separated fields, found 4"),
     ("BDI(3,q) | q >= | 2=Z", "guard 'q >=' does not parse"),
+    ("E6 | - | 4=Z_11", "group 'Z_11' has prime 11; cells are compared "
+                        "over ('Q', 2, 3, 5, 7) only\n"),
 ])
 def test_a_malformed_data_row_is_one_error_line(capsys, tmp_path, row,
                                                 message):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from symcart import geom
 from symcart.catalog import enumerate_catalog, instantiate, sharp
 from symcart.geom import (HypothesisSet, ITEM1, ITEM2, ITEM3, ITEM4,
                           NOT_APPLICABLE, connectivity, index_lower_bound,
@@ -44,16 +45,20 @@ def test_trace_bound_zero_and_monotone():
 def test_trace_bound_domain_errors():
     with pytest.raises(ValueError):
         trace_bound(1.0, 1.0, math.pi / 2)
-    with pytest.raises(ValueError):
-        trace_bound(0.0, 1.0, 0.1)
+    for delta in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite"):
+            trace_bound(delta, 1.0, 0.1)
     with pytest.raises(ValueError):
         trace_bound(1.0, 1.0, -0.1)
 
 
 def test_hypothesis_set_validation():
     HypothesisSet(1.0, 0.0, 1)
-    with pytest.raises(ValueError):
-        HypothesisSet(0.0, 0.0, 1)
+    for delta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must be positive and "
+                                             "finite"):
+            HypothesisSet(delta, 0.0, 1)
     with pytest.raises(ValueError):
         HypothesisSet(1.0, math.pi / 2, 1)
     with pytest.raises(ValueError):
@@ -102,6 +107,34 @@ def test_min_meridian_codim_excludes_whole_space():
     # at p = q the a = 0 "meridian" is the whole Grassmannian
     assert meridian_codim("C", 3, 3, 0, 3) == 0
     assert min_meridian_codim("C", 3, 3) > 0
+
+
+def _min_meridian_codim_loop(fld, p, q):
+    """The oracle: the least positive codimension over every a < p."""
+    return min(c for c in (meridian_codim(fld, p, q, a, p - a)
+                           for a in range(p)) if c > 0)
+
+
+def test_min_meridian_codim_equals_the_loop():
+    for fld in ("R", "C", "H"):
+        for p in range(1, 60):
+            for q in range(max(p, 2), 80):
+                assert min_meridian_codim(fld, p, q) == \
+                    _min_meridian_codim_loop(fld, p, q), (fld, p, q)
+
+
+def test_min_meridian_codim_evaluates_two_meridians(monkeypatch):
+    """Counts, not wall time: a huge p costs two meridians, not p."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return meridian_codim(*args)
+
+    monkeypatch.setattr(geom, "meridian_codim", counted)
+    v = theorem_b_check("R", 3000000, 9000000, 3000000)
+    assert v.applicable and v.min_meridian_codim == 8999998
+    assert len(calls) == 2
 
 
 def test_meridian_obstruction_sweep():

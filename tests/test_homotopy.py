@@ -299,9 +299,9 @@ def test_rows_equal_the_oracle_on_shapes_the_tables_lack(tmp_path):
     for f in _DATA.glob("*.txt"):
         shutil.copy(f, tmp_path)
     for name, line in (("spheres", "BDI(p,12) | p >= 4 and k >= 8 | 8=Z_7"),
-                       ("spheres", "BDI(q) | - | 5=Z_11"),
+                       ("spheres", "BDI(q) | - | 5=Z_49"),
                        ("unstable_classical", "SU(n) | n >= 7 | 4=Z_5"),
-                       ("exceptional", "BDI(p,12) | - | 6=Z_13"),
+                       ("exceptional", "BDI(p,12) | - | 6=Z_25"),
                        ("exceptional", "SU(n) | n == 3 or n == 4 | 8=Z_9")):
         with open(tmp_path / f"{name}.txt", "a") as fh:
             fh.write(line + "\n")
@@ -312,7 +312,7 @@ def test_rows_equal_the_oracle_on_shapes_the_tables_lack(tmp_path):
         ["spheres", "real_grassmannians"]
     assert "spheres" not in {src for src, _ in pi_candidates(
         instantiate("BDI", (3, 12)), 8, data_dir)}
-    assert parse_group("Z_11") not in {g for _, g in pi_candidates(
+    assert parse_group("Z_49") not in {g for _, g in pi_candidates(
         instantiate("BDI", (2, 12)), 5, data_dir)}
     assert format_group(pi(instantiate("SU", (7,)), 4, data_dir)) == "Z_5"
     for k in range(1, MAX_DEGREE + 1):      # a k-free guard holds at every k
@@ -334,6 +334,9 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
                                                    "parse"),
                          ("E6 | - | 11=Z", "degree 11 out of range"),
                          ("E6 | - | 2=Z; 2=Z_2", "degree 2 repeated"),
+                         ("E6 | - | 2=Z_2; 5=Z + Z_22 in",
+                          "group 'Z \\+ Z_22 in' has prime 11; cells are "
+                          "compared over \\('Q', 2, 3, 5, 7\\) only"),
                          ("E6( | - | 2=Z", "bad pattern 'E6\\('")):
         table.write_text(shipped + row + "\n")
         with pytest.raises(ValueError,

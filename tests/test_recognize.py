@@ -12,14 +12,14 @@ from hypothesis import given, strategies as st
 
 import symcart
 from symcart import recognize
-from symcart.abelian import EQUAL, INCOMPATIBLE, compatible
+from symcart.abelian import (EQUAL, FIELDS, INCOMPATIBLE, POSSIBLY_EQUAL,
+                             compatible, field_ranks, p_rank, q_rank)
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
-from symcart.homotopy import groups, pi, profile
-from symcart.recognize import (DISTINGUISHABLE, FIELDS, INDISTINGUISHABLE,
+from symcart.homotopy import groups, load_records, pi, profile
+from symcart.recognize import (DISTINGUISHABLE, INDISTINGUISHABLE,
                                UNDETERMINED, CandidateOverflow, Verdict,
                                corollary1_scan, decompose, distinguish,
-                               distinguish_profiles, _field_ranks,
-                               _is_blind_pair)
+                               distinguish_profiles, _is_blind_pair)
 from test_abelian import partial_groups
 
 
@@ -237,8 +237,21 @@ def test_counted_scan_equals_the_pair_loop_across_classes(tmp_path):
         _pair_loop_scan(120, 9, data_dir)
 
 
+def _oracle_compatible(a, b):
+    """``compatible``'s verdict and witness, ranked here with ``q_rank``
+    and ``p_rank`` over Q, Z_2, Z_3, Z_5, Z_7 in that order."""
+    for f in ("Q", 2, 3, 5, 7):
+        ia, ib = ((q_rank(a), q_rank(b)) if f == "Q"
+                  else (p_rank(a, f), p_rank(b, f)))
+        if ia.disjoint(ib):
+            return INCOMPATIBLE, (f, ia, ib)
+    if a.is_exact and b.is_exact and a.group == b.group:
+        return EQUAL, None
+    return POSSIBLY_EQUAL, None
+
+
 def _compatible_verdict(pa, pb, max_degree):
-    """``distinguish_profiles`` by one ``compatible`` call per degree.
+    """``distinguish_profiles`` by one oracle comparison per degree.
 
     The oracle for the comparison from per-value field ranks: the first
     Incompatible degree (Q before Z_2, Z_3, Z_5, Z_7) distinguishes, and
@@ -247,7 +260,7 @@ def _compatible_verdict(pa, pb, max_degree):
     blockers = []
     for k in range(1, max_degree + 1):
         a, b = pa[k], pb[k]
-        verdict, witness = compatible(a, b, (2, 3, 5, 7))
+        verdict, witness = _oracle_compatible(a, b)
         if verdict == INCOMPATIBLE:
             f, ia, ib = witness
             return Verdict(DISTINGUISHABLE, max_degree, k, f, (ia, ib))
@@ -301,6 +314,24 @@ _cell_pairs = st.one_of(st.tuples(partial_groups, partial_groups),
                         partial_groups.map(lambda g: (g, g)))
 
 
+def test_compatible_equals_the_oracle_on_the_table_values():
+    """Every ordered pair of the shipped tables' cell values."""
+    values = {g for rec in load_records() for _, g in rec.cells}
+    verdicts = set()
+    for a in values:
+        for b in values:
+            assert compatible(a, b) == _oracle_compatible(a, b), (a, b)
+            verdicts.add(compatible(a, b)[0])
+    assert verdicts == {EQUAL, POSSIBLY_EQUAL, INCOMPATIBLE}
+
+
+@given(_cell_pairs)
+def test_compatible_equals_the_oracle_on_drawn_cells(pair):
+    a, b = pair
+    assert compatible(a, b) == _oracle_compatible(a, b)
+    assert compatible(b, a) == _oracle_compatible(b, a)
+
+
 @given(st.lists(_cell_pairs, min_size=1, max_size=10))
 def test_verdicts_equal_the_compatible_oracle_on_drawn_cells(cells):
     """All six tags (exact, finite, rank one, rank >= 1, contains,
@@ -340,7 +371,7 @@ for module in (abelian, homotopy, recognize):
         module.compatible = counted_compatible
 recognize.corollary1_scan(300)
 scan_compatible = calls["compatible"]
-field_ranks = recognize._field_ranks.cache_info().misses
+field_ranks = abelian.field_ranks.cache_info().misses
 instantiated = catalog.instantiate.cache_info().misses
 homotopy.consistency_violations(300)
 check_instantiated = catalog.instantiate.cache_info().misses - instantiated
@@ -497,7 +528,7 @@ def _product_dfs(ambient, max_degree=9, max_candidates=10 ** 6):
 
     def ranks(s):
         return {(k, f): i for k, g in groups(s, max_degree).items()
-                for f, i in _field_ranks(g)}
+                for f, i in field_ranks(g)}
 
     amb_prof, amb = groups(ambient, max_degree), ranks(ambient)
     cands = [(t, r) for t, r in ((t, ranks(t))

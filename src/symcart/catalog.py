@@ -17,44 +17,25 @@ Fraction(5, 2)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
 
 
 @dataclass(frozen=True, order=True)
 class SpaceInstance:
-    """One catalog space.
-
-    Spaces key the homotopy rows and several caches, so an instance
-    computes its hash once, on first use; it equals the dataclass hash of
-    its fields.
-    """
+    """One catalog space: its Cartan symbol, parameters, dimension, rank
+    and threshold k_P; d_P and C_P follow from these."""
 
     symbol: str
     params: Tuple[int, ...]
     dim: int
     rank: int
     kp: int
-    root: Optional[RootSystemType] = None
-    mults: Optional[Multiplicities] = None
-    kp_maximizer: int = 0
-
-    def __hash__(self):
-        # kept in the instance dict, as functools.cached_property would
-        # keep it, without that descriptor's cost on the first call
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(_fields_of(self))
-        return h
-
-    def __reduce__(self):
-        # rebuilt from its fields: a cached hash is valid in one process only
-        return SpaceInstance, _fields_of(self)
 
     @property
     def dp(self) -> int:
@@ -76,10 +57,6 @@ class SpaceInstance:
 
     def __repr__(self):
         return f"<{self.label()} dim={self.dim} k={self.kp}>"
-
-
-# a space's fields in declaration order, as its dataclass hash reads them
-_fields_of = attrgetter(*(f.name for f in fields(SpaceInstance)))
 
 
 class ConstraintError(ValueError):
@@ -260,16 +237,12 @@ def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
         return SpaceInstance("S", params, dim=n, rank=1, kp=1)
     if symbol in _EXCEPTIONAL:
         _require(not params, symbol, "no parameters")
-        dim, root, mults, (dp_ref, kp_ref) = _EXCEPTIONAL[symbol]
-        res = kp_by_deletion(root, mults)
-        assert res.value == kp_ref and dim - res.value == dp_ref, \
-            (symbol, res, dp_ref, kp_ref)
-        return SpaceInstance(symbol, (), dim, root.rank, res.value,
-                             root, mults, res.maximizer)
-    dim, root, mults = _root_datum(symbol, params)
-    res = kp_by_deletion(root, mults)
-    return SpaceInstance(symbol, params, dim, root.rank, res.value,
-                         root, mults, res.maximizer)
+        dim, root, mults, published = _EXCEPTIONAL[symbol]
+    else:
+        (dim, root, mults), published = _root_datum(symbol, params), None
+    kp = kp_by_deletion(root, mults).value
+    assert published in (None, (dim - kp, kp)), (symbol, kp, published)
+    return SpaceInstance(symbol, params, dim, root.rank, kp)
 
 
 def sharp(p: SpaceInstance, codim: int) -> int:

@@ -141,6 +141,9 @@ def cmd_table(args) -> Tuple[dict, int]:
         if args.max_param > MAX_TABLE_PARAM:
             raise ValueError(f"--max-param {args.max_param} exceeds "
                              f"MAX_TABLE_PARAM = {MAX_TABLE_PARAM}")
+        if args.max_param < 2:        # no reference row has a parameter < 2
+            raise ValueError(f"--max-param {args.max_param} lists no row: "
+                             f"expected 2 <= --max-param <= {MAX_TABLE_PARAM}")
         published = [(f"{symbol}({','.join(map(str, params))})",
                       instantiate(symbol, params),
                       reference_classical(symbol, params))
@@ -399,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("decompose", cmd_decompose, _text_decompose,
                 "products indistinguishable from the ambient", cells)
     p.add_argument("space")
-    p.add_argument("--max-candidates", type=int, default=10 ** 6,
+    p.add_argument("--max-candidates", type=_count, default=10 ** 6,
                    help="node budget for the decomposition search")
 
     p = command("gate", cmd_gate, _text_verdict,

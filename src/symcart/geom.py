@@ -37,7 +37,7 @@ def trace_bound(delta: float, k: int, r: float) -> float:
         raise ValueError("delta must be positive and finite")
     if k <= 0:
         raise ValueError("k must be positive")
-    if r < 0:
+    if not r >= 0:                      # NaN fails it too
         raise ValueError("r must be nonnegative")
     lam = math.sqrt(delta / k)
     if lam * r >= math.pi / 2:

@@ -25,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 from operator import add, attrgetter, eq, ge
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
@@ -33,7 +32,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from .abelian import (PartialAbelianGroup, RankInterval, field_ranks,
                       format_group, separating_field)
 from .catalog import ProductSpace, SpaceInstance, enumerate_catalog
-from .homotopy import groups, profile
+from .homotopy import _cached_per_data_dir, groups, profile
 
 DISTINGUISHABLE = "Distinguishable"
 INDISTINGUISHABLE = "Indistinguishable"
@@ -338,12 +337,13 @@ class _Ranked(NamedTuple):
     invisible: bool                           # every pi_k exactly trivial
 
 
-@lru_cache(maxsize=None)
+@_cached_per_data_dir
 def _ranked(s: SpaceInstance, max_degree: int, data_dir=None) -> _Ranked:
     """The profile of ``s`` through max_degree and its rank intervals.
 
-    Computed once per process for each (space, degree, data directory),
-    like ``pi`` itself; callers share the result and must not mutate it.
+    Computed once per process for each space, degree and data directory,
+    the directory keyed by its absolute path, as ``pi`` itself is;
+    callers share the result and must not mutate it.
     """
     prof = groups(s, max_degree, data_dir)
     intervals = tuple(i for g in prof.values() for _, i in field_ranks(g))

@@ -177,6 +177,25 @@ def test_table_param_is_bounded(capsys, monkeypatch):
                             f"{cli.MAX_TABLE_PARAM}\n")
 
 
+@pytest.mark.parametrize("max_param", [-3, 1])
+def test_table_param_below_two_is_rejected(capsys, max_param):
+    """A bound below every reference row's parameter would check no row
+    and pass; it is one error line naming the accepted range."""
+    code = main(["table", "classical", "--check",
+                 "--max-param", str(max_param)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --max-param {max_param} lists no row: "
+                            f"expected 2 <= --max-param <= "
+                            f"{cli.MAX_TABLE_PARAM}\n")
+
+
+def test_table_param_two_lists_rows(capsys):
+    code, out = run(capsys, "table", "classical", "--check",
+                    "--max-param", "2")
+    assert code == 0 and "check: 0 mismatch(es) in 7 rows" in out
+
+
 def test_max_dim_is_bounded(capsys, monkeypatch):
     class Scanned(Exception):
         pass
@@ -260,12 +279,14 @@ def test_bad_space_exits_nonzero(capsys):
     (["kp"], "the following arguments are required: space"),
     (["corollary1-check", "--max-dim", "120", "--max-listed", "-1"],
      "argument --max-listed: expected an integer >= 0, got '-1'"),
+    (["decompose", "S(12)", "--max-candidates", "-1"],
+     "argument --max-candidates: expected an integer >= 0, got '-1'"),
     (["no-such-command"], "argument command: invalid choice: "
      "'no-such-command' (choose from 'table', 'kp', 'homotopy', "
      "'distinguish', 'corollary1-check', 'decompose', 'gate', 'tgeo', "
      "'dump-roots')"),
 ], ids=("invalid-choice", "missing-positional", "negative-count",
-        "unknown-command"))
+        "negative-node-bound", "unknown-command"))
 def test_argparse_rejection_is_one_error_line(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -49,8 +49,9 @@ def test_trace_bound_domain_errors():
         with pytest.raises(ValueError, match="delta must be positive and "
                                              "finite"):
             trace_bound(delta, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        trace_bound(1.0, 1.0, -0.1)
+    for r in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="r must be nonnegative"):
+            trace_bound(1.0, 1.0, r)
 
 
 def test_hypothesis_set_validation():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import symcart
-from symcart import recognize
+from symcart import homotopy, recognize
 from symcart.abelian import (EQUAL, FIELDS, INCOMPATIBLE, POSSIBLY_EQUAL,
                              compatible, field_ranks, p_rank, q_rank)
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
@@ -513,6 +513,21 @@ def test_decompose_ranks_each_space_once(monkeypatch):
     out = subprocess.run([sys.executable, "-c", _FRESH_DECOMPOSE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [first, other]
+
+
+def test_ranked_is_cached_by_the_absolute_data_directory():
+    """Every spelling of the shipped data directory shares ``_ranked``'s
+    cache entries, as it shares ``row``'s."""
+    recognize._ranked.cache_clear()
+    s20 = instantiate("S", (20,))
+    first = decompose(s20)
+    misses = recognize._ranked.cache_info().misses
+    assert misses == len(set(enumerate_catalog(20)) | {s20})
+    for data_dir in (homotopy._DATA_DIR,
+                     os.path.relpath(homotopy._DATA_DIR),
+                     os.path.join(homotopy._DATA_DIR, "..", "data")):
+        assert decompose(s20, data_dir=data_dir) == first
+    assert recognize._ranked.cache_info().misses == misses
 
 
 def _product_dfs(ambient, max_degree=9, max_candidates=10 ** 6):

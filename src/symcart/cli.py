@@ -134,21 +134,25 @@ def _instance_row(s: SpaceInstance) -> dict:
 # --check --format json; Python 3.11, 2-vCPU Xeon host), 240 took 3.9 s
 # and 133 MB
 MAX_TABLE_PARAM = 120
+DEFAULT_TABLE_PARAM = 30
 
 
 def cmd_table(args) -> Tuple[dict, int]:
     if args.kind == "classical":
-        if args.max_param > MAX_TABLE_PARAM:
-            raise ValueError(f"--max-param {args.max_param} exceeds "
+        max_param = (DEFAULT_TABLE_PARAM if args.max_param is None
+                     else args.max_param)
+        if max_param > MAX_TABLE_PARAM:
+            raise ValueError(f"--max-param {max_param} exceeds "
                              f"MAX_TABLE_PARAM = {MAX_TABLE_PARAM}")
-        if args.max_param < 2:        # no reference row has a parameter < 2
-            raise ValueError(f"--max-param {args.max_param} lists no row: "
+        if max_param < 2:             # no reference row has a parameter < 2
+            raise ValueError(f"--max-param {max_param} lists no row: "
                              f"expected 2 <= --max-param <= {MAX_TABLE_PARAM}")
         published = [(f"{symbol}({','.join(map(str, params))})",
                       instantiate(symbol, params),
                       reference_classical(symbol, params))
-                     for symbol, params
-                     in classical_presentations(args.max_param)]
+                     for symbol, params in classical_presentations(max_param)]
+    elif args.max_param is not None:  # the exceptional table is fixed
+        raise ValueError("--max-param applies to the classical table only")
     else:
         published = [(symbol, instantiate(symbol),
                       reference_exceptional(symbol))
@@ -378,7 +382,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="compare against the published values; exit nonzero "
                         "on any mismatch")
-    p.add_argument("--max-param", type=int, default=30)
+    p.add_argument("--max-param", type=int, default=None,
+                   help="largest parameter of the classical table "
+                        f"(default {DEFAULT_TABLE_PARAM})")
 
     p = command("kp", cmd_kp, _text_kp, "dim, rank, k_P, d_P, C_P of a space")
     p.add_argument("space")

@@ -11,11 +11,11 @@ ever being guessed).  Each cell value is ranked once per process
 ``decompose`` searches cores, not products.  A space whose every pi_k
 through the degree is exactly trivial (S^n for n > max_degree) is
 invisible: padding a product with it changes no rank interval and no
-direct sum.  Only multisets of visible spaces are visited, each with one
-exact comparison at most; the paddings that fit beside a core are
+direct sum.  Only multisets of visible spaces are visited, each decided
+by its summed rank intervals; the paddings that fit beside a core are
 counted by an integer recurrence for the node bound and listed only for
 the cores that pass.  A space's profile never changes within a process,
-so each space is ranked once: its profile, rank intervals and
+so each space is ranked once: its rank intervals and
 visibility are cached per (space, degree, data directory), as ``pi``
 caches each group.
 """
@@ -325,13 +325,12 @@ class CandidateOverflow(RuntimeError):
 
 
 class _Ranked(NamedTuple):
-    """A space's profile through one degree, ranked for ``decompose``.
+    """A space's rank intervals through one degree, for ``decompose``.
 
     Cell ``c`` is field ``FIELDS[c % len(FIELDS)]`` of ``abelian`` at
     degree ``c // len(FIELDS) + 1``.
     """
 
-    prof: Dict[int, PartialAbelianGroup]
     intervals: Tuple[RankInterval, ...]       # per cell
     floors: Tuple[Tuple[int, int], ...]       # (cell, lower rank) where > 0
     invisible: bool                           # every pi_k exactly trivial
@@ -339,7 +338,7 @@ class _Ranked(NamedTuple):
 
 @_cached_per_data_dir
 def _ranked(s: SpaceInstance, max_degree: int, data_dir=None) -> _Ranked:
-    """The profile of ``s`` through max_degree and its rank intervals.
+    """The rank intervals of ``s``'s profile through max_degree.
 
     Computed once per process for each space, degree and data directory,
     the directory keyed by its absolute path, as ``pi`` itself is;
@@ -347,7 +346,7 @@ def _ranked(s: SpaceInstance, max_degree: int, data_dir=None) -> _Ranked:
     """
     prof = groups(s, max_degree, data_dir)
     intervals = tuple(i for g in prof.values() for _, i in field_ranks(g))
-    return _Ranked(prof, intervals,
+    return _Ranked(intervals,
                    tuple((c, i.lo) for c, i in enumerate(intervals) if i.lo),
                    all(g.is_exact_trivial for g in prof.values()))
 
@@ -403,16 +402,6 @@ def _paddings(padding: List[SpaceInstance], left: int):
     return extend(0, left, ())
 
 
-def _padding_counts(padding: List[SpaceInstance], budget: int) -> List[int]:
-    """``counts[L]``: the multisets of ``padding`` with total dimension
-    <= L, the empty one included, for L = 0..budget."""
-    exact = [1] + [0] * budget
-    for t in padding:
-        for total in range(t.dim, budget + 1):
-            exact[total] += exact[total - t.dim]
-    return list(accumulate(exact))
-
-
 def decompose(ambient: SpaceInstance, max_degree: int = 9,
               max_candidates: int = 10 ** 6,
               data_dir=None) -> List[ProductSpace]:
@@ -427,12 +416,12 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
 
     The search runs over nonnegative multiplicities of the visible
     factors that can fit, pruned by the dimension budget and by the
-    ambient's per-degree, per-field rank ceilings.  A core whose upper
-    ranks reach the ambient's lower ones gets one exact degreewise
-    comparison; each core that passes is listed with every padding that
-    fits its leftover dimension (the empty core with every non-empty
-    one).  The result is sorted by total dimension descending, then
-    label.
+    ambient's per-degree, per-field rank ceilings.  Each core whose
+    upper ranks reach the ambient's lower ones is listed with every
+    padding that fits its leftover dimension (the empty core with every
+    non-empty one), by total dimension descending, then label.  No exact
+    comparison could reject it: a direct sum's rank intervals contain its
+    summands' summed ones, which meet the ambient's on every cell.
 
     max_candidates bounds the nodes of the search over whole products:
     one per product that fits the budget and the ceilings, the empty one
@@ -440,14 +429,30 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
     whose number an integer count over the invisible factors' dimensions
     gives, so the nodes are counted, not visited; CandidateOverflow is
     raised, rather than a result truncated, as soon as the count passes
-    the bound, before any exact comparison.
+    the bound.  S^n for n > max_degree is invisible whatever the tables
+    say, so the count over those spheres alone, smallest first, passes
+    the bound of a big ambient before the catalog is ranked.
 
-    Every space's profile and rank intervals come from a per-process
+    Every space's rank intervals come from a per-process
     cache (``_ranked``), so a later call ranks only the catalog spaces
     that no earlier call has seen.
     """
     if not ambient.valid:
         raise ValueError(f"{ambient.label()} does not have a valid dimension")
+    overflow = CandidateOverflow(
+        f"decomposition search exceeded {max_candidates} nodes")
+    # exact[L]: the multisets of the padding counted so far with total
+    # dimension L; all of them together bound the empty core's nodes
+    exact = [1] + [0] * ambient.dim
+
+    def count_padding(dims):
+        for d in dims:
+            for total in range(d, ambient.dim + 1):
+                exact[total] += exact[total - d]
+            if sum(exact) > max_candidates:
+                raise overflow
+
+    count_padding(range(max_degree + 1, ambient.dim + 1))
     amb = _ranked(ambient, max_degree, data_dir)
     ceiling = [i.hi for i in amb.intervals]
     need = [want for _, want in amb.floors]
@@ -468,26 +473,18 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
                 else min(r.intervals[c].hi, want)
                 for c, want in amb.floors)))
 
-    counts = _padding_counts(padding, ambient.dim)
+    # the spheres among the padding are counted already
+    count_padding(t.dim for t in padding if t.symbol != "S")
+    counts = list(accumulate(exact))
     nodes, reaching = 0, []
     for core, left, reaches in _cores(visible, ambient.dim, ceiling, need):
         nodes += counts[left]
         if nodes > max_candidates:
-            raise CandidateOverflow(
-                f"decomposition search exceeded {max_candidates} nodes")
+            raise overflow
         if reaches:
             reaching.append((core, left))
 
-    trivial = dict.fromkeys(range(1, max_degree + 1),
-                            PartialAbelianGroup.trivial())
-    results = []
-    for core, left in reaching:
-        prof = profile(ProductSpace(core), max_degree, data_dir) \
-            if core else trivial
-        if distinguish_profiles(prof, amb.prof,
-                                max_degree).kind == DISTINGUISHABLE:
-            continue
-        results += [ProductSpace(core + pad)
-                    for pad in _paddings(padding, left) if core or pad]
+    results = [ProductSpace(core + pad) for core, left in reaching
+               for pad in _paddings(padding, left) if core or pad]
     results.sort(key=lambda r: (-r.dim, r.label()))
     return results

@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 
 from symcart.abelian import (AbelianGroup, GroupSyntaxError,
                              PartialAbelianGroup, RankInterval, compatible,
-                             direct_sum, format_group, parse_group, p_rank,
-                             q_rank, CONTAINS, EQUAL, FINITE, INCOMPATIBLE,
-                             POSSIBLY_EQUAL, RANK_AT_LEAST_ONE, RANK_ONE,
-                             UNKNOWN)
+                             direct_sum, field_ranks, format_group,
+                             parse_group, p_rank, q_rank, CONTAINS, EQUAL,
+                             FINITE, INCOMPATIBLE, POSSIBLY_EQUAL,
+                             RANK_AT_LEAST_ONE, RANK_ONE, UNKNOWN)
 
 exact_groups = st.builds(
     AbelianGroup.from_orders,
@@ -193,3 +193,16 @@ def test_widened_sum_admits_all_pointwise_sums(a, b):
         for gb in pool:
             if b.refined_by(gb):
                 assert s.refined_by(ga.direct_sum(gb)), (a, b, ga, gb)
+
+
+@given(partial_groups, partial_groups)
+def test_sum_ranks_contain_the_summed_ranks(a, b):
+    """Over every field, the rank interval of a direct sum contains the
+    sum of its summands' intervals: widening only loosens an interval.
+    ``decompose`` decides a core by its summed intervals on this alone."""
+    for (f, got), (_, ia), (_, ib) in zip(field_ranks(direct_sum(a, b)),
+                                          field_ranks(a), field_ranks(b)):
+        summed = ia + ib
+        assert got.lo <= summed.lo, (a, b, f)
+        assert got.hi is None or (summed.hi is not None
+                                  and summed.hi <= got.hi), (a, b, f)

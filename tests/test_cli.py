@@ -190,6 +190,17 @@ def test_table_param_below_two_is_rejected(capsys, max_param):
                             f"{cli.MAX_TABLE_PARAM}\n")
 
 
+@pytest.mark.parametrize("max_param", ["-3", "30"])
+def test_table_param_is_rejected_for_the_exceptional_kind(capsys, max_param):
+    """The exceptional table has no parameter to bound: a --max-param
+    there is one error line, not silently ignored."""
+    code = main(["table", "exceptional", "--check", "--max-param", max_param])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: --max-param applies to the classical "
+                            "table only\n")
+
+
 def test_table_param_two_lists_rows(capsys):
     code, out = run(capsys, "table", "classical", "--check",
                     "--max-param", "2")

@@ -623,13 +623,15 @@ def test_overflow_equals_the_product_dfs(spec, max_candidates):
         assert decompose(ambient, 9, max_candidates) == expected
 
 
-@pytest.mark.parametrize("spec", [("E8", ()), ("E7", ()), ("AI", (20,))])
+@pytest.mark.parametrize("spec", [("E8", ()), ("E7", ()), ("AI", (20,)),
+                                  ("S", (20000,))])
 def test_a_big_ambient_overflows_before_any_exact_comparison(monkeypatch,
                                                              spec):
-    """Counts, not wall time: the padding is counted, so a big ambient
-    passes the default bound after few visited cores and no exact
-    comparison."""
-    visited, compared = [], []
+    """Counts, not wall time: S^n for n > 9 is invisible whatever the
+    tables say, and the padding count over those spheres alone passes the
+    default bound, so a big ambient overflows before the catalog is
+    enumerated, any space is ranked or any core is visited."""
+    visited, compared, enumerated = [], [], []
     cores, read = recognize._cores, recognize.profile
 
     def counted_cores(*args):
@@ -641,24 +643,36 @@ def test_a_big_ambient_overflows_before_any_exact_comparison(monkeypatch,
         compared.append(args)
         return read(*args)
 
+    def counted_catalog(max_dim):
+        enumerated.append(max_dim)
+        return enumerate_catalog(max_dim)
+
     monkeypatch.setattr(recognize, "_cores", counted_cores)
     monkeypatch.setattr(recognize, "profile", counted_profile)
+    monkeypatch.setattr(recognize, "enumerate_catalog", counted_catalog)
+    recognize._ranked.cache_clear()
     with pytest.raises(CandidateOverflow,
                        match="^decomposition search exceeded 1000000 nodes$"):
         decompose(instantiate(*spec))
-    assert 0 < len(visited) <= 1000 and not compared
+    assert not visited and not compared and not enumerated
+    assert recognize._ranked.cache_info().misses == 0
 
 
 def test_sphere_padding_costs_no_exact_comparison(monkeypatch):
+    """The summed rank intervals decide alone: ``decompose`` computes no
+    product profile and makes no exact comparison."""
     compared = []
-    read = recognize.profile
 
-    def counted_profile(*args):
-        compared.append(args)
-        return read(*args)
+    def counted(name):
+        read = getattr(recognize, name)
 
-    monkeypatch.setattr(recognize, "profile", counted_profile)
+        def call(*args):
+            compared.append(name)
+            return read(*args)
+        return call
+
+    for name in ("profile", "distinguish_profiles"):
+        monkeypatch.setattr(recognize, name, counted(name))
     assert len(decompose(instantiate("S", (60,)))) == 2364
-    assert not compared
     assert len(decompose(instantiate("EVII"))) == 1987
-    assert len(compared) <= 43
+    assert not compared

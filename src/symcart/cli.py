@@ -33,8 +33,8 @@ from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, ProductSpace,
                       reference_exceptional)
 from .geom import HypothesisSet, theorem_a_gate, theorem_b_check
 from .homotopy import MAX_DEGREE, profile
-from .recognize import (CandidateOverflow, corollary1_scan, decompose,
-                        distinguish)
+from .recognize import (MAX_CANDIDATES, CandidateOverflow, corollary1_scan,
+                        decompose, distinguish)
 from .rootsys import RootSystemType, positive_roots
 
 SCHEMA_VERSION = 1
@@ -53,7 +53,7 @@ _SPACE_RE = re.compile(r"\s*")
 
 
 def _int_arg(text: str, pos: int) -> int:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):    # not '²' or '١٢'
         raise SpaceSyntaxError(f"expected an integer, got {text!r}", pos)
     return int(text)
 
@@ -270,6 +270,9 @@ def _text_corollary1_check(p, args):
 
 
 def cmd_decompose(args) -> Tuple[dict, int]:
+    if args.max_candidates > MAX_CANDIDATES:
+        raise ValueError(f"--max-candidates {args.max_candidates} exceeds "
+                         f"MAX_CANDIDATES = {MAX_CANDIDATES}")
     s = _single_factor(args.space)
     try:
         results = decompose(s, args.max_degree, args.max_candidates,
@@ -408,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("decompose", cmd_decompose, _text_decompose,
                 "products indistinguishable from the ambient", cells)
     p.add_argument("space")
-    p.add_argument("--max-candidates", type=_count, default=10 ** 6,
+    p.add_argument("--max-candidates", type=_count, default=MAX_CANDIDATES,
                    help="node budget for the decomposition search")
 
     p = command("gate", cmd_gate, _text_verdict,

@@ -35,8 +35,8 @@ once per degree.  The sphere and CP^n rules are applied only to spaces
 of their symbols.  A missing table file, or a row that does not parse
 (a repeated degree, or a prime outside ``abelian.FIELDS``, among them)
 raises ``ValueError``; a row's message starts with its ``file:line``.
-A guard that fails when evaluated (a division by zero) raises
-``ValueError`` naming its file, pattern, guard and the space.
+A guard's ``//`` and ``%`` divide only by nonzero integer constants, so
+a guard that loads cannot fail when evaluated.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -73,7 +73,11 @@ _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp,
 
 def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
     """Parse a guard expression, allowing only arithmetic/comparison nodes
-    over integer constants and the variables in ``names``."""
+    over integer constants and the variables in ``names``.
+
+    ``//`` and ``%`` must divide by a nonzero integer constant, so no
+    guard that passes this check can raise when evaluated.
+    """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as err:
@@ -86,6 +90,12 @@ def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
             raise ValueError(f"non-integer constant in guard {text!r}")
         if isinstance(node, ast.Name) and node.id not in names:
             raise ValueError(f"unknown name {node.id!r} in guard {text!r}")
+        if isinstance(node, ast.BinOp) \
+                and isinstance(node.op, (ast.FloorDiv, ast.Mod)) \
+                and not (isinstance(node.right, ast.Constant)
+                         and node.right.value):
+            raise ValueError(f"divisor {ast.unparse(node.right)!r} in guard "
+                             f"{text!r} is not a nonzero integer constant")
     return tree
 
 
@@ -149,7 +159,6 @@ _UNKNOWN = PartialAbelianGroup(UNKNOWN)
 @dataclass(frozen=True)
 class HomotopyRecord:
     source: str                       # the table file's name, without .txt
-    pattern: str
     symbol: str
     param_names: Tuple[str, ...]      # variable names or "" for fixed slots
     param_values: Tuple[Optional[int], ...]
@@ -210,7 +219,7 @@ def _parse_record(line: str, source: str, stable: bool,
     if guard != "-":                  # a guard names the parameters and k
         code = _compile_degree_guard(guard, tuple(filter(None, names)))
     return HomotopyRecord(
-        source, pattern, symbol, tuple(names), tuple(values), guard, code,
+        source, symbol, tuple(names), tuple(values), guard, code,
         tuple((source, by_degree.get(k, _TRIVIAL)) for k in _DEGREES))
 
 
@@ -309,14 +318,8 @@ def row(s: SpaceInstance, data_dir=None) -> Tuple[Tuple[Cell, ...], ...]:
     rule = _RULES.get(s.symbol)
     out = rule(s, data_dir) if rule else [[] for _ in _DEGREES]
     for _, rec in found:
-        try:
-            holds = _UNGUARDED if rec.guard is None else eval(
-                rec.guard, {**_NO_BUILTINS, **rec.bindings(s)})
-        except ArithmeticError as err:    # a whitelisted // or % by zero
-            path = os.path.join(data_dir, rec.source + ".txt")
-            raise ValueError(f"{path}: guard {rec.guard_text!r} of "
-                             f"{rec.pattern} fails on {s.label()}: "
-                             f"{err}") from None
+        holds = _UNGUARDED if rec.guard is None else eval(
+            rec.guard, {**_NO_BUILTINS, **rec.bindings(s)})
         for cands, cell, ok in zip(out, rec.cells, holds):
             if ok:
                 cands.append(cell)

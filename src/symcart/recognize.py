@@ -324,6 +324,14 @@ class CandidateOverflow(RuntimeError):
     pass
 
 
+# decompose's node bound by default, and the largest the CLI accepts.  The
+# slowest runs it allows list about 10^6 products: the largest S(n) within
+# it at --max-degree 1..10 (S(39) at 1 up to S(128) at 10) took 31-37 s as
+# whole processes, the slowest S(69) at degree 3, with 52-59 MB of text
+# output and 495 MB peak RSS (S(108) at 7; Python 3.11, 2-vCPU Xeon host)
+MAX_CANDIDATES = 10 ** 6
+
+
 class _Ranked(NamedTuple):
     """A space's rank intervals through one degree, for ``decompose``.
 
@@ -403,7 +411,7 @@ def _paddings(padding: List[SpaceInstance], left: int):
 
 
 def decompose(ambient: SpaceInstance, max_degree: int = 9,
-              max_candidates: int = 10 ** 6,
+              max_candidates: int = MAX_CANDIDATES,
               data_dir=None) -> List[ProductSpace]:
     """All catalog products whose profile could equal the ambient's.
 
@@ -430,8 +438,9 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
     gives, so the nodes are counted, not visited; CandidateOverflow is
     raised, rather than a result truncated, as soon as the count passes
     the bound.  S^n for n > max_degree is invisible whatever the tables
-    say, so the count over those spheres alone, smallest first, passes
-    the bound of a big ambient before the catalog is ranked.
+    say, so the count over those spheres alone, smallest first and over
+    totals up to a doubling cap, passes the bound of a big ambient before
+    the catalog is ranked, at a cost set by the bound, not by the dim.
 
     Every space's rank intervals come from a per-process
     cache (``_ranked``), so a later call ranks only the catalog spaces
@@ -441,18 +450,24 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
         raise ValueError(f"{ambient.label()} does not have a valid dimension")
     overflow = CandidateOverflow(
         f"decomposition search exceeded {max_candidates} nodes")
-    # exact[L]: the multisets of the padding counted so far with total
-    # dimension L; all of them together bound the empty core's nodes
-    exact = [1] + [0] * ambient.dim
 
-    def count_padding(dims):
+    def count_padding(exact, dims):
         for d in dims:
-            for total in range(d, ambient.dim + 1):
+            for total in range(d, len(exact)):
                 exact[total] += exact[total - d]
             if sum(exact) > max_candidates:
                 raise overflow
 
-    count_padding(range(max_degree + 1, ambient.dim + 1))
+    # exact[L]: the multisets of the padding counted so far with total
+    # dimension L; all of them together bound the empty core's nodes.  The
+    # spheres are counted over totals up to a cap that doubles until it
+    # reaches the ambient's dim: S^L alone has total L, so the count passes
+    # the bound before the cap passes max_degree + max_candidates.
+    top = 0
+    while top < ambient.dim:
+        top = min(2 * top + 64, ambient.dim)
+        exact = [1] + [0] * top
+        count_padding(exact, range(max_degree + 1, top + 1))
     amb = _ranked(ambient, max_degree, data_dir)
     ceiling = [i.hi for i in amb.intervals]
     need = [want for _, want in amb.floors]
@@ -474,7 +489,7 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
                 for c, want in amb.floors)))
 
     # the spheres among the padding are counted already
-    count_padding(t.dim for t in padding if t.symbol != "S")
+    count_padding(exact, (t.dim for t in padding if t.symbol != "S"))
     counts = list(accumulate(exact))
     nodes, reaching = 0, []
     for core, left, reaches in _cores(visible, ambient.dim, ceiling, need):

@@ -1,7 +1,11 @@
 """Restricted root systems with length classes.
 
 Positive roots are stored as coefficient vectors over the simple roots
-alpha_1..alpha_r.  The key quantity computed here is
+alpha_1..alpha_r.  A classical type's roots are listed in the orthonormal
+basis e_1..e_n, as Bourbaki's Plates I-IV state them, and one change of
+basis gives their coefficients; an exceptional type's come from the
+closure of its simple roots' Gram matrix.  The key quantity computed here
+is
 
     k(type, mult) = r + max_j  sum of multiplicities of the positive
                                roots whose j-th coefficient vanishes,
@@ -91,69 +95,41 @@ class Multiplicities:
             raise ValueError("multiplicities must be nonnegative")
 
 
-def _interval(r: int, lo: int, hi: int, value: int = 1) -> list:
-    """Coefficient vector of length r with `value` on positions lo..hi (1-based)."""
-    v = [0] * r
-    for i in range(lo, hi + 1):
-        v[i - 1] = value
-    return v
-
-
 def _classical_roots(symbol: str, r: int) -> list:
+    """Positive roots of A, B, C, D or BC, listed in the orthonormal basis.
+
+    Bourbaki (Ch. VI, Plates I-IV) states each root in e_1..e_n (n = r + 1
+    for A, else r), with simple roots alpha_i = e_i - e_{i+1} for i < r and
+    alpha_r = e_r - e_{r+1} (A), e_r (B, BC), 2e_r (C) or e_{r-1} + e_r
+    (D).  Over the alpha_i = e_i - e_{i+1} a root's coefficients are its
+    partial sums; only alpha_r differs by type: C halves the last sum, and
+    D halves it and takes the half from the sum before.
+    """
+    n = r + 1 if symbol == "A" else r
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    unit = [{j: 1} for j in range(n)]                       # e_j
+    double = [{j: 2} for j in range(n)]                     # 2e_j
+    minus = [{j: 1, k: -1} for j, k in pairs]               # e_j - e_k
+    plus = [{j: 1, k: 1} for j, k in pairs]                 # e_j + e_k
+    both = [v for pair in zip(minus, plus) for v in pair]
+    listed = {"A": [(minus, LONG)],
+              "B": [(unit, SHORT), (both, LONG)],
+              "BC": [(unit, SHORT), (both, LONG), (double, EXTRA_LONG)],
+              "C": [(double, LONG), (both, SHORT)],
+              "D": [(minus, LONG), (plus, LONG)]}[symbol]
     roots = []
-
-    def add(vec, cls):
-        roots.append(PositiveRoot(tuple(vec), cls))
-
-    if symbol == "A":
-        # e_j - e_k over 1 <= j < k <= r+1
-        for j in range(1, r + 1):
-            for k in range(j + 1, r + 2):
-                add(_interval(r, j, k - 1), LONG)
-    elif symbol in ("B", "BC"):
-        for j in range(1, r + 1):
-            add(_interval(r, j, r), SHORT)                    # e_j
-        for j in range(1, r + 1):
-            for k in range(j + 1, r + 1):
-                add(_interval(r, j, k - 1), LONG)             # e_j - e_k
-                v = _interval(r, j, k - 1)
-                for l in range(k, r + 1):
-                    v[l - 1] = 2
-                add(v, LONG)                                  # e_j + e_k
-        if symbol == "BC":
-            for j in range(1, r + 1):
-                add(_interval(r, j, r, 2), EXTRA_LONG)        # 2 e_j
-    elif symbol == "C":
-        for j in range(1, r + 1):
-            v = _interval(r, j, r - 1, 2)
-            v[r - 1] = 1
-            add(v, LONG)                                      # 2 e_j
-        for j in range(1, r + 1):
-            for k in range(j + 1, r + 1):
-                add(_interval(r, j, k - 1), SHORT)            # e_j - e_k
-                v = _interval(r, j, k - 1)
-                for l in range(k, r):
-                    v[l - 1] = 2
-                v[r - 1] = 1
-                add(v, SHORT)                                 # e_j + e_k
-    elif symbol == "D":
-        for j in range(1, r + 1):
-            for k in range(j + 1, r + 1):
-                add(_interval(r, j, k - 1), LONG)             # e_j - e_k
-        for j in range(1, r):
-            for k in range(j + 1, r + 1):
-                if k <= r - 1:
-                    v = _interval(r, j, k - 1)
-                    for l in range(k, r - 1):
-                        v[l - 1] = 2
-                    v[r - 2] = max(v[r - 2], 1)
-                    v[r - 1] = 1
-                else:
-                    v = _interval(r, j, r - 2)
-                    v[r - 1] = 1
-                add(v, LONG)                                  # e_j + e_k
-    else:  # pragma: no cover - guarded by RootSystemType
-        raise AssertionError(symbol)
+    for vectors, cls in listed:
+        for v in vectors:
+            sums, total = [], 0
+            for j, c in v.items():                # partial sums of v
+                sums += [total] * (j - len(sums))
+                total += c
+            sums += [total] * (r - len(sums))
+            if symbol in ("C", "D"):
+                sums[-1] //= 2
+                if symbol == "D":
+                    sums[-2] -= sums[-1]
+            roots.append(PositiveRoot(tuple(sums), cls))
     return roots
 
 
@@ -184,14 +160,14 @@ def _exceptional_gram(symbol: str):
     raise AssertionError(symbol)
 
 
-def _closure_roots(symbol: str) -> list:
-    """Positive roots of an exceptional system by height-by-height closure.
+def _closure_roots(g) -> list:
+    """Positive roots spanned by simple roots of Gram matrix g, by closure.
 
-    A candidate alpha + alpha_i is a root iff q > 0 where
-    q = p - <alpha, alpha_i^vee>, p the largest k with alpha - k*alpha_i
-    still a root.
+    Built height by height: a candidate alpha + alpha_i is a root iff
+    q > 0 where q = p - <alpha, alpha_i^vee>, p the largest k with
+    alpha - k*alpha_i still a root.  The roots of largest norm are long,
+    the rest short.
     """
-    g = _exceptional_gram(symbol)
     r = len(g)
     norms = [g[i][i] for i in range(r)]
     simple = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
@@ -239,7 +215,7 @@ def positive_roots(t: RootSystemType) -> Tuple[PositiveRoot, ...]:
     if t.symbol in CLASSICAL_SYMBOLS:
         roots = _classical_roots(t.symbol, t.rank)
     else:
-        roots = _closure_roots(t.symbol)
+        roots = _closure_roots(_exceptional_gram(t.symbol))
     expected = {
         "A": t.rank * (t.rank + 1) // 2,
         "B": t.rank ** 2,

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line front end."""
 
 import argparse
+import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 import symcart
 from symcart import cli, rootsys
 from symcart.catalog import reference_classical
+from symcart.recognize import decompose
 from symcart.cli import SpaceSyntaxError, main, parse_space
 from symcart.rootsys import deletion_counts
 
@@ -54,6 +59,23 @@ def test_table_check_passes(capsys):
     assert code == 0 and "0 mismatch(es)" in out
     code, out = run(capsys, "table", "exceptional", "--check")
     assert code == 0 and "EVIII" in out
+
+
+def test_table_check_renders_a_mismatch(capsys, monkeypatch):
+    """A published value that the computation misses is one MISMATCH line
+    and a count, with exit 1."""
+    def off_by_one(symbol, params):
+        ref = reference_classical(symbol, params)
+        if (symbol, params) != ("SU", (3,)):
+            return ref
+        d, k, cp = ref
+        return d + 1, k, cp
+    monkeypatch.setattr(cli, "reference_classical", off_by_one)
+    code, out = run(capsys, "table", "classical", "--check", "--max-param", "3")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "MISMATCH SU(3) d_P: published 5, computed 4",
+        "check: 1 mismatch(es) in 19 rows"]
 
 
 def test_kp_command(capsys):
@@ -143,6 +165,48 @@ def test_decompose_of_a_big_ambient_is_one_error_line(capsys):
     assert code == 2 and captured.out == ""
     assert captured.err == ("error: decomposition search exceeded "
                             "--max-candidates = 1000000 nodes\n")
+
+
+_UNDER_ONE_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from symcart.cli import main
+sys.exit(main(["decompose", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("spec", ["SU(100000)", "S(100000000)"])
+def test_decompose_of_a_huge_ambient_fails_fast_in_bounded_memory(spec):
+    """A dim of 10^10 or 10^8 costs what the node bound allows, not an
+    array of dim + 1 counts: under a 1 GiB address space the call is the
+    node bound's one error line."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(symcart.__file__)))
+    done = subprocess.run([sys.executable, "-c", _UNDER_ONE_GIB, spec],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("error: decomposition search exceeded "
+                           "--max-candidates = 1000000 nodes\n")
+
+
+def test_decompose_node_bound_is_bounded(capsys, monkeypatch):
+    """A --max-candidates past MAX_CANDIDATES is one error line, before
+    the space is parsed or searched; the bound itself is the default."""
+    def unreachable(*args):
+        raise AssertionError("decompose called past MAX_CANDIDATES")
+    monkeypatch.setattr(cli, "decompose", unreachable)
+    too_many = str(cli.MAX_CANDIDATES + 1)
+    for argv in (["decompose", "S(120)", "--max-candidates", too_many],
+                 ["decompose", "S(120)", "--max-candidates", "10" + "0" * 12]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: --max-candidates {argv[-1]} exceeds "
+                                f"MAX_CANDIDATES = {cli.MAX_CANDIDATES}\n")
+    assert cli.MAX_CANDIDATES == 10 ** 6
+    args = cli._build_parser().parse_args(["decompose", "S(12)"])
+    assert args.max_candidates == cli.MAX_CANDIDATES == \
+        inspect.signature(decompose).parameters["max_candidates"].default
 
 
 def test_dump_roots_command(capsys):
@@ -259,6 +323,18 @@ def test_sphere_arity_is_a_named_condition(capsys):
                        ("S", "S(): requires one parameter n >= 2")):
         assert main(["kp", spec]) == 2
         assert capsys.readouterr().err == f"error: {text} (at position 0)\n"
+
+
+@pytest.mark.parametrize("spec", ["S(\u00b2)", "S(\u0661\u0662)"],
+                         ids=("superscript-two", "arabic-indic-twelve"))
+def test_space_parameters_take_ascii_digits_only(capsys, spec):
+    """'²' and '١٢' pass ``str.isdigit``; the grammar names them, rather
+    than failing in ``int`` or reading the second as S(12)."""
+    assert main(["kp", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: expected an integer, got {spec[2:-1]!r} (at position 0)\n"
 
 
 def test_json_output_is_schema_versioned(capsys):
@@ -378,18 +454,19 @@ def test_a_malformed_data_row_is_one_error_line(capsys, tmp_path, row,
     assert captured.err.count("\n") == 1
 
 
-def test_a_guard_that_fails_when_evaluated_is_one_error_line(capsys,
-                                                             tmp_path):
+def test_a_guard_dividing_by_a_variable_is_one_error_line(capsys, tmp_path):
     for f in (Path(symcart.__file__).parent / "data").glob("*.txt"):
         shutil.copy(f, tmp_path)
     table = tmp_path / "exceptional.txt"
-    table.write_text(table.read_text() + "E6 | k // (k - k) >= 1 | 2=Z\n")
+    text = table.read_text()
+    lineno = text.count("\n") + 1
+    table.write_text(text + "E6 | k // (k - k) >= 1 | 2=Z\n")
     code = main(["homotopy", "E6", "--data-dir", str(tmp_path)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith(
-        f"error: {table}: guard 'k // (k - k) >= 1' of E6 fails on E6: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == (f"error: {table}:{lineno}: "
+                            "divisor 'k - k' in guard 'k // (k - k) >= 1' "
+                            "is not a nonzero integer constant\n")
 
 
 def test_a_data_dir_without_the_tables_is_one_error_line(capsys, tmp_path):

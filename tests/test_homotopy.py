@@ -122,6 +122,21 @@ def test_tables_are_internally_consistent():
     assert consistency_violations(150) == []
 
 
+def test_consistency_violations_report_a_clash_by_both_sources(tmp_path):
+    """A shipped-table copy with a row that says pi_2(AI(3)) = Z, against
+    the Z_2 of the unstable and stable rows: each incompatible pair of
+    candidates is one report, and the compatible Z_2/Z_2 pair is none."""
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    table = tmp_path / "exceptional.txt"
+    table.write_text(table.read_text() + "AI(3) | k <= 2 | 2=Z\n")
+    bad = consistency_violations(150, str(tmp_path))
+    assert [(s.label(), k, src_a, format_group(a), src_b, format_group(b))
+            for s, k, src_a, a, src_b, b in bad] == [
+        ("AI(3)", 2, "unstable_classical", "Z_2", "exceptional", "Z"),
+        ("AI(3)", 2, "exceptional", "Z", "stable", "Z_2")]
+
+
 def test_tables_are_parsed_once_per_process():
     load_records.cache_clear()
     load_records()
@@ -345,16 +360,27 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
             load_records(str(tmp_path))
 
 
-def test_a_guard_that_fails_when_evaluated_is_a_named_value_error(tmp_path):
+def test_a_guard_dividing_by_a_variable_is_a_malformed_row(tmp_path):
+    """``//`` and ``%`` take only a nonzero integer constant divisor, so a
+    guard that could divide by zero fails at load, by ``file:line``; the
+    shipped ``q % 4`` form still loads."""
     for f in _DATA.glob("*.txt"):
         shutil.copy(f, tmp_path)
     table = tmp_path / "exceptional.txt"
-    table.write_text(table.read_text() + "E6 | k // (k - k) >= 1 | 2=Z\n")
+    shipped = table.read_text()
+    lineno = shipped.count("\n") + 1
+    for guard, divisor in (("k // (k - k) >= 1", "k - k"), ("k % 0 == 1", "0")):
+        table.write_text(shipped + f"E6 | {guard} | 2=Z\n")
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(table))}:{lineno}: divisor "
+                f"{re.escape(repr(divisor))} in guard "
+                f"{re.escape(repr(guard))} is not a nonzero integer "
+                "constant$")):
+            row(instantiate("E6"), str(tmp_path))
+    table.write_text(shipped + "E6 | k % 4 == 2 and k // 3 >= 1 | 2=Z\n")
     e6 = instantiate("E6")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(table))}: guard "
-                       "'k // \\(k - k\\) >= 1' of E6 fails on E6: "):
-        row(e6, str(tmp_path))
-    assert pi(instantiate("E7"), 2, str(tmp_path)) == pi(instantiate("E7"), 2)
+    assert [len(a) - len(b) for a, b in zip(row(e6, str(tmp_path)), row(e6))] \
+        == [0, 0, 0, 0, 0, 1, 0, 0, 0, 1]         # the guard holds at k = 6, 10
 
 
 def test_a_missing_table_is_a_value_error(tmp_path):

@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 from symcart.rootsys import (EXTRA_LONG, LONG, SHORT, KpResult,
-                             Multiplicities, RootSystemType, deletion_counts,
-                             kp_by_deletion, kp_closed_form, kp_enumerated,
-                             positive_roots, zero_coeff_counts)
+                             Multiplicities, RootSystemType, _closure_roots,
+                             deletion_counts, kp_by_deletion, kp_closed_form,
+                             kp_enumerated, positive_roots, zero_coeff_counts)
 
 
 def _count(symbol, rank=0):
@@ -59,6 +59,51 @@ def test_bc_contains_b_plus_doubled_shorts():
             half = tuple(c // 2 for c in x.coeffs)
             assert all(c % 2 == 0 for c in x.coeffs)
             assert half in coeff_set
+
+
+def _cartan_gram(symbol, r):
+    """Gram matrix of the simple roots of A, B, C or D (Bourbaki, Plates I-IV).
+
+    alpha_i = e_i - e_{i+1} for i < r; alpha_r is e_r - e_{r+1} (A), e_r
+    (B), 2e_r (C) or e_{r-1} + e_r (D).
+    """
+    g = [[0] * r for _ in range(r)]
+    for i in range(r):
+        g[i][i] = 2
+        if i + 1 < r:
+            g[i][i + 1] = g[i + 1][i] = -1
+    if symbol == "B":
+        g[r - 1][r - 1] = 1
+    elif symbol == "C":
+        g[r - 1][r - 1] = 4
+        g[r - 2][r - 1] = g[r - 1][r - 2] = -2
+    elif symbol == "D":
+        g[r - 2][r - 1] = g[r - 1][r - 2] = 0
+        g[r - 3][r - 1] = g[r - 1][r - 3] = -1
+    return g
+
+
+@pytest.mark.parametrize("symbol,rank", [
+    (s, r) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 4), ("BC", 1))
+    for r in range(lo, 9)])
+def test_classical_roots_match_the_cartan_matrix_closure(symbol, rank):
+    """An independent source: the roots the simple roots' Gram matrix closes to.
+
+    BC is B's closure, its short roots (norm 1) doubled as extra long.
+    """
+    if symbol == "BC":
+        g = _cartan_gram("B", rank)
+        b = [root.coeffs for root in _closure_roots(g)]
+        short = [a for a in b
+                 if sum(a[i] * a[j] * g[i][j]
+                        for i in range(rank) for j in range(rank)) == 1]
+        expected = ({(a, SHORT if a in short else LONG) for a in b}
+                    | {(tuple(2 * c for c in a), EXTRA_LONG) for a in short})
+    else:
+        expected = {(root.coeffs, root.length_class)
+                    for root in _closure_roots(_cartan_gram(symbol, rank))}
+    got = positive_roots(RootSystemType(symbol, rank))
+    assert {(root.coeffs, root.length_class) for root in got} == expected
 
 
 def test_invalid_ranks_rejected():

@@ -125,13 +125,13 @@ EXCEPTIONAL_SYMBOLS = tuple(_EXCEPTIONAL)
 
 
 class _Family(NamedTuple):
-    """One classical family: presentations ``symbol(params)``.
+    """One family of catalog spaces: presentations ``symbol(params)``.
 
     Parameters are nondecreasing and at least ``smallest`` (n >= n0, or
     p0 <= p <= q); ``note`` says why smaller ones are left out.  ``dim``
-    grows in every parameter; ``datum`` gives the restricted root system
-    and its multiplicities (Helgason, Differential Geometry, Lie Groups,
-    and Symmetric Spaces, Ch. X).
+    grows in every parameter; for a classical family ``datum`` gives the
+    restricted root system and its multiplicities (Helgason, Differential
+    Geometry, Lie Groups, and Symmetric Spaces, Ch. X).
     """
 
     smallest: Tuple[int, ...]
@@ -201,6 +201,16 @@ _CLASSICAL = {
         if n % 2 else (RootSystemType("C", n // 2), Multiplicities(m_s=4, m_l=1))),
         "smaller cases are isomorphic to other spaces"),
     **{symbol: _grassmannian(c) for symbol, c in GRASSMANNIANS.values()},
+}
+
+# Every catalog symbol's family: the spheres, the classical families and
+# the exceptional spaces (no parameter); ``instantiate`` builds the
+# spheres and the exceptional spaces without a ``datum``.
+FAMILIES = {
+    "S": _Family((2,), lambda n: n, None),
+    **_CLASSICAL,
+    **{symbol: _Family((), lambda dim=dim: dim, None)
+       for symbol, (dim, *_) in _EXCEPTIONAL.items()},
 }
 
 
@@ -408,16 +418,16 @@ _catalog_dim = 0
 
 
 def _build_catalog(max_dim: int) -> List[SpaceInstance]:
-    out = [instantiate("S", (n,)) for n in range(2, max_dim + 1)]
-    for symbol, family in _CLASSICAL.items():
+    out = []
+    for symbol, family in FAMILIES.items():
         for params in family.sweep(max_dim):
             try:
                 s = instantiate(symbol, params)
             except ReducibleError:
                 continue
-            if (s.symbol, s.params) == (symbol, params):
+            # a space without parameters is swept whatever its dim
+            if (s.symbol, s.params) == (symbol, params) and s.dim <= max_dim:
                 out.append(s)
-    out += [s for s in map(instantiate, EXCEPTIONAL_SYMBOLS) if s.dim <= max_dim]
     out.sort(key=_name)
     assert len(set(map(_name, out))) == len(out)
     return out

@@ -231,10 +231,12 @@ def _text_verdict(p, args):
     yield p["verdict"]
 
 
-# the largest scan measured: `corollary1-check --max-dim 2000` took 0.8-0.9 s
-# and 38 MB peak RSS as a whole process (Python 3.11, 2-vCPU Xeon host); the
-# blind pairs are counted, not listed, so memory grows linearly in the
-# instance count
+# the largest scan measured: `corollary1-check --max-dim 2000` took 0.25-0.27 s
+# and 19 MB peak RSS (21 MB with --format json) as a whole process, against
+# 0.22 s and 18 MB at 300 (Python 3.11, 2-vCPU Xeon host).  The scan reads
+# regions and counts the blind pairs, but it still lists its violations and
+# undetermined pairs, about 1.5 per unit of max_dim at degree 9, so the
+# bound stays
 MAX_SCAN_DIM = 2000
 
 
@@ -338,9 +340,21 @@ def _text_dump_roots(p, args):
     yield f"{p['count']} positive roots"
 
 
+def _integer(text: str) -> int:
+    """An argparse type: an integer as ``int`` reads ASCII text, a sign
+    included.  Other digits, which ``int`` would read too ('١٢' as 12),
+    are rejected, as they are in a space spec."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _count(text: str) -> int:
-    """An argparse type: an integer >= 0."""
-    if not text.isdecimal():
+    """An argparse type: an integer >= 0, in ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}")
     return int(text)
@@ -363,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     output = _Parser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
     cells = _Parser(add_help=False)     # the commands that read pi_k cells
-    cells.add_argument("--max-degree", type=int, default=9,
+    cells.add_argument("--max-degree", type=_integer, default=9,
                        choices=range(1, MAX_DEGREE + 1))
     cells.add_argument("--data-dir", default=None,
                        help="override the bundled homotopy data files")
@@ -385,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="compare against the published values; exit nonzero "
                         "on any mismatch")
-    p.add_argument("--max-param", type=int, default=None,
+    p.add_argument("--max-param", type=_integer, default=None,
                    help="largest parameter of the classical table "
                         f"(default {DEFAULT_TABLE_PARAM})")
 
@@ -404,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("corollary1-check", cmd_corollary1_check,
                 _text_corollary1_check,
                 "pairwise recognition scan over the catalog", cells)
-    p.add_argument("--max-dim", type=int, default=300)
+    p.add_argument("--max-dim", type=_integer, default=300)
     p.add_argument("--max-listed", type=_count, default=20,
                    help="cap on violations/undetermined pairs listed as text")
 
@@ -417,23 +431,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("gate", cmd_gate, _text_verdict,
                 "allowed submanifold types for an ambient space")
     p.add_argument("space")
-    p.add_argument("--codim", type=int, required=True)
+    p.add_argument("--codim", type=_integer, required=True)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--focal-r", type=float, default=0.0)
 
     p = command("tgeo", cmd_tgeo, _text_verdict,
                 "meridian obstruction gate for Grassmannians")
     p.add_argument("field", choices=tuple(GRASSMANNIANS))
-    p.add_argument("p", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--codim", type=int, required=True)
-    p.add_argument("--index", type=int, default=None,
+    p.add_argument("p", type=_integer)
+    p.add_argument("n", type=_integer)
+    p.add_argument("--codim", type=_integer, required=True)
+    p.add_argument("--index", type=_integer, default=None,
                    help="override the bundled index lower bound")
 
     p = command("dump-roots", cmd_dump_roots, _text_dump_roots,
                 "positive roots of a restricted root system")
     p.add_argument("type", help="A, B, C, D, BC, E6, E7, E8, F4 or G2")
-    p.add_argument("--rank", type=int, default=0)
+    p.add_argument("--rank", type=_integer, default=0)
 
     return parser
 

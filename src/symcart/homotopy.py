@@ -20,7 +20,8 @@ column) -- and, for an uncovered pi_1, ``simply_connected``.  That is
 precedence order, so the first candidate answers pi_k, and a degree with
 no candidate is Unknown.  ``pi``, ``coverage``, ``pi_candidates``,
 ``consistency_violations`` and the recognition scan all read rows; each
-row is built once per (space, data directory).
+row is built once per (space, data directory).  The last two read one
+row per region of ``symcart.regions``, not one per space.
 
 Records are found through an index built on the first lookup.  A
 record's shape is its symbol, arity and the positions of the parameters
@@ -36,7 +37,10 @@ of their symbols.  A missing table file, or a row that does not parse
 (a repeated degree, or a prime outside ``abelian.FIELDS``, among them)
 raises ``ValueError``; a row's message starts with its ``file:line``.
 A guard's ``//`` and ``%`` divide only by nonzero integer constants, so
-a guard that loads cannot fail when evaluated.
+a guard that loads cannot fail when evaluated.  A pattern's fixed
+parameters are ASCII digits, and a guard is linear: each comparison
+reads one parameter besides k (``_guard_atoms``), so its truth is
+eventually periodic in every parameter, as the regions need.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -52,6 +56,8 @@ import os
 import re
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from heapq import merge
+from itertools import repeat
 from operator import itemgetter
 from types import CodeType
 from typing import Dict, List, Optional, Tuple
@@ -99,6 +105,59 @@ def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
     return tree
 
 
+def _term_names(node: ast.AST, text: str) -> frozenset:
+    """The names that an arithmetic term of a guard reads.
+
+    A term is linear: integer constants and names, joined by ``+``, ``-``,
+    ``//`` and ``%`` by a constant, and ``*`` with a side that reads no
+    name.  Such a term, as a function of one name, moves by a constant
+    when the name moves by the product of the term's divisors.
+    """
+    if isinstance(node, ast.Constant):
+        return frozenset()
+    if isinstance(node, ast.Name):
+        return frozenset((node.id,))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _term_names(node.operand, text)
+    if isinstance(node, ast.BinOp):
+        left = _term_names(node.left, text)
+        right = _term_names(node.right, text)
+        if isinstance(node.op, ast.Mult) and left and right:
+            raise ValueError(f"guard {text!r} multiplies two variable terms")
+        return left | right
+    raise ValueError(f"guard {text!r} uses a {type(node).__name__} "
+                     "as a number")
+
+
+def _guard_atoms(node: ast.AST, text: str):
+    """Each comparison of a guard, and each bare term it tests for being
+    nonzero, as (its terms, its operators, the parameters they read
+    besides k).
+
+    A comparison may read one parameter besides k.  Its truth at each
+    k = 1..MAX_DEGREE is then eventually periodic in that parameter (see
+    ``_atom_tail``), and so is the guard's in each parameter, which the
+    region scan needs; ``k < q - p`` has no such period and is rejected.
+    """
+    if isinstance(node, ast.BoolOp):
+        for value in node.values:
+            yield from _guard_atoms(value, text)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        yield from _guard_atoms(node.operand, text)
+    else:
+        terms, ops = (([node.left, *node.comparators], node.ops)
+                      if isinstance(node, ast.Compare)
+                      else ([node, ast.Constant(0)], [ast.NotEq()]))
+        names = frozenset().union(
+            *(_term_names(t, text) for t in terms)) - {"k"}
+        if len(names) > 1:
+            raise ValueError(f"guard {text!r} compares "
+                             f"{' and '.join(sorted(names))} in one "
+                             "comparison; each may read one parameter "
+                             "besides k")
+        yield terms, ops, names
+
+
 @lru_cache(maxsize=None)
 def _compile_guard(text: str, names: Tuple[str, ...]) -> CodeType:
     """A checked guard compiled for ``eval`` over ``names``."""
@@ -113,15 +172,18 @@ def _compile_degree_guard(text: str, names: Tuple[str, ...]) -> CodeType:
     """A checked guard over ``names`` and k, compiled as the list of its
     values at k = 1..MAX_DEGREE.
 
-    The whitelist check runs on the guard alone; the comprehension is
-    built around the checked tree, so the text is never re-parsed.  Its
-    code reads the parameters as globals: pass their bindings, with an
-    empty ``__builtins__``, as ``eval``'s globals.
+    The whitelist and grammar checks (see ``_guard_atoms``) run on the
+    guard alone; the comprehension is built around the checked tree, so
+    the text is never re-parsed.  Its code reads the parameters as
+    globals: pass their bindings, with an empty ``__builtins__``, as
+    ``eval``'s globals.
     """
+    checked = _check_guard(text, (*names, "k")).body
+    for _ in _guard_atoms(checked, text):   # raises outside the grammar
+        pass
     loop = ast.comprehension(target=ast.Name("k", ast.Store()),
                              iter=ast.Constant(_DEGREES), ifs=[], is_async=0)
-    tree = ast.Expression(ast.ListComp(
-        _check_guard(text, (*names, "k")).body, [loop]))
+    tree = ast.Expression(ast.ListComp(checked, [loop]))
     return compile(ast.fix_missing_locations(tree), "<guard>", "eval")
 
 
@@ -190,12 +252,14 @@ def _parse_record(line: str, source: str, stable: bool,
     if args:
         for piece in args.split(","):
             piece = piece.strip()
-            if piece.isdigit():
+            if piece.isascii() and piece.isdigit():     # not '²' or '١٢'
                 names.append("")
                 values.append(int(piece))
-            else:
+            elif piece.isascii() and piece.isidentifier():
                 names.append(piece)
                 values.append(None)
+            else:
+                raise ValueError(f"bad pattern {pattern!r}")
     by_degree = {}
     for cell in cells.split(";"):
         deg, _, group_text = cell.partition("=")
@@ -383,19 +447,23 @@ def consistency_violations(max_dim: int, data_dir=None):
     """Cells where two overlapping sources give provably different groups.
 
     Returns a list of (space, degree, source_a, value_a, source_b, value_b)
-    tuples; an empty list certifies the shipped tables agree wherever they
-    overlap, up to dimension max_dim.  A cell with one candidate has
-    nothing to compare, and the tables hold few distinct values, so
-    ``compatible``, the recognition verdicts' rule, runs once per
-    distinct (value_a, value_b) pair.
+    tuples, in catalog order; an empty list certifies the shipped tables
+    agree wherever they overlap, up to dimension max_dim.  One row is read
+    per region (see ``regions``), and a clash in it is listed for each
+    member of the region, so only the members of a clashing region are
+    instantiated.  A cell with one candidate has nothing to compare, and
+    the tables hold few distinct values, so ``compatible``, the
+    recognition verdicts' rule, runs once per distinct (value_a, value_b)
+    pair.
     """
-    from .catalog import enumerate_catalog
-    bad = []
+    from .regions import regions        # built by the first scan or check
+    if max_dim < 1:
+        raise ValueError("max_dim >= 1 required")
+    clashing = []           # each region's members, paired with its clashes
     incompatible = {}       # (value_a, value_b) -> whether INCOMPATIBLE
-    for s in enumerate_catalog(max_dim):
-        for k, cands in enumerate(row(s, data_dir), 1):
-            if len(cands) < 2:
-                continue
+    for region in regions(data_dir):
+        clashes = []
+        for k, cands in enumerate(region.row, 1):
             for i, (src_a, val_a) in enumerate(cands):
                 for src_b, val_b in cands[i + 1:]:
                     key = (val_a, val_b)
@@ -403,5 +471,8 @@ def consistency_violations(max_dim: int, data_dir=None):
                         incompatible[key] = \
                             compatible(val_a, val_b)[0] == INCOMPATIBLE
                     if incompatible[key]:
-                        bad.append((s, k, src_a, val_a, src_b, val_b))
-    return bad
+                        clashes.append((k, src_a, val_a, src_b, val_b))
+        if clashes:
+            clashing.append(zip(region.members(max_dim), repeat(clashes)))
+    return [(s, *clash) for s, clashes in merge(*clashing, key=itemgetter(0))
+            for clash in clashes]

@@ -8,6 +8,11 @@ undetermined otherwise (partially known cells block the decision without
 ever being guessed).  Each cell value is ranked once per process
 (``abelian.field_ranks``); ``decompose`` reads the same intervals.
 
+``corollary1_scan`` costs per region and per profile class, not per
+space or per pair: it reads the catalog as the regions of
+``symcart.regions``, counts their members from the families' dim
+formulas, and instantiates spaces only to list the pairs it reports.
+
 ``decompose`` searches cores, not products.  A space whose every pi_k
 through the degree is exactly trivial (S^n for n > max_degree) is
 invisible: padding a product with it changes no rank interval and no
@@ -25,7 +30,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import cached_property
+from heapq import merge
+from itertools import accumulate, repeat
 from operator import add, attrgetter, eq, ge
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -150,23 +157,41 @@ _OTHER_SIDE = dict(_BLIND_SIDE_PAIRS)
 
 
 class _ProfileClass:
-    """The valid spaces of one profile, in catalog order, by blind side."""
+    """The valid spaces of one profile with dim <= max_dim, held as
+    regions: counted per symbol and per blind side from the regions'
+    counts, and listed, in catalog order, only when a pair is listed."""
 
-    def __init__(self, prof: Dict[int, PartialAbelianGroup]):
+    def __init__(self, prof: Dict[int, PartialAbelianGroup], max_dim: int):
         self.prof = prof
-        self.members: List[Tuple[SpaceInstance, Optional[str]]] = []
-        self.unsided: List[Tuple[SpaceInstance, None]] = []
-        self.by_side: Dict[str, List[SpaceInstance]] = {
-            side: [] for side in _OTHER_SIDE}
+        self.max_dim = max_dim
+        self.regions = []                   # (region, its blind side)
+        self.size = 0
         self.symbols: Counter = Counter()
+        self.sided: Counter = Counter()     # blind side -> members
 
-    def add(self, s: SpaceInstance, side: Optional[str]) -> None:
-        self.members.append((s, side))
-        self.symbols[s.symbol] += 1
-        if side is None:
-            self.unsided.append((s, None))
-        else:
-            self.by_side[side].append(s)
+    def add(self, region, count: int, side: Optional[str]) -> None:
+        self.regions.append((region, side))
+        self.size += count
+        self.symbols[region.least.symbol] += count
+        if side is not None:
+            self.sided[side] += count
+
+    @cached_property
+    def members(self) -> List[Tuple[SpaceInstance, Optional[str]]]:
+        """Every member and its blind side, in catalog order."""
+        return list(merge(*(zip(region.members(self.max_dim), repeat(side))
+                            for region, side in self.regions)))
+
+    @cached_property
+    def unsided(self) -> List[Tuple[SpaceInstance, None]]:
+        """The members with no blind side, as ``members`` lists them."""
+        return [m for m in self.members if m[1] is None]
+
+    @cached_property
+    def by_side(self) -> Dict[str, List[SpaceInstance]]:
+        """The members on each blind side, in catalog order."""
+        return {side: [s for s, at in self.members if at == side]
+                for side in _OTHER_SIDE}
 
 
 def _pairs(ca: _ProfileClass, cb: Optional[_ProfileClass], sided_too: bool):
@@ -201,13 +226,38 @@ def _blind(ca: _ProfileClass, cb: Optional[_ProfileClass]):
             yield from ((a, b) for b in cb.by_side[other])
 
 
+def _apart(classes: List[_ProfileClass], max_degree: int) -> List[int]:
+    """Per class, the bitmask of the classes it is distinguishable from.
+
+    Two profiles are distinguishable iff the cells of some degree have a
+    ``separating_field`` (see ``distinguish_profiles``), so the classes
+    are split by their cell at each degree, and each pair of one
+    degree's distinct values is ranked once.
+    """
+    masks = [0] * len(classes)
+    for k in range(1, max_degree + 1):
+        holders: Dict[PartialAbelianGroup, List[int]] = {}
+        for i, c in enumerate(classes):
+            holders.setdefault(c.prof[k], []).append(i)
+        bits = {g: sum(1 << i for i in held) for g, held in holders.items()}
+        for g, held in holders.items():
+            apart = 0
+            for h, mask in bits.items():
+                if separating_field(g, h):
+                    apart |= mask
+            for i in held:
+                masks[i] |= apart
+    return masks
+
+
 class BlindPairs:
     """The scan's blind pairs, counted rather than listed: a read-only view.
 
     It holds the class pairs that contain them, as ``(ca, cb)`` with
     ``cb`` None for a class paired with itself, and their count from the
-    classes' side counts, so ``len`` lists nothing; iterating yields every
-    pair in scan order, and the view equals a list of those pairs.
+    classes' side counts, so ``len`` lists nothing; iterating lists the
+    classes' members and yields every pair in scan order, and the view
+    equals a list of those pairs.
     """
 
     def __init__(self, class_pairs=(), count: int = 0):
@@ -258,64 +308,92 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     acceptance criterion 4 lists the expected violations and undetermined
     pairs.
 
-    The work is per class pair, not per pair.  Spaces are grouped into
-    classes of equal profile, and each pair of classes is compared once.
-    Its different-symbol pairs are counted from the classes' symbol
-    histograms, |A|.|B| - sum h_A.h_B (or (n^2 - sum h^2)/2 within one
-    class), and its blind pairs from each class's CP^n and Gr(R,2,q)
-    counts (the sides of ``_is_blind_pair``, found once per space).  A
-    distinguishable class pair only adds its count and lists its blind
-    pairs as violations; an indistinguishable one files its blind pairs in
-    ``BlindPairs``, a view that counts them and lists nothing, and lists
-    only its other pairs, as violations; an undetermined one lists all its
-    pairs.  The comparison itself reads each distinct cell value's rank
-    intervals from ``abelian.field_ranks``, so it too costs per value, not
-    per class pair.
+    The work is per region and per class, not per space or per pair.
+    The catalog is read as regions (``regions.regions``): sets of one
+    family's spaces that share one homotopy row, validity and blind side
+    of ``_is_blind_pair``.  A region's members up to max_dim are counted
+    from its family's dim formula, not instantiated.  Regions of equal
+    profile through max_degree form a class, counted per symbol and per
+    blind side.  Every pair of different symbols but the blind ones is
+    first counted distinguishable: (n^2 - sum h^2)/2 over the symbol
+    histogram, less the product of the two blind sides' sizes.  One
+    bitmask per class
+    (``_apart``) then names the classes it is distinguishable from, and
+    only the other class pairs, and those that may hold blind pairs, are
+    compared: their different-symbol pairs, |A|.|B| - sum h_A.h_B (or
+    (n^2 - sum h^2)/2 within one class), are moved out of the count.  A
+    distinguishable class pair lists its blind pairs as violations; an
+    indistinguishable one files its blind pairs in ``BlindPairs``, a view
+    that counts them and lists nothing, and lists only its other pairs,
+    as violations; an undetermined one lists all its pairs.  Only the
+    members of a class that lists pairs are instantiated, in catalog
+    order.  The comparisons read each distinct cell value's rank
+    intervals from ``abelian.field_ranks``, so they too cost per value.
     """
+    from .regions import regions        # built by the first scan or check
     if max_dim < 11:
         raise ValueError("max_dim >= 11 required (no valid space is smaller)")
-    spaces = [s for s in enumerate_catalog(max_dim) if s.valid]
-    report = ScanReport(max_dim, max_degree, instances=len(spaces))
+    report = ScanReport(max_dim, max_degree)
 
-    # a profile dict is in degree order, so its values name its class
+    # a profile dict is in degree order, so its values name its class; the
+    # regions come in the catalog order of their least members, so a
+    # class's first region holds its first member
     by_profile: Dict[Tuple, _ProfileClass] = {}
-    for s in spaces:
-        prof = groups(s, max_degree, data_dir)
+    for region in regions(data_dir):
+        count = region.count(max_dim) if region.least.valid else 0
+        if not count:
+            continue
+        prof = groups(region.least, max_degree, data_dir)
         cls = by_profile.get(key := tuple(prof.values()))
         if cls is None:
-            cls = by_profile[key] = _ProfileClass(prof)
-        cls.add(s, _blind_side(s, max_degree))
-    classes = sorted(by_profile.values(), key=lambda c: c.members[0][0])
+            cls = by_profile[key] = _ProfileClass(prof, max_dim)
+        cls.add(region, count, _blind_side(region.least, max_degree))
+        report.instances += count
+    classes = list(by_profile.values())
+
+    # every pair of different symbols but the blind ones counts as
+    # distinguishable; then each class pair that is not, or that may hold
+    # blind pairs, is compared, in class order, and its pairs moved
+    symbols = sum((c.symbols for c in classes), Counter())
+    sides = sum((c.sided for c in classes), Counter())
+    n = report.instances
+    report.distinguishable_pairs = (
+        (n * n - sum(h * h for h in symbols.values())) // 2
+        - sides[_CP_SIDE] * sides[_GR_SIDE])
+    sided = [i for i, c in enumerate(classes) if c.sided]
+    compared = sorted(
+        {(i, j) for i, mask in enumerate(_apart(classes, max_degree))
+         for j in range(i, len(classes)) if not mask >> j & 1}
+        | {(i, j) for i in sided for j in sided if i <= j})
     blind, n_blind_total = [], 0
-    for i, ca in enumerate(classes):
-        for j in range(i, len(classes)):
-            cb = None if i == j else classes[j]
-            if cb is None:
-                n = len(ca.members)
-                diff = (n * n - sum(h * h for h in ca.symbols.values())) // 2
-                n_blind = len(ca.by_side[_CP_SIDE]) * len(ca.by_side[_GR_SIDE])
-            else:
-                diff = len(ca.members) * len(cb.members) - sum(
-                    h * cb.symbols[symbol] for symbol, h in ca.symbols.items())
-                n_blind = sum(len(ca.by_side[side]) * len(cb.by_side[other])
-                              for side, other in _OTHER_SIDE.items())
-            if not diff:
-                continue
-            v = distinguish_profiles(ca.prof, (cb or ca).prof, max_degree)
-            if v.kind == DISTINGUISHABLE:
-                report.distinguishable_pairs += diff - n_blind
-                if n_blind:
-                    report.violations += [(a, b, v)
-                                          for a, b in _blind(ca, cb)]
-            elif v.kind == INDISTINGUISHABLE:
-                if n_blind:
-                    blind.append((ca, cb))
-                    n_blind_total += n_blind
-                report.violations += [(a, b, v)
-                                      for a, b in _pairs(ca, cb, False)]
-            else:
-                report.undetermined += [(a, b, v)
-                                        for a, b in _pairs(ca, cb, True)]
+    for i, j in compared:
+        ca, cb = classes[i], None if i == j else classes[j]
+        if cb is None:
+            diff = (ca.size * ca.size
+                    - sum(h * h for h in ca.symbols.values())) // 2
+            n_blind = ca.sided[_CP_SIDE] * ca.sided[_GR_SIDE]
+        else:
+            diff = ca.size * cb.size - sum(
+                h * cb.symbols[symbol] for symbol, h in ca.symbols.items())
+            n_blind = sum(ca.sided[side] * cb.sided[other]
+                          for side, other in _OTHER_SIDE.items())
+        if not diff:
+            continue
+        v = distinguish_profiles(ca.prof, (cb or ca).prof, max_degree)
+        if v.kind == DISTINGUISHABLE:
+            if n_blind:
+                report.violations += [(a, b, v) for a, b in _blind(ca, cb)]
+            continue
+        report.distinguishable_pairs -= diff - n_blind
+        if v.kind == INDISTINGUISHABLE:
+            if n_blind:
+                blind.append((ca, cb))
+                n_blind_total += n_blind
+            report.violations += [(a, b, v)
+                                  for a, b in _pairs(ca, cb, False)]
+        else:
+            report.undetermined += [(a, b, v)
+                                    for a, b in _pairs(ca, cb, True)]
     report.blind_pairs = BlindPairs(blind, n_blind_total)
     return report
 

@@ -1,0 +1,263 @@
+"""Parameter regions of the catalog on which homotopy rows are constant.
+
+Every shipped guard compares linear terms of one parameter and the
+degree k <= MAX_DEGREE (``homotopy._guard_atoms``), so a family's row
+stops changing, up to a period, once its parameters pass a start that
+the tables determine.  A family's canonical spaces therefore split into
+finitely many regions: each parameter is either fixed below the
+family's start or runs from the start on through one residue class of
+its period.  On a region the row, validity, canonical form and blind
+side of recognition are constant, so ``recognize.corollary1_scan`` and
+``homotopy.consistency_violations`` read one row per region and count
+its members from the family's dim formula, instantiating members only
+where they list them.
+
+The start and periods come from every source a row reads (``_tails``):
+the guards' comparison constants and ``//``/``%`` divisors, the fixed
+parameters of record patterns and of the special and product
+isomorphisms, the sphere and CP^n rules, validity and MAX_DEGREE.  The
+regions are derived once per data directory, on the first scan or
+check, and the module is imported only then.
+
+>>> cp = [r for r in regions() if r.least.label() == "AIII(1,11)"][0]
+>>> cp.steps, cp.count(300), [s.label() for s in cp.members(26)]
+((0, 1), 140, ['AIII(1,11)', 'AIII(1,12)', 'AIII(1,13)'])
+"""
+
+from __future__ import annotations
+
+import ast
+import math
+from bisect import bisect_right
+from functools import lru_cache
+from operator import attrgetter, eq, ge, gt, le, lt, ne
+from typing import Dict, Iterator, List, NamedTuple, Tuple
+
+from .catalog import (FAMILIES, PRODUCT_ISOMORPHISMS, SPECIAL_ISOMORPHISMS,
+                      ReducibleError, SpaceInstance, instantiate)
+from .homotopy import (_DEGREES, _NO_BUILTINS, MAX_DEGREE, Cell,
+                       _cached_per_data_dir, _guard_atoms, load_records, row)
+
+# A table whose rows would settle only past this parameter, or repeat
+# with a longer period, is refused by the region scan: its regions could
+# outnumber the catalog spaces they stand for.
+MAX_REGION_START = 32
+MAX_REGION_PERIOD = 16
+
+
+_COMPARE = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt,
+            ast.GtE: ge}
+
+
+def _atom_tail(terms, ops, name: str) -> Tuple[int, int]:
+    """(start, period) in ``name`` of the comparison ``terms[0] ops[0]
+    terms[1] ...``: from ``start`` on, its truth at each k = 1..MAX_DEGREE
+    repeats with ``period``.
+
+    The terms are linear (``homotopy._term_names``), so moving ``name``
+    by the product P of their divisors moves each difference e of
+    adjacent terms by a constant d, its drift, at every x and k.  Where d is 0, e repeats
+    from any x.  Elsewhere ``e op 0`` takes its final truth, in each
+    residue class x, once e + m*d has d's sign, or is 0 if ``0 op 0`` is
+    that truth too; the start lies just past the last x + m*period
+    that has not.
+    """
+    period = math.prod(abs(node.right.value) for term in terms
+                       for node in ast.walk(term)
+                       if isinstance(node, ast.BinOp)
+                       and isinstance(node.op, (ast.FloorDiv, ast.Mod)))
+    diffs = [ast.BinOp(a, ast.Sub(), b) for a, b in zip(terms, terms[1:])]
+    code = compile(ast.fix_missing_locations(ast.Expression(
+        ast.Tuple(diffs, ast.Load()))), "<guard>", "eval")
+
+    def at(x, k):
+        return eval(code, {**_NO_BUILTINS, name: x, "k": k})
+
+    compares = [_COMPARE[type(op)] for op in ops]
+    drifts = [b - a for a, b in zip(at(0, 1), at(period, 1))]
+    start = 0
+    for x in range(period):
+        for k in _DEGREES:
+            for e, d, cmp in zip(at(x, k), drifts, compares):
+                if d:                   # m > -e/d, or m >= -e/d
+                    m = -(e // d) if cmp(0, 0) == cmp(d, 0) else -e // d + 1
+                    if m > 0:           # x + (m - 1)*period is not yet
+                        start = max(start, x + (m - 1) * period + 1)
+    return start, period
+
+
+@lru_cache(maxsize=None)
+def _guard_tails(text: str) -> Dict[str, Tuple[int, int]]:
+    """(start, period) per parameter of a loaded guard: from start on,
+    the guard's truth at each degree repeats with period in that
+    parameter, whatever the others are (each comparison reads one)."""
+    tails = {}
+    for terms, ops, names in _guard_atoms(ast.parse(text, mode="eval").body,
+                                          text):
+        for name in names:
+            start, period = _atom_tail(terms, ops, name)
+            old_start, old_period = tails.get(name, (0, 1))
+            tails[name] = (max(start, old_start), math.lcm(period, old_period))
+    return tails
+
+
+def _tails(records) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
+    """Each symbol's start and per-parameter periods.
+
+    From the start on, a space's row depends on its parameters only
+    through their residues mod the periods.  The start lies past every
+    fixed parameter of a record pattern and of a special or product
+    isomorphism, past every guard's start, and past MAX_DEGREE, where
+    the sphere rule and the blind sides of recognition settle.  CP^n =
+    AIII(1,q) reads the row of S(2q + 1), so AIII takes the spheres'
+    start and period too.
+    """
+    starts = {symbol: MAX_DEGREE + 1 if family.smallest else 0
+              for symbol, family in FAMILIES.items()}
+    periods = {symbol: [1] * len(family.smallest)
+               for symbol, family in FAMILIES.items()}
+    for rec in records:
+        family = FAMILIES.get(rec.symbol)
+        if family is None or len(rec.param_values) != len(family.smallest):
+            continue                    # matches no catalog space
+        starts[rec.symbol] = max((starts[rec.symbol], *(
+            v + 1 for v in rec.param_values if v is not None)))
+        if rec.guard is not None:
+            for name, (start, period) in _guard_tails(rec.guard_text).items():
+                i = rec.param_names.index(name)
+                starts[rec.symbol] = max(starts[rec.symbol], start)
+                periods[rec.symbol][i] = math.lcm(periods[rec.symbol][i],
+                                                  period)
+    for symbol, params in (*SPECIAL_ISOMORPHISMS, *PRODUCT_ISOMORPHISMS):
+        starts[symbol] = max((starts[symbol], *(v + 1 for v in params)))
+    starts["AIII"] = max(starts["AIII"], starts["S"])
+    periods["AIII"][1] = math.lcm(periods["AIII"][1], periods["S"][0])
+    return starts, periods
+
+
+class Region(NamedTuple):
+    """The canonical spaces of one family that share one homotopy row.
+
+    A member's parameter i is ``least.params[i]`` where ``steps[i]`` is
+    0, and otherwise runs from there in steps of ``steps[i]``, kept
+    nondecreasing; the fixed parameters come first.  Every member has
+    ``least``'s row, validity, canonical form and blind side, and
+    ``least`` has the smallest parameters, and so the smallest dim.
+    """
+
+    least: SpaceInstance
+    steps: Tuple[int, ...]
+    row: Tuple[Tuple[Cell, ...], ...]
+
+    def _first(self, i: int, prefix: Tuple[int, ...]) -> int:
+        """The least value of parameter i after the member's ``prefix``."""
+        v, step = self.least.params[i], self.steps[i]
+        if step and prefix and prefix[-1] > v:
+            v += -((v - prefix[-1]) // step) * step
+        return v
+
+    def _prefixes(self, max_dim: int, length: int, prefix=()):
+        """The first ``length`` parameters of every member with
+        dim <= max_dim, in order, each once."""
+        if len(prefix) == length:
+            yield prefix
+            return
+        dim, i = FAMILIES[self.least.symbol].dim, len(prefix)
+        v = self._first(i, prefix)
+        while True:
+            smallest = prefix + (v,)    # and the least values after it
+            for j in range(i + 1, len(self.steps)):
+                smallest += (self._first(j, smallest),)
+            if dim(*smallest) > max_dim:    # dim grows in every parameter
+                return
+            yield from self._prefixes(max_dim, length, prefix + (v,))
+            if not self.steps[i]:
+                return
+            v += self.steps[i]
+
+    def params(self, max_dim: int) -> Iterator[Tuple[int, ...]]:
+        """Every member's parameters with dim <= max_dim, in order."""
+        if self.least.dim > max_dim:
+            return iter(())
+        return self._prefixes(max_dim, len(self.steps))
+
+    def members(self, max_dim: int) -> Iterator[SpaceInstance]:
+        """Every member with dim <= max_dim, in catalog order."""
+        symbol = self.least.symbol
+        return (instantiate(symbol, p) for p in self.params(max_dim))
+
+    def count(self, max_dim: int) -> int:
+        """The number of members with dim <= max_dim, none instantiated:
+        the last parameter's values are counted by bisection."""
+        if self.least.dim > max_dim:
+            return 0
+        if not self.steps or not self.steps[-1]:
+            return sum(1 for _ in self.params(max_dim))
+        dim, last, step = (FAMILIES[self.least.symbol].dim,
+                           len(self.steps) - 1, self.steps[-1])
+        total = 0
+        for prefix in self._prefixes(max_dim, last):
+            v = self._first(last, prefix)
+            # an integer dim that grows with the parameter passes max_dim
+            # within max_dim + 1 steps
+            values = range(v, v + step * (max_dim + 1), step)
+            total += bisect_right(values, max_dim,
+                                  key=lambda u: dim(*prefix, u))
+        return total
+
+
+def _family_regions(symbol: str, start: int, periods: List[int]):
+    """(least member, steps) of each region of one family: its
+    parameters fixed below ``start``, then one residue class each."""
+    smallest = FAMILIES[symbol].smallest
+
+    def extend(params, steps):
+        i = len(params)
+        if i == len(smallest):
+            try:
+                s = instantiate(symbol, params)
+            except ReducibleError:
+                return
+            if (s.symbol, s.params) == (symbol, params):
+                yield s, steps
+            return
+        lo = max((smallest[i], *params[-1:]))
+        if not any(steps):
+            for v in range(lo, start):
+                yield from extend(params + (v,), steps + (0,))
+        lo = max(lo, start)
+        for v in range(lo, lo + periods[i]):
+            yield from extend(params + (v,), steps + (periods[i],))
+
+    return extend((), ())
+
+
+@_cached_per_data_dir
+def regions(data_dir=None) -> Tuple[Region, ...]:
+    """Every catalog space, as regions with their rows built, in the
+    catalog order of their least members.
+
+    Derived once per data directory, on the first scan or check.  A
+    family's start is raised, if need be, until each region with a
+    tail starts with a valid space; d_P grows in every parameter, so
+    the whole tail is then valid.  A family whose rows settle past
+    MAX_REGION_START, or repeat with a period above MAX_REGION_PERIOD,
+    raises ``ValueError``.
+    """
+    starts, periods = _tails(load_records(data_dir))
+    out = []
+    for symbol in FAMILIES:
+        if max(periods[symbol], default=1) > MAX_REGION_PERIOD:
+            raise ValueError(f"the homotopy rows of {symbol} repeat with "
+                             f"period {max(periods[symbol])}, above "
+                             f"MAX_REGION_PERIOD = {MAX_REGION_PERIOD}")
+        for start in range(starts[symbol], MAX_REGION_START + 1):
+            found = list(_family_regions(symbol, start, periods[symbol]))
+            if all(s.valid for s, steps in found if any(steps)):
+                break
+        else:
+            raise ValueError(f"the homotopy rows of {symbol} do not settle "
+                             f"by parameter MAX_REGION_START = "
+                             f"{MAX_REGION_START}")
+        out += [Region(s, steps, row(s, data_dir)) for s, steps in found]
+    return tuple(sorted(out, key=attrgetter("least")))

@@ -337,6 +337,54 @@ def test_space_parameters_take_ascii_digits_only(capsys, spec):
         f"error: expected an integer, got {spec[2:-1]!r} (at position 0)\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["corollary1-check", "--max-dim", "\u0661\u0662\u0660"],
+     "argument --max-dim: invalid int value: '\u0661\u0662\u0660'"),
+    (["decompose", "S(12)", "--max-candidates", "\u0661\u0662"],
+     "argument --max-candidates: expected an integer >= 0, "
+     "got '\u0661\u0662'"),
+    (["corollary1-check", "--max-listed", "\u0662"],
+     "argument --max-listed: expected an integer >= 0, got '\u0662'"),
+    (["homotopy", "S(7)", "--max-degree", "\u0669"],
+     "argument --max-degree: invalid int value: '\u0669'"),
+    (["table", "classical", "--max-param", "\u0668"],
+     "argument --max-param: invalid int value: '\u0668'"),
+    (["dump-roots", "A", "--rank", "\u00b3"],
+     "argument --rank: invalid int value: '\u00b3'"),
+    (["gate", "S(12)", "--codim", "\u0661"],
+     "argument --codim: invalid int value: '\u0661'"),
+    (["tgeo", "C", "\u0663", "23", "--codim", "7"],
+     "argument p: invalid int value: '\u0663'"),
+    (["tgeo", "C", "3", "\u0662\u0663", "--codim", "7"],
+     "argument n: invalid int value: '\u0662\u0663'"),
+    (["tgeo", "C", "3", "23", "--codim", "7", "--index", "\u0661"],
+     "argument --index: invalid int value: '\u0661'"),
+], ids=("max-dim", "max-candidates", "max-listed", "max-degree", "max-param",
+        "rank", "codim", "tgeo-p", "tgeo-n", "index"))
+def test_numeric_options_take_ascii_digits_only(capsys, argv, message):
+    """``int`` reads '\u0661\u0662\u0660' as 120; every numeric option
+    rejects it as one ``error:`` line, as a space spec does."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["corollary1-check", "--max-dim", "-5"],
+     "max_dim >= 11 required (no valid space is smaller)"),
+    (["gate", "S(12)", "--codim", "-1"],
+     "codim >= 1 for a proper submanifold"),
+    (["dump-roots", "A", "--rank", "-2"], "A requires rank >= 1, got -2"),
+], ids=("max-dim", "codim", "rank"))
+def test_signed_ascii_options_reach_their_range_checks(capsys, argv,
+                                                       message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_json_output_is_schema_versioned(capsys):
     code, out = run(capsys, "kp", "S(12)", "--format", "json")
     assert code == 0
@@ -438,6 +486,10 @@ def test_data_dir_reaches_the_tables(capsys, tmp_path):
     ("BDI(3,q) | q >= | 2=Z", "guard 'q >=' does not parse"),
     ("E6 | - | 4=Z_11", "group 'Z_11' has prime 11; cells are compared "
                         "over ('Q', 2, 3, 5, 7) only\n"),
+    ("S(\u00b2) | - | 2=Z", "bad pattern 'S(\u00b2)'\n"),
+    ("BDI(p,q) | k < q - p | 2=Z", "guard 'k < q - p' compares p and q in "
+                                   "one comparison; each may read one "
+                                   "parameter besides k\n"),
 ])
 def test_a_malformed_data_row_is_one_error_line(capsys, tmp_path, row,
                                                 message):

@@ -4,11 +4,11 @@ import doctest
 
 import pytest
 
-from symcart import abelian, catalog, homotopy, recognize, rootsys
+from symcart import abelian, catalog, homotopy, recognize, regions, rootsys
 
 
 @pytest.mark.parametrize("module", (abelian, catalog, homotopy, recognize,
-                                    rootsys),
+                                    regions, rootsys),
                          ids=lambda m: m.__name__)
 def test_module_doctests_pass(module):
     result = doctest.testmod(module)

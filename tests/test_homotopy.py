@@ -352,7 +352,20 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
                          ("E6 | - | 2=Z_2; 5=Z + Z_22 in",
                           "group 'Z \\+ Z_22 in' has prime 11; cells are "
                           "compared over \\('Q', 2, 3, 5, 7\\) only"),
-                         ("E6( | - | 2=Z", "bad pattern 'E6\\('")):
+                         ("E6( | - | 2=Z", "bad pattern 'E6\\('"),
+                         # '²' and '١٢' pass str.isdigit, and int reads the
+                         # second as 12
+                         ("S(\u00b2) | - | 2=Z", "bad pattern 'S\\(\u00b2\\)'"),
+                         ("S(\u0661\u0662) | - | 2=Z",
+                          "bad pattern 'S\\(\u0661\u0662\\)'"),
+                         ("BDI(3,) | - | 2=Z", "bad pattern 'BDI\\(3,\\)'"),
+                         ("BDI(p,q) | k < q - p | 2=Z", "guard 'k < q - p' "
+                          "compares p and q in one comparison"),
+                         ("BDI(3,q) | q * q > 20 | 2=Z", "guard 'q \\* q > "
+                          "20' multiplies two variable terms"),
+                         ("BDI(3,q) | (q > 3) + k > 1 | 2=Z",
+                          "guard '\\(q > 3\\) \\+ k > 1' uses a Compare "
+                          "as a number")):
         table.write_text(shipped + row + "\n")
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(table))}:{lineno}: "

@@ -191,13 +191,30 @@ def _pair_loop_scan(max_dim, max_degree, data_dir=None):
     return distinguishable, blind, violations, undetermined
 
 
-@pytest.mark.parametrize("max_dim", (120, 300))
-@pytest.mark.parametrize("max_degree", (9, 10))
+@pytest.mark.parametrize("max_degree, max_dim", [
+    (9, 120), (9, 300), (10, 120), (10, 300),
+    # at degree 3 most classes merge: 12,939 violations at dim 120
+    (3, 120)])
 def test_counted_scan_equals_the_pair_loop(max_dim, max_degree):
     report = corollary1_scan(max_dim, max_degree)
     assert (report.distinguishable_pairs, report.blind_pairs,
             report.violations, report.undetermined) == \
         _pair_loop_scan(max_dim, max_degree)
+
+
+@pytest.mark.parametrize("max_dim, max_degree, counts", [
+    (1000, 9, (6041, 12777484, 243045, 987, 497)),
+    (1000, 10, (6041, 12778964, 242550, 2, 497)),
+    (2000, 9, (13197, 59954858, 986045, 1987, 997)),
+    (2000, 10, (13197, 59957838, 985050, 2, 997)),
+])
+def test_scan_counts_at_large_dims(max_dim, max_degree, counts):
+    """(instances, distinguishable, blind, violations, undetermined) as
+    the per-instance scan counted them, before scans read regions."""
+    report = corollary1_scan(max_dim, max_degree)
+    assert (report.instances, report.distinguishable_pairs,
+            len(report.blind_pairs), len(report.violations),
+            len(report.undetermined)) == counts
 
 
 def _split_blind_pairs(tmp_path):
@@ -344,10 +361,11 @@ def test_verdicts_equal_the_compatible_oracle_on_drawn_cells(cells):
 
 
 _COUNT_WORK = """
-import cProfile, json, pstats
+import cProfile, json, pstats, sys
 from symcart import abelian, catalog, homotopy, recognize
-from symcart.catalog import enumerate_catalog, instantiate
+from symcart.catalog import instantiate
 
+max_dim = int(sys.argv[1])
 calls = {"guard_evals": 0, "blind": 0, "compatible": 0}
 is_blind, compatible = recognize._is_blind_pair, abelian.compatible
 
@@ -369,35 +387,35 @@ recognize._is_blind_pair = counted_is_blind
 for module in (abelian, homotopy, recognize):
     if hasattr(module, "compatible"):
         module.compatible = counted_compatible
-recognize.corollary1_scan(300)
+recognize.corollary1_scan(max_dim)
 scan_compatible = calls["compatible"]
 field_ranks = abelian.field_ranks.cache_info().misses
 instantiated = catalog.instantiate.cache_info().misses
-homotopy.consistency_violations(300)
+homotopy.consistency_violations(max_dim)
 check_instantiated = catalog.instantiate.cache_info().misses - instantiated
-spaces = set(enumerate_catalog(300))
+from symcart.regions import regions
+leasts = {r.least for r in regions()}
 # the (value, value) pairs that the consistency check may compare
-value_pairs = {(a, b) for s in spaces for cands in homotopy.row(s)
+value_pairs = {(a, b) for r in regions() for cands in r.row
                for i, (_, a) in enumerate(cands) for _, b in cands[i + 1:]}
-cell_values = {g for s in spaces if s.valid
+cell_values = {g for s in leasts if s.valid
                for g in homotopy.groups(s, 9).values()}
-instances = sum(s.valid for s in spaces)
-# the CP^n rule reads pi of S^(2n+1), which may lie just past max_dim
-spaces |= {instantiate("S", (2 * s.params[1] + 1,)) for s in list(spaces)
-           if s.symbol == "AIII" and s.params[0] == 1}
+# the CP^n rule reads the row of S(2n + 1)
+read = leasts | {instantiate("S", (2 * s.params[1] + 1,)) for s in leasts
+                 if s.symbol == "AIII" and s.params[0] == 1}
 records = homotopy.load_records()
-guarded = sum(1 for s in spaces for rec in records
+guarded = sum(1 for s in read for rec in records
               if rec.guard is not None and rec.symbol == s.symbol
               and len(rec.param_values) == len(s.params)
               and all(v is None or v == p
                       for v, p in zip(rec.param_values, s.params)))
 warm = cProfile.Profile()
-warm.runcall(recognize.corollary1_scan, 300)
+warm.runcall(recognize.corollary1_scan, max_dim)
 warm_hash = sum(stat[1] for (_, _, name), stat in pstats.Stats(warm).stats.items()
                 if name == "<built-in method builtins.hash>")
-print(json.dumps({**calls, "records": len(records), "spaces": len(spaces),
-                  "guarded": guarded, "instances": instances,
-                  "warm_hash": warm_hash,
+print(json.dumps({**calls, "regions": len(leasts), "read": len(read),
+                  "valid_regions": sum(s.valid for s in leasts),
+                  "guarded": guarded, "warm_hash": warm_hash,
                   "rows": homotopy.row.cache_info().misses,
                   "parses": homotopy.load_records.cache_info().misses,
                   "scan_compatible": scan_compatible,
@@ -408,41 +426,45 @@ print(json.dumps({**calls, "records": len(records), "spaces": len(spaces),
 """
 
 
-def test_scan_work_counts_per_space_and_per_class_pair():
-    """Work counters of a cold dim-300 scan plus consistency check.
-
-    Counts, not wall time: the records are parsed once, each space read
-    builds its homotopy row once, and a row evaluates each matched guard
-    once, for all degrees at a time (1,872 evaluations for the 1,577
-    spaces read, where one per degree would take 18,720).  Only the class
-    pairs that hold a violating or undetermined pair visit their pairs,
-    never a blind one (the 20,445 blind pairs are counted from the
-    classes' side counts), without a per-pair ``_is_blind_pair`` call.
-    The scan compares class profiles without ``compatible``, ranking each
-    distinct cell value at most once: 8 of the 17 at dim 300, since a
-    comparison stops at its first distinguishing degree.  A warm scan
-    keys each space's class by cell values whose hashes are cached, so
-    builtin ``hash`` runs only for the spaces' own keys into the row
-    cache, at most three times per space (3,992 for 1,524 spaces, where
-    rehashing the cells took 36,824).  The consistency check that
-    follows reuses the scan's catalog, so it instantiates no space, and
-    calls ``compatible`` once per distinct pair of overlapping values: 3
-    at dim 300.
-    """
+def _count_work(max_dim):
     src = os.path.dirname(os.path.dirname(symcart.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", _COUNT_WORK], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    counts = json.loads(out)
-    assert counts["parses"] == 1
-    assert counts["rows"] == counts["spaces"]
-    assert 0 < counts["guard_evals"] <= counts["guarded"]
-    assert counts["blind"] == 0
-    assert counts["scan_compatible"] == 0 < counts["compatible"]
-    assert 0 < counts["field_ranks"] <= counts["cell_values"]
-    assert counts["check_instantiated"] == 0
-    assert counts["compatible"] <= counts["value_pairs"] == 3
-    assert counts["warm_hash"] <= 3 * counts["instances"]
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", _COUNT_WORK, str(max_dim)], env=env,
+        capture_output=True, text=True, check=True).stdout)
+
+
+def test_scan_work_counts_per_region_and_per_class_pair():
+    """Work counters of a cold scan plus consistency check, at dim 300 and
+    at dim 2000.
+
+    Counts, not wall time.  The records are parsed once, and the scan
+    and the check read one homotopy row per region, plus the sphere rows
+    that the CP^n rule reads: 268 regions stand for the 1,576 catalog
+    spaces of dim <= 300 and the 13,249 of dim <= 2000, so both dims
+    build the same rows and evaluate the same guards, each matched guard
+    once per row.  Only the class pairs that hold a violating or
+    undetermined pair visit their pairs, never a blind one, without a
+    per-pair ``_is_blind_pair`` call.  The scan compares class profiles
+    without ``compatible``, ranking each distinct cell value at most
+    once.  A warm scan hashes a space only to read a region's row.  The
+    check that follows reads the scan's regions and instantiates no
+    space; it calls ``compatible`` once per distinct pair of overlapping
+    values, 3 of them.
+    """
+    small, big = _count_work(300), _count_work(2000)
+    for counts in (small, big):
+        assert counts["parses"] == 1
+        assert counts["rows"] == counts["read"] < 300
+        assert counts["guard_evals"] == counts["guarded"] > 0
+        assert counts["blind"] == 0
+        assert counts["scan_compatible"] == 0 < counts["compatible"]
+        assert 0 < counts["field_ranks"] <= counts["cell_values"]
+        assert counts["check_instantiated"] == 0
+        assert counts["compatible"] <= counts["value_pairs"] == 3
+        assert counts["warm_hash"] <= counts["valid_regions"]
+    assert big["rows"] == small["rows"]
+    assert big["guard_evals"] == small["guard_evals"]
 
 
 def test_decompose_sphere():

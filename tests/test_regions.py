@@ -1,0 +1,202 @@
+"""Regions: the family splits that the scan and the consistency check read."""
+
+import shutil
+from pathlib import Path
+
+import pytest
+from hypothesis import given, strategies as st
+
+import symcart
+from symcart.abelian import INCOMPATIBLE, compatible, format_group
+from symcart.catalog import enumerate_catalog, instantiate
+from symcart.cli import main
+from symcart.homotopy import (_compile_degree_guard, consistency_violations,
+                              load_records, row)
+from symcart.recognize import _blind_side, corollary1_scan
+from symcart.regions import (MAX_REGION_PERIOD, MAX_REGION_START,
+                             _guard_tails, regions)
+from test_recognize import _pair_loop_scan
+
+_DATA = Path(symcart.__file__).parent / "data"
+
+
+def _tables(tmp_path, **extra):
+    """A copy of the shipped tables, each named table with extra rows."""
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    for name, rows in extra.items():
+        with open(tmp_path / f"{name}.txt", "a") as fh:
+            fh.write("".join(line + "\n" for line in rows))
+    return str(tmp_path)
+
+
+def test_every_region_member_is_what_its_region_predicts():
+    """Each member up to dim 2000, instantiated and read on its own, has
+    its region's canonical form, validity, blind side at degrees 9 and
+    10, and full row; together the members are the catalog, in order."""
+    members = []
+    for region in regions():
+        least = region.least
+        sides = [_blind_side(least, degree) for degree in (9, 10)]
+        listed = list(region.params(2000))
+        assert listed == sorted(listed) and listed[:1] == [least.params]
+        for params in listed:
+            s = instantiate(least.symbol, params)
+            assert (s.symbol, s.params) == (least.symbol, params)
+            assert s.valid == least.valid, s
+            assert [_blind_side(s, degree) for degree in (9, 10)] == sides
+            assert row(s) == region.row, s
+            members.append(s)
+        for max_dim in (11, 60, 300, 1999, 2000):
+            assert region.count(max_dim) == \
+                sum(1 for _ in region.params(max_dim))
+    assert [r.least for r in regions()] == sorted(r.least for r in regions())
+    assert sorted(members) == enumerate_catalog(2000)
+
+
+def test_regions_are_few_and_start_where_the_tables_settle():
+    """Every shipped guard settles by parameter 12 (Spin(n), whose stable
+    row holds for k <= n - 2), with period 1."""
+    assert len(regions()) < 300
+    tails = [r for r in regions() if any(r.steps)]
+    assert {r.steps[-1] for r in tails} == {1}
+    assert max(min(p for p, step in zip(r.least.params, r.steps) if step)
+               for r in tails) == 12
+    assert all(r.least.valid for r in tails)
+
+
+def _per_instance_violations(max_dim, data_dir):
+    """consistency_violations by reading every catalog space's row: the
+    oracle for the check that reads one row per region."""
+    bad = []
+    for s in enumerate_catalog(max_dim):
+        for k, cands in enumerate(row(s, data_dir), 1):
+            for i, (src_a, val_a) in enumerate(cands):
+                for src_b, val_b in cands[i + 1:]:
+                    if compatible(val_a, val_b)[0] == INCOMPATIBLE:
+                        bad.append((s, k, src_a, val_a, src_b, val_b))
+    return bad
+
+
+def test_a_clash_in_a_tail_region_is_listed_for_each_member(tmp_path):
+    """pi_2 = Z_2 on Gr(R,2,q), q >= 11, against the shipped Z, plus
+    pi_4 = Z on CP^3 against the CP^n rule's 0: listed space by space,
+    in catalog order."""
+    data_dir = _tables(tmp_path, exceptional=["BDI(2,q) | q >= 11 | 2=Z_2",
+                                              "AIII(1,3) | k == 4 | 4=Z"])
+    bad = consistency_violations(300, data_dir)
+    assert bad == _per_instance_violations(300, data_dir)
+    assert [(s.label(), k, format_group(a), format_group(b))
+            for s, k, _, a, _, b in bad[:2]] == [
+        ("AIII(1,3)", 4, "0", "Z"), ("BDI(2,11)", 2, "Z", "Z_2")]
+    assert len(bad) == 1 + sum(1 for s in enumerate_catalog(300)
+                               if s.symbol == "BDI" and s.params[0] == 2
+                               and s.params[1] >= 11)
+
+
+# linear terms in one parameter q and the degree k
+_leaves = st.one_of(st.sampled_from(["q", "k"]),
+                    st.integers(-30, 30).map(str))
+
+
+def _extend(terms):
+    divisor = st.integers(1, 6).map(str)
+    return st.one_of(
+        st.tuples(terms, st.sampled_from(["+", "-"]), terms)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(st.integers(-4, 4), terms).map(lambda t: f"{t[0]} * {t[1]}"),
+        st.tuples(terms, st.sampled_from(["//", "%"]), divisor)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"))
+
+
+_terms = st.recursive(_leaves, _extend, max_leaves=6)
+_comparisons = st.one_of(
+    st.tuples(_terms, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+              _terms).map(" ".join),
+    _terms)
+_guards = st.recursive(
+    _comparisons,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["and", "or"]), inner)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda g: f"not {g}")),
+    max_leaves=3)
+
+
+@given(_guards)
+def test_a_guard_repeats_past_its_start(guard):
+    """Brute force: from the start ``_guard_tails`` gives, the guard's
+    truth at every degree repeats with its period."""
+    code = _compile_degree_guard(guard, ("q",))
+    start, period = _guard_tails(guard).get("q", (0, 1))
+
+    def holds(q):
+        return [bool(v) for v in eval(code, {"__builtins__": {}, "q": q})]
+
+    for q in range(start, start + 3 * period + 40):
+        assert holds(q) == holds(q + period), (guard, q)
+
+
+def test_guard_tails_of_the_shipped_forms():
+    assert _guard_tails("k <= 2*n - 1") == {"n": (6, 1)}
+    assert _guard_tails("n >= 5 and k <= n - 2") == {"n": (12, 1)}
+    assert _guard_tails("p >= 11 and k < q") == {"p": (11, 1), "q": (11, 1)}
+    assert _guard_tails("q >= 11 and q % 4 == 2") == {"q": (11, 4)}
+    assert _guard_tails("k > 2") == {}
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["BDI(2,q) | q >= 100 | 2=Z"],
+     f"the homotopy rows of BDI do not settle by parameter "
+     f"MAX_REGION_START = {MAX_REGION_START}"),
+    (["BDI(2,100) | - | 2=Z"],
+     f"the homotopy rows of BDI do not settle by parameter "
+     f"MAX_REGION_START = {MAX_REGION_START}"),
+    (["BDI(2,q) | q % 17 == 3 | 2=Z"],
+     f"the homotopy rows of BDI repeat with period 17, above "
+     f"MAX_REGION_PERIOD = {MAX_REGION_PERIOD}"),
+], ids=("guard", "pattern", "period"))
+def test_a_table_past_the_region_bounds_fails_the_scan_only(
+        capsys, tmp_path, rows, message):
+    """Such a table loads and answers single spaces; a scan or check on
+    it is one ``error:`` line, exit 2."""
+    data_dir = _tables(tmp_path, exceptional=rows)
+    assert load_records(data_dir)
+    assert main(["homotopy", "Gr(R,2,13)", "--data-dir", data_dir]) == 0
+    capsys.readouterr()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        consistency_violations(300, data_dir)
+    assert main(["corollary1-check", "--data-dir", data_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_a_guard_without_a_period_is_a_malformed_row(capsys, tmp_path):
+    data_dir = _tables(tmp_path, real_grassmannians=[
+        "BDI(p,q) | p >= 11 and k < q - p | 2=Z"])
+    table = tmp_path / "real_grassmannians.txt"
+    lineno = table.read_text().count("\n")
+    assert main(["corollary1-check", "--data-dir", data_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: {table}:{lineno}: guard 'p >= 11 and k < q - p' compares "
+        "p and q in one comparison; each may read one parameter besides k\n")
+
+
+def test_a_periodic_guard_splits_its_tail(tmp_path):
+    """Under a ``%`` guard the tail of Gr(R,2,q) splits into one region
+    per residue mod 4, whose rows follow the residue; the scan over
+    them equals the pair loop."""
+    data_dir = _tables(tmp_path, real_grassmannians=[
+        "BDI(2,q) | q >= 13 and q % 4 == 1 | 9=Z_2"])
+    tail = [r for r in regions(data_dir)
+            if r.least.symbol == "BDI" and r.least.params[0] == 2
+            and any(r.steps)]
+    assert [(r.least.params[1], r.steps) for r in tail] == [
+        (13, (0, 4)), (14, (0, 4)), (15, (0, 4)), (16, (0, 4))]
+    assert [r.least.params[1] % 4 == 1 for r in tail] == \
+        [len(r.row[9 - 1]) > len(tail[1].row[9 - 1]) for r in tail]
+    report = corollary1_scan(120, 9, data_dir)
+    assert (report.distinguishable_pairs, report.blind_pairs,
+            report.violations, report.undetermined) == \
+        _pair_loop_scan(120, 9, data_dir)

@@ -9,12 +9,15 @@ schema-versioned JSON object (``--format json``) or as the lines that
 the command's text renderer derives from it.  An option is attached only
 to the commands that read it.
 
-``main`` builds the argument parser on its first call and reuses it in
-the same process; the ``symcart`` command calls it once per process.
-The parser holds no per-call state: each ``parse_args`` returns a fresh
-namespace.  It binds each subcommand to its ``cmd_*`` function and text
-renderer when it is built, so a test that replaces either must call
-``_build_parser.cache_clear()`` before its next ``main`` call.
+``COMMANDS`` declares each command once: its ``cmd_*`` function, text
+renderer, help line and arguments.  When the first argument names a
+command, ``main`` builds only that command's parser, the one argparse
+would dispatch to, and parses the rest of the arguments with it; any
+other call (``--help``, no or an unknown command) builds the whole tree
+from the same table, so the messages that list every command are
+argparse's own.  Each parser is built once per process and holds no
+per-call state.  ``COMMANDS`` binds the functions when the module is
+imported: a test that replaces one replaces its table entry.
 """
 
 from __future__ import annotations
@@ -340,16 +343,22 @@ def _text_dump_roots(p, args):
     yield f"{p['count']} positive roots"
 
 
-def _integer(text: str) -> int:
-    """An argparse type: an integer as ``int`` reads ASCII text, a sign
-    included.  Other digits, which ``int`` would read too ('١٢' as 12),
-    are rejected, as they are in a space spec."""
-    if text.isascii():
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+def _ascii(number):
+    """An argparse type: ``number`` (``int`` or ``float``) of ASCII text,
+    a sign included.  Other digits, which ``number`` would read too ('١٢'
+    as 12, '１' as 1), are rejected, as they are in a space spec."""
+    def read(text: str):
+        if text.isascii():
+            try:
+                return number(text)
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(
+            f"invalid {number.__name__} value: {text!r}")
+    return read
+
+
+_integer, _real = _ascii(int), _ascii(float)
 
 
 def _count(text: str) -> int:
@@ -372,88 +381,103 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-@lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
-    output = _Parser(add_help=False)
-    output.add_argument("--format", choices=("text", "json"), default="text")
-    cells = _Parser(add_help=False)     # the commands that read pi_k cells
-    cells.add_argument("--max-degree", type=_integer, default=9,
-                       choices=range(1, MAX_DEGREE + 1))
-    cells.add_argument("--data-dir", default=None,
-                       help="override the bundled homotopy data files")
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, kept as data until a parser is built."""
+    return flags, kwargs
 
+
+_SPACE = _arg("space")
+_CELLS = (      # the options of the commands that read pi_k cells
+    _arg("--max-degree", type=_integer, default=9,
+         choices=range(1, MAX_DEGREE + 1)),
+    _arg("--data-dir", default=None,
+         help="override the bundled homotopy data files"))
+
+# each command once: its function, its text renderer, its help line and
+# its arguments after --format, which every command takes
+COMMANDS = {
+    "table": (cmd_table, _text_table,
+              "reproduce the classical/exceptional tables", (
+                  _arg("kind", choices=("classical", "exceptional")),
+                  _arg("--check", action="store_true",
+                       help="compare against the published values; exit "
+                            "nonzero on any mismatch"),
+                  _arg("--max-param", type=_integer, default=None,
+                       help="largest parameter of the classical table "
+                            f"(default {DEFAULT_TABLE_PARAM})"))),
+    "kp": (cmd_kp, _text_kp, "dim, rank, k_P, d_P, C_P of a space",
+           (_SPACE,)),
+    "homotopy": (cmd_homotopy, _text_homotopy,
+                 "homotopy groups of a space through a degree",
+                 (*_CELLS, _SPACE)),
+    "distinguish": (cmd_distinguish, _text_verdict,
+                    "compare the homotopy profiles of two spaces",
+                    (*_CELLS, _arg("a"), _arg("b"))),
+    "corollary1-check": (cmd_corollary1_check, _text_corollary1_check,
+                         "pairwise recognition scan over the catalog", (
+                             *_CELLS,
+                             _arg("--max-dim", type=_integer, default=300),
+                             _arg("--max-listed", type=_count, default=20,
+                                  help="cap on violations/undetermined "
+                                       "pairs listed as text"))),
+    "decompose": (cmd_decompose, _text_decompose,
+                  "products indistinguishable from the ambient", (
+                      *_CELLS, _SPACE,
+                      _arg("--max-candidates", type=_count,
+                           default=MAX_CANDIDATES,
+                           help="node budget for the decomposition search"))),
+    "gate": (cmd_gate, _text_verdict,
+             "allowed submanifold types for an ambient space", (
+                 _SPACE, _arg("--codim", type=_integer, required=True),
+                 _arg("--delta", type=_real, default=1.0),
+                 _arg("--focal-r", type=_real, default=0.0))),
+    "tgeo": (cmd_tgeo, _text_verdict,
+             "meridian obstruction gate for Grassmannians", (
+                 _arg("field", choices=tuple(GRASSMANNIANS)),
+                 _arg("p", type=_integer), _arg("n", type=_integer),
+                 _arg("--codim", type=_integer, required=True),
+                 _arg("--index", type=_integer, default=None,
+                      help="override the bundled index lower bound"))),
+    "dump-roots": (cmd_dump_roots, _text_dump_roots,
+                   "positive roots of a restricted root system", (
+                       _arg("type",
+                            help="A, B, C, D, BC, E6, E7, E8, F4 or G2"),
+                       _arg("--rank", type=_integer, default=0))),
+}
+
+
+def _add_arguments(parser, command):
+    func, render, _, arguments = COMMANDS[command]
+    parser.set_defaults(func=func, render=render)
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    return parser
+
+
+@lru_cache(maxsize=None)
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of ``symcart <command> ...``'s arguments after the
+    command name, or with no command the whole program's parser."""
+    if command is not None:         # as argparse names a subcommand parser
+        return _add_arguments(_Parser(prog=f"symcart {command}"), command)
     parser = _Parser(
         prog="symcart",
         description="Ricci thresholds, orbit codimensions and homotopy "
                     "recognition for compact symmetric spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, render, help, *parents):
-        p = sub.add_parser(name, parents=[output, *parents], help=help)
-        p.set_defaults(func=func, render=render)
-        return p
-
-    p = command("table", cmd_table, _text_table,
-                "reproduce the classical/exceptional tables")
-    p.add_argument("kind", choices=("classical", "exceptional"))
-    p.add_argument("--check", action="store_true",
-                   help="compare against the published values; exit nonzero "
-                        "on any mismatch")
-    p.add_argument("--max-param", type=_integer, default=None,
-                   help="largest parameter of the classical table "
-                        f"(default {DEFAULT_TABLE_PARAM})")
-
-    p = command("kp", cmd_kp, _text_kp, "dim, rank, k_P, d_P, C_P of a space")
-    p.add_argument("space")
-
-    p = command("homotopy", cmd_homotopy, _text_homotopy,
-                "homotopy groups of a space through a degree", cells)
-    p.add_argument("space")
-
-    p = command("distinguish", cmd_distinguish, _text_verdict,
-                "compare the homotopy profiles of two spaces", cells)
-    p.add_argument("a")
-    p.add_argument("b")
-
-    p = command("corollary1-check", cmd_corollary1_check,
-                _text_corollary1_check,
-                "pairwise recognition scan over the catalog", cells)
-    p.add_argument("--max-dim", type=_integer, default=300)
-    p.add_argument("--max-listed", type=_count, default=20,
-                   help="cap on violations/undetermined pairs listed as text")
-
-    p = command("decompose", cmd_decompose, _text_decompose,
-                "products indistinguishable from the ambient", cells)
-    p.add_argument("space")
-    p.add_argument("--max-candidates", type=_count, default=MAX_CANDIDATES,
-                   help="node budget for the decomposition search")
-
-    p = command("gate", cmd_gate, _text_verdict,
-                "allowed submanifold types for an ambient space")
-    p.add_argument("space")
-    p.add_argument("--codim", type=_integer, required=True)
-    p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--focal-r", type=float, default=0.0)
-
-    p = command("tgeo", cmd_tgeo, _text_verdict,
-                "meridian obstruction gate for Grassmannians")
-    p.add_argument("field", choices=tuple(GRASSMANNIANS))
-    p.add_argument("p", type=_integer)
-    p.add_argument("n", type=_integer)
-    p.add_argument("--codim", type=_integer, required=True)
-    p.add_argument("--index", type=_integer, default=None,
-                   help="override the bundled index lower bound")
-
-    p = command("dump-roots", cmd_dump_roots, _text_dump_roots,
-                "positive roots of a restricted root system")
-    p.add_argument("type", help="A, B, C, D, BC, E6, E7, E8, F4 or G2")
-    p.add_argument("--rank", type=_integer, default=0)
-
+    for name, (_, _, help, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help), name)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args = _build_parser(argv[0]).parse_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    else:                 # --help, no or an unknown command: the whole tree
+        args = _build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
     except ValueError as err:        # spec, constraint and bound errors

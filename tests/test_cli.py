@@ -290,7 +290,10 @@ def test_max_dim_is_bounded(capsys, monkeypatch):
             main(["corollary1-check", *argv])
 
 
-def test_parser_is_built_once_per_process(capsys, monkeypatch):
+def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
+    """A call builds the parser of the command it runs, once per process.
+    Only ``--help``, no command or an unknown command build the whole
+    tree (the program's parser and one per command), once too."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -305,17 +308,23 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
              ["gate", "S(12)", "--codim", "1"],
              ["tgeo", "C", "3", "23", "--codim", "7"],
              ["dump-roots", "G2"], ["decompose", "S(12)"],
-             ["homotopy", "S(7)", "--max-degree", "99"]]
-    rejected = 0
-    for i in range(20):
+             ["homotopy", "S(7)", "--max-degree", "99"],
+             ["table", "exceptional"],
+             ["corollary1-check", "--max-dim", "20"]]
+    counts, rejected = [], 0
+    for argv in [*calls, *calls, ["--help"], ["no-such-command"], []]:
+        before = len(built)
         try:
-            main(calls[i % len(calls)])
-        except SystemExit:                 # argparse rejects --max-degree 99
+            main(argv)
+        except SystemExit:     # --max-degree 99, --help and the last two
             rejected += 1
-        if i == 0:
-            first = len(built)
-    assert first > 0 and rejected == 2
-    assert len(built) == first
+        counts.append(len(built) - before)
+    n = len(calls)
+    assert counts[0] == 1                          # a cold kp call
+    assert sum(counts[:n]) == len(cli.COMMANDS) == 9
+    assert counts[n:2 * n] == [0] * n              # every parser is reused
+    assert counts[2 * n:] == [10, 0, 0]            # the whole tree, once
+    assert rejected == 5
 
 
 def test_sphere_arity_is_a_named_condition(capsys):
@@ -359,11 +368,19 @@ def test_space_parameters_take_ascii_digits_only(capsys, spec):
      "argument n: invalid int value: '\u0662\u0663'"),
     (["tgeo", "C", "3", "23", "--codim", "7", "--index", "\u0661"],
      "argument --index: invalid int value: '\u0661'"),
+    (["gate", "S(12)", "--codim", "1", "--delta", "\u0661"],
+     "argument --delta: invalid float value: '\u0661'"),
+    (["gate", "S(12)", "--codim", "1", "--delta", "\uff11"],
+     "argument --delta: invalid float value: '\uff11'"),
+    (["gate", "S(12)", "--codim", "1", "--focal-r", "0.\u0665"],
+     "argument --focal-r: invalid float value: '0.\u0665'"),
 ], ids=("max-dim", "max-candidates", "max-listed", "max-degree", "max-param",
-        "rank", "codim", "tgeo-p", "tgeo-n", "index"))
+        "rank", "codim", "tgeo-p", "tgeo-n", "index", "delta",
+        "delta-fullwidth", "focal-r"))
 def test_numeric_options_take_ascii_digits_only(capsys, argv, message):
-    """``int`` reads '\u0661\u0662\u0660' as 120; every numeric option
-    rejects it as one ``error:`` line, as a space spec does."""
+    """``int`` reads '\u0661\u0662\u0660' as 120 and ``float`` reads
+    '\uff11' as 1; every numeric option rejects them as one ``error:``
+    line, as a space spec does."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     captured = capsys.readouterr()
@@ -377,7 +394,9 @@ def test_numeric_options_take_ascii_digits_only(capsys, argv, message):
     (["gate", "S(12)", "--codim", "-1"],
      "codim >= 1 for a proper submanifold"),
     (["dump-roots", "A", "--rank", "-2"], "A requires rank >= 1, got -2"),
-], ids=("max-dim", "codim", "rank"))
+    (["gate", "S(12)", "--codim", "1", "--focal-r", "-0.5"],
+     "focal radius floor must lie in [0, pi/2)"),
+], ids=("max-dim", "codim", "rank", "focal-r"))
 def test_signed_ascii_options_reach_their_range_checks(capsys, argv,
                                                        message):
     assert main(argv) == 2
@@ -428,6 +447,29 @@ def test_argparse_rejection_is_one_error_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_module_entry_point_reads_its_own_argv(capsys):
+    """``python -m symcart.cli`` passes no argv to ``main``, which picks
+    its command from ``sys.argv``: no arguments is argparse's one error
+    line, and a kp call prints what the same call prints in-process."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(symcart.__file__)))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "symcart.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+
+    done = module()
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == \
+        "error: the following arguments are required: command\n"
+    argv = ["kp", "SU(5)", "--format", "json"]
+    done = module(*argv)
+    code, out = run(capsys, *argv)
+    assert code == 0 and (done.returncode, done.stdout, done.stderr) == \
+        (0, out, "")
 
 
 def test_help_still_prints_usage(capsys):

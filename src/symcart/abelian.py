@@ -20,8 +20,8 @@ RankInterval(1, None)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
 
@@ -43,8 +43,7 @@ def _factor_prime_powers(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class AbelianGroup:
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
     """A finitely generated abelian group in canonical form.
 
     ``torsion`` is a tuple of (prime, exponent) pairs, sorted by prime
@@ -53,17 +52,18 @@ class AbelianGroup:
     Z_12 = Z_4 + Z_3.
     """
 
-    free_rank: int = 0
-    torsion: Tuple[Tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int = 0,
+                torsion: Tuple[Tuple[int, int], ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for p, e in self.torsion:
+        for p, e in torsion:
             if e < 1 or p < 2 or _factor_prime_powers(p) != ((p, 1),):
                 raise ValueError("torsion entries must be prime powers")
-        if tuple(sorted(self.torsion)) != self.torsion:
+        if tuple(sorted(torsion)) != torsion:
             raise ValueError("torsion must be canonically sorted")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @staticmethod
     def from_orders(free_rank: int = 0, orders: Iterable[int] = ()) -> "AbelianGroup":
@@ -128,24 +128,23 @@ CONTAINS = "contains"        # "H in": contains H as a subgroup
 UNKNOWN = "unknown"          # blank table cell
 
 
-@dataclass(frozen=True)
-class PartialAbelianGroup:
+class PartialAbelianGroup(namedtuple("PartialAbelianGroup", "tag group")):
     """An exactly or partially known finitely generated abelian group.
 
-    Cells key the recognition scan's profile classes and several caches,
-    so a value computes its hash once, on first use; it equals the
-    dataclass hash of its fields.
+    ``group`` is the payload of EXACT and CONTAINS, None otherwise.
+    Cells key the recognition scan's profile classes and several caches;
+    a value hashes as the tuple of its fields.
     """
 
-    tag: str
-    group: Optional[AbelianGroup] = None   # payload for EXACT / CONTAINS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag in (EXACT, CONTAINS):
-            if self.group is None:
+    def __new__(cls, tag: str, group: Optional[AbelianGroup] = None):
+        if tag in (EXACT, CONTAINS):
+            if group is None:
                 raise ValueError("missing group payload")
-        elif self.group is not None:
-            raise ValueError(f"variant {self.tag} takes no payload")
+        elif group is not None:
+            raise ValueError(f"variant {tag} takes no payload")
+        return tuple.__new__(cls, (tag, group))
 
     @staticmethod
     def exact(g: AbelianGroup) -> "PartialAbelianGroup":
@@ -155,17 +154,6 @@ class PartialAbelianGroup:
     def trivial() -> "PartialAbelianGroup":
         """The exact trivial group: one shared instance, frozen as all are."""
         return _TRIVIAL_PARTIAL
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.tag, self.group))
-
-    def __reduce__(self):
-        # rebuilt from its fields: a cached hash is valid in one process only
-        return PartialAbelianGroup, (self.tag, self.group)
 
     @property
     def is_exact(self) -> bool:
@@ -209,16 +197,15 @@ class PartialAbelianGroup:
 _TRIVIAL_PARTIAL = PartialAbelianGroup(EXACT, TRIVIAL)
 
 
-@dataclass(frozen=True)
-class RankInterval:
+class RankInterval(namedtuple("RankInterval", "lo hi")):
     """Closed integer interval [lo, hi]; hi=None stands for +infinity."""
 
-    lo: int
-    hi: Optional[int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo < 0 or (self.hi is not None and self.hi < self.lo):
+    def __new__(cls, lo: int, hi: Optional[int]):
+        if lo < 0 or (hi is not None and hi < lo):
             raise ValueError("need 0 <= lo <= hi")
+        return tuple.__new__(cls, (lo, hi))
 
     def disjoint(self, other: "RankInterval") -> bool:
         if self.hi is not None and self.hi < other.lo:

@@ -17,7 +17,7 @@ Fraction(5, 2)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
@@ -26,10 +26,10 @@ from typing import Callable, List, NamedTuple, Tuple
 from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
 
 
-@dataclass(frozen=True, order=True)
-class SpaceInstance:
+class SpaceInstance(NamedTuple):
     """One catalog space: its Cartan symbol, parameters, dimension, rank
-    and threshold k_P; d_P and C_P follow from these."""
+    and threshold k_P; d_P and C_P follow from these.  Spaces sort by
+    these fields in this order."""
 
     symbol: str
     params: Tuple[int, ...]
@@ -262,16 +262,16 @@ def sharp(p: SpaceInstance, codim: int) -> int:
     return 2 + p.dp - 2 * codim
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    """A finite product of catalog spaces, order-insensitive."""
+class ProductSpace(namedtuple("ProductSpace", "factors")):
+    """A finite product of catalog spaces, order-insensitive: the
+    factors are kept sorted."""
 
-    factors: Tuple[SpaceInstance, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.factors:
+    def __new__(cls, factors: Tuple[SpaceInstance, ...]):
+        if not factors:
             raise ValueError("a product needs at least one factor")
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+        return tuple.__new__(cls, (tuple(sorted(factors)),))
 
     @property
     def dim(self) -> int:

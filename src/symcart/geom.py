@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, SpaceInstance,
                       instantiate)
@@ -45,19 +45,17 @@ def trace_bound(delta: float, k: int, r: float) -> float:
     return lam * k * math.tan(lam * r)
 
 
-@dataclass(frozen=True)
-class HypothesisSet:
-    delta: float
-    focal_floor: float
-    codim: int
+class HypothesisSet(namedtuple("HypothesisSet", "delta focal_floor codim")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.delta < math.inf:
+    def __new__(cls, delta: float, focal_floor: float, codim: int):
+        if not 0 < delta < math.inf:
             raise ValueError("delta must be positive and finite")
-        if not 0 <= self.focal_floor < math.pi / 2:
+        if not 0 <= focal_floor < math.pi / 2:
             raise ValueError("focal radius floor must lie in [0, pi/2)")
-        if self.codim < 1:
+        if codim < 1:
             raise ValueError("codim >= 1 for a proper submanifold")
+        return tuple.__new__(cls, (delta, focal_floor, codim))
 
 
 ITEM1 = "Item1"
@@ -67,8 +65,7 @@ ITEM4 = "Item4"
 NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class GateVerdict:
+class GateVerdict(NamedTuple):
     kind: str
     ambient: SpaceInstance
     reason: str
@@ -150,8 +147,7 @@ def index_lower_bound(fld: str, p: int, data_dir: Optional[str] = None) -> int:
     raise KeyError(fld)
 
 
-@dataclass(frozen=True)
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     applicable: bool
     reason: str
     ambient: SpaceInstance

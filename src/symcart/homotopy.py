@@ -54,13 +54,12 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from heapq import merge
 from itertools import repeat
 from operator import itemgetter
 from types import CodeType
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .abelian import (FIELDS, UNKNOWN, AbelianGroup, PartialAbelianGroup,
                       compatible, direct_sum, parse_group, INCOMPATIBLE)
@@ -218,8 +217,7 @@ _Z = PartialAbelianGroup.exact(AbelianGroup(1))
 _UNKNOWN = PartialAbelianGroup(UNKNOWN)
 
 
-@dataclass(frozen=True)
-class HomotopyRecord:
+class HomotopyRecord(NamedTuple):
     source: str                       # the table file's name, without .txt
     symbol: str
     param_names: Tuple[str, ...]      # variable names or "" for fixed slots

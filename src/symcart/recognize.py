@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import merge
 from itertools import accumulate, repeat
@@ -46,8 +45,7 @@ INDISTINGUISHABLE = "Indistinguishable"
 UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str
     through_degree: int
     degree: int = 0
@@ -280,15 +278,17 @@ class BlindPairs:
         return f"<BlindPairs: {len(self)} pairs>"
 
 
-@dataclass
 class ScanReport:
-    max_dim: int
-    max_degree: int
-    instances: int = 0
-    distinguishable_pairs: int = 0
-    blind_pairs: BlindPairs = field(default_factory=BlindPairs)
-    violations: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = field(default_factory=list)
-    undetermined: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = field(default_factory=list)
+    """``corollary1_scan``'s counts and listed pairs, filled in as it runs."""
+
+    def __init__(self, max_dim: int, max_degree: int):
+        self.max_dim = max_dim
+        self.max_degree = max_degree
+        self.instances = 0
+        self.distinguishable_pairs = 0
+        self.blind_pairs = BlindPairs()
+        self.violations: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = []
+        self.undetermined: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = []
 
     @property
     def clean(self) -> bool:

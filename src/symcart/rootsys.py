@@ -33,7 +33,7 @@ KpResult(value=49, maximizer=1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
@@ -47,30 +47,28 @@ _EXCEPTIONAL_COUNT = {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}
 CLASSICAL_SYMBOLS = ("A", "B", "C", "D", "BC")
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class RootSystemType(namedtuple("RootSystemType", "symbol rank")):
     """A (possibly non-reduced) irreducible root system type.
 
-    D(2) and D(3) are rejected: the former is reducible and the latter
-    coincides with A(3), so neither is a separate type here.
+    An exceptional type's rank may be left out.  D(2) and D(3) are
+    rejected: the former is reducible and the latter coincides with
+    A(3), so neither is a separate type here.
     """
 
-    symbol: str
-    rank: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.symbol in _EXCEPTIONAL_RANK:
-            r = _EXCEPTIONAL_RANK[self.symbol]
-            if self.rank == 0:
-                object.__setattr__(self, "rank", r)
-            elif self.rank != r:
-                raise ValueError(f"{self.symbol} has rank {r}")
-            return
-        lo = {"A": 1, "B": 2, "C": 2, "D": 4, "BC": 1}.get(self.symbol)
+    def __new__(cls, symbol: str, rank: int = 0):
+        if symbol in _EXCEPTIONAL_RANK:
+            r = _EXCEPTIONAL_RANK[symbol]
+            if rank not in (0, r):
+                raise ValueError(f"{symbol} has rank {r}")
+            return tuple.__new__(cls, (symbol, r))
+        lo = {"A": 1, "B": 2, "C": 2, "D": 4, "BC": 1}.get(symbol)
         if lo is None:
-            raise ValueError(f"unknown root system symbol {self.symbol!r}")
-        if self.rank < lo:
-            raise ValueError(f"{self.symbol} requires rank >= {lo}, got {self.rank}")
+            raise ValueError(f"unknown root system symbol {symbol!r}")
+        if rank < lo:
+            raise ValueError(f"{symbol} requires rank >= {lo}, got {rank}")
+        return tuple.__new__(cls, (symbol, rank))
 
 
 class PositiveRoot(NamedTuple):
@@ -78,21 +76,19 @@ class PositiveRoot(NamedTuple):
     length_class: str
 
 
-@dataclass(frozen=True)
-class Multiplicities:
+class Multiplicities(namedtuple("Multiplicities", "m_s m_l m_xl")):
     """Root-space dimensions per length class.
 
     Simply-laced systems store their single multiplicity in m_l; unused
     classes are zero.
     """
 
-    m_s: int = 0
-    m_l: int = 0
-    m_xl: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if min(self.m_s, self.m_l, self.m_xl) < 0:
+    def __new__(cls, m_s: int = 0, m_l: int = 0, m_xl: int = 0):
+        if min(m_s, m_l, m_xl) < 0:
             raise ValueError("multiplicities must be nonnegative")
+        return tuple.__new__(cls, (m_s, m_l, m_xl))
 
 
 def _classical_roots(symbol: str, r: int) -> list:

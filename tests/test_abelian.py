@@ -31,12 +31,14 @@ partial_groups = st.one_of(
 
 @given(partial_groups)
 def test_hash_is_the_fields_hash_and_is_not_pickled(g):
-    """A cell's hash is computed once and equals the dataclass hash of its
-    fields; a pickled or copied cell rebuilds it from its fields."""
+    """A cell is the tuple of its two fields and hashes as that tuple; it
+    holds no other state, so a pickled or copied cell is rebuilt from
+    its fields, as a cell of the same class."""
+    assert g._fields == ("tag", "group") and not hasattr(g, "__dict__")
     assert hash(g) == hash(g) == hash((g.tag, g.group))
     for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert type(clone) is PartialAbelianGroup
         assert clone == g and hash(clone) == hash(g)
-    assert "_hash" not in pickle.loads(pickle.dumps(g)).__dict__
 
 
 def test_composite_orders_split_into_prime_powers():

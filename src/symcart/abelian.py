@@ -20,9 +20,10 @@ RankInterval(1, None)
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
+
+from .values import value_tuple
 
 
 def _factor_prime_powers(n: int) -> Tuple[Tuple[int, int], ...]:
@@ -43,7 +44,7 @@ def _factor_prime_powers(n: int) -> Tuple[Tuple[int, int], ...]:
     return tuple(out)
 
 
-class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
+class AbelianGroup(value_tuple("AbelianGroup", "free_rank torsion")):
     """A finitely generated abelian group in canonical form.
 
     ``torsion`` is a tuple of (prime, exponent) pairs, sorted by prime
@@ -128,7 +129,7 @@ CONTAINS = "contains"        # "H in": contains H as a subgroup
 UNKNOWN = "unknown"          # blank table cell
 
 
-class PartialAbelianGroup(namedtuple("PartialAbelianGroup", "tag group")):
+class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
     """An exactly or partially known finitely generated abelian group.
 
     ``group`` is the payload of EXACT and CONTAINS, None otherwise.
@@ -197,7 +198,7 @@ class PartialAbelianGroup(namedtuple("PartialAbelianGroup", "tag group")):
 _TRIVIAL_PARTIAL = PartialAbelianGroup(EXACT, TRIVIAL)
 
 
-class RankInterval(namedtuple("RankInterval", "lo hi")):
+class RankInterval(value_tuple("RankInterval", "lo hi")):
     """Closed integer interval [lo, hi]; hi=None stands for +infinity."""
 
     __slots__ = ()

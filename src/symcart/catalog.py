@@ -17,13 +17,14 @@ Fraction(5, 2)
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
 from typing import Callable, List, NamedTuple, Tuple
 
-from .rootsys import Multiplicities, RootSystemType, kp_by_deletion
+from .rootsys import (Multiplicities, RootSystemType, kp_by_deletion, mults,
+                      root_type)
+from .values import value_tuple
 
 
 class SpaceInstance(NamedTuple):
@@ -99,26 +100,27 @@ PRODUCT_ISOMORPHISMS = {
     ("BDI", (2, 2)): (("S", (2,)), ("S", (2,))),
 }
 
-# Exceptional spaces: dim, restricted root system, multiplicities,
-# and the published (d_P, k_P) pair kept for cross-checking.
+# Exceptional spaces: dim, restricted root system, multiplicities
+# (m_s, m_l, m_xl), and the published (d_P, k_P) pair kept for
+# cross-checking.
 _EXCEPTIONAL = {
-    "E6": (78, RootSystemType("E6"), Multiplicities(m_l=2), (32, 46)),
-    "E7": (133, RootSystemType("E7"), Multiplicities(m_l=2), (54, 79)),
-    "E8": (248, RootSystemType("E8"), Multiplicities(m_l=2), (114, 134)),
-    "EI": (42, RootSystemType("E6"), Multiplicities(m_l=1), (16, 26)),
-    "EII": (40, RootSystemType("F4"), Multiplicities(m_s=2, m_l=1), (21, 19)),
-    "EIII": (32, RootSystemType("BC", 2), Multiplicities(8, 6, 1), (21, 11)),
-    "EIV": (26, RootSystemType("A", 2), Multiplicities(m_l=8), (16, 10)),
-    "EV": (70, RootSystemType("E7"), Multiplicities(m_l=1), (27, 43)),
-    "EVI": (64, RootSystemType("F4"), Multiplicities(m_s=4, m_l=1), (33, 31)),
-    "EVII": (54, RootSystemType("C", 3), Multiplicities(m_s=8, m_l=1), (27, 27)),
-    "EVIII": (128, RootSystemType("E8"), Multiplicities(m_l=1), (57, 71)),
-    "EIX": (112, RootSystemType("F4"), Multiplicities(m_s=8, m_l=1), (57, 55)),
-    "F4": (52, RootSystemType("F4"), Multiplicities(m_s=2, m_l=2), (30, 22)),
-    "FI": (28, RootSystemType("F4"), Multiplicities(m_s=1, m_l=1), (15, 13)),
-    "FII": (16, RootSystemType("BC", 1), Multiplicities(m_s=8, m_xl=7), (15, 1)),
-    "G2": (14, RootSystemType("G2"), Multiplicities(m_s=2, m_l=2), (10, 4)),
-    "G": (8, RootSystemType("G2"), Multiplicities(m_s=1, m_l=1), (5, 3)),
+    "E6": (78, root_type("E6", 6), mults(0, 2, 0), (32, 46)),
+    "E7": (133, root_type("E7", 7), mults(0, 2, 0), (54, 79)),
+    "E8": (248, root_type("E8", 8), mults(0, 2, 0), (114, 134)),
+    "EI": (42, root_type("E6", 6), mults(0, 1, 0), (16, 26)),
+    "EII": (40, root_type("F4", 4), mults(2, 1, 0), (21, 19)),
+    "EIII": (32, root_type("BC", 2), mults(8, 6, 1), (21, 11)),
+    "EIV": (26, root_type("A", 2), mults(0, 8, 0), (16, 10)),
+    "EV": (70, root_type("E7", 7), mults(0, 1, 0), (27, 43)),
+    "EVI": (64, root_type("F4", 4), mults(4, 1, 0), (33, 31)),
+    "EVII": (54, root_type("C", 3), mults(8, 1, 0), (27, 27)),
+    "EVIII": (128, root_type("E8", 8), mults(0, 1, 0), (57, 71)),
+    "EIX": (112, root_type("F4", 4), mults(8, 1, 0), (57, 55)),
+    "F4": (52, root_type("F4", 4), mults(2, 2, 0), (30, 22)),
+    "FI": (28, root_type("F4", 4), mults(1, 1, 0), (15, 13)),
+    "FII": (16, root_type("BC", 1), mults(8, 0, 7), (15, 1)),
+    "G2": (14, root_type("G2", 2), mults(2, 2, 0), (10, 4)),
+    "G": (8, root_type("G2", 2), mults(1, 1, 0), (5, 3)),
 }
 
 EXCEPTIONAL_SYMBOLS = tuple(_EXCEPTIONAL)
@@ -127,11 +129,12 @@ EXCEPTIONAL_SYMBOLS = tuple(_EXCEPTIONAL)
 class _Family(NamedTuple):
     """One family of catalog spaces: presentations ``symbol(params)``.
 
-    Parameters are nondecreasing and at least ``smallest`` (n >= n0, or
-    p0 <= p <= q); ``note`` says why smaller ones are left out.  ``dim``
-    grows in every parameter; for a classical family ``datum`` gives the
-    restricted root system and its multiplicities (Helgason, Differential
-    Geometry, Lie Groups, and Symmetric Spaces, Ch. X).
+    Parameters (at most two) are nondecreasing and at least ``smallest``
+    (n >= n0, or p0 <= p <= q); ``note`` says why smaller ones are left
+    out.  ``dim`` grows in every parameter; for a classical family
+    ``datum`` gives the restricted root system and its multiplicities
+    (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
+    Ch. X), built by ``rootsys``'s interning constructors.
     """
 
     smallest: Tuple[int, ...]
@@ -146,21 +149,31 @@ class _Family(NamedTuple):
 
     def admits(self, params: Tuple[int, ...]) -> bool:
         return (len(params) == len(self.smallest)
-                and self.smallest[0] <= params[0]
-                and list(params) == sorted(params))
+                and self.smallest[0] <= params[0] <= params[-1])
 
-    def sweep(self, max_dim: int, prefix: Tuple[int, ...] = ()):
-        """Every admitted parameter tuple from prefix on with dim <= max_dim."""
-        rest = len(self.smallest) - len(prefix)
-        if not rest:
-            yield prefix
-            return
-        i = len(prefix)
-        v = max(self.smallest[i], prefix[-1]) if prefix else self.smallest[0]
-        # dim grows in every parameter: the least completion bounds the rest
-        while self.dim(*prefix, *[v] * rest) <= max_dim:
-            yield from self.sweep(max_dim, prefix + (v,))
-            v += 1
+    def sweep(self, max_dim: int) -> List[Tuple[int, ...]]:
+        """Every admitted parameter tuple with dim <= max_dim, in order.
+
+        An odometer over nondecreasing tuples: the digit that moved last
+        has the least completion after it, and dim grows in every
+        parameter, so once that completion passes max_dim the digit
+        before it moves on.
+        """
+        n, dim, smallest = len(self.smallest), self.dim, self.smallest
+        if not n:
+            return [()] if dim() <= max_dim else []
+        params, out, i = list(smallest), [], 0
+        while True:
+            if dim(*params) <= max_dim:
+                out.append(tuple(params))
+                i = n - 1
+            elif i:
+                i -= 1
+            else:
+                return out
+            params[i] += 1
+            for k in range(i + 1, n):
+                params[k] = max(smallest[k], params[k - 1])
 
 
 def _grassmannian(c: int) -> _Family:
@@ -168,11 +181,11 @@ def _grassmannian(c: int) -> _Family:
     def datum(p, q):
         if p == q:
             if c == 1:
-                return RootSystemType("D", p), Multiplicities(m_l=1)
-            return RootSystemType("C", p), Multiplicities(m_s=c, m_l=c - 1)
+                return root_type("D", p), mults(0, 1, 0)
+            return root_type("C", p), mults(c, c - 1, 0)
         if c == 1:
-            return RootSystemType("B", p), Multiplicities(m_s=q - p, m_l=1)
-        return RootSystemType("BC", p), Multiplicities(c * (q - p), c, c - 1)
+            return root_type("B", p), mults(q - p, 1, 0)
+        return root_type("BC", p), mults(c * (q - p), c, c - 1)
 
     smallest, note = ((2, 2), "p = 1 is a sphere") if c == 1 else ((1, 1), "")
     return _Family(smallest, lambda p, q: c * p * q, datum, note)
@@ -183,22 +196,22 @@ GRASSMANNIANS = {"R": ("BDI", 1), "C": ("AIII", 2), "H": ("CII", 4)}
 
 _CLASSICAL = {
     "SU": _Family((2,), lambda n: n * n - 1, lambda n: (
-        RootSystemType("A", n - 1), Multiplicities(m_l=2))),
+        root_type("A", n - 1), mults(0, 2, 0))),
     "AI": _Family((2,), lambda n: (n - 1) * (n + 2) // 2, lambda n: (
-        RootSystemType("A", n - 1), Multiplicities(m_l=1))),
+        root_type("A", n - 1), mults(0, 1, 0))),
     "AII": _Family((2,), lambda n: (n - 1) * (2 * n + 1), lambda n: (
-        RootSystemType("A", n - 1), Multiplicities(m_l=4))),
+        root_type("A", n - 1), mults(0, 4, 0))),
     "Spin": _Family((5,), lambda n: n * (n - 1) // 2, lambda n: (
-        (RootSystemType("B", (n - 1) // 2), Multiplicities(m_s=2, m_l=2))
-        if n % 2 else (RootSystemType("D", n // 2), Multiplicities(m_l=2))),
+        (root_type("B", (n - 1) // 2), mults(2, 2, 0))
+        if n % 2 else (root_type("D", n // 2), mults(0, 2, 0))),
         "smaller spin groups are spheres/products"),
     "Sp": _Family((2,), lambda n: n * (2 * n + 1), lambda n: (
-        RootSystemType("C", n), Multiplicities(m_s=2, m_l=2))),
+        root_type("C", n), mults(2, 2, 0))),
     "CI": _Family((2,), lambda n: n * (n + 1), lambda n: (
-        RootSystemType("C", n), Multiplicities(m_s=1, m_l=1))),
+        root_type("C", n), mults(1, 1, 0))),
     "DIII": _Family((5,), lambda n: n * (n - 1), lambda n: (
-        (RootSystemType("BC", (n - 1) // 2), Multiplicities(4, 4, 1))
-        if n % 2 else (RootSystemType("C", n // 2), Multiplicities(m_s=4, m_l=1))),
+        (root_type("BC", (n - 1) // 2), mults(4, 4, 1))
+        if n % 2 else (root_type("C", n // 2), mults(4, 1, 0))),
         "smaller cases are isomorphic to other spaces"),
     **{symbol: _grassmannian(c) for symbol, c in GRASSMANNIANS.values()},
 }
@@ -240,6 +253,17 @@ def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
     if (symbol, params) in PRODUCT_ISOMORPHISMS:
         raise ReducibleError(f"{symbol}{params}",
                              PRODUCT_ISOMORPHISMS[(symbol, params)])
+    return build_space(symbol, params)
+
+
+def build_space(symbol: str, params: Tuple[int, ...]) -> SpaceInstance:
+    """The space of a canonical presentation, uncached.
+
+    The parameters are checked (``ConstraintError``), but no isomorphism
+    is followed: ``instantiate`` rewrites a presentation first and caches
+    the result, and the catalog build calls this on the canonical
+    presentations it sweeps.
+    """
     if symbol == "S":
         _require(len(params) == 1, f"S{params}", "one parameter n >= 2")
         n, = params
@@ -247,10 +271,10 @@ def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
         return SpaceInstance("S", params, dim=n, rank=1, kp=1)
     if symbol in _EXCEPTIONAL:
         _require(not params, symbol, "no parameters")
-        dim, root, mults, published = _EXCEPTIONAL[symbol]
+        dim, root, mult, published = _EXCEPTIONAL[symbol]
     else:
-        (dim, root, mults), published = _root_datum(symbol, params), None
-    kp = kp_by_deletion(root, mults).value
+        (dim, root, mult), published = _root_datum(symbol, params), None
+    kp = kp_by_deletion(root, mult).value
     assert published in (None, (dim - kp, kp)), (symbol, kp, published)
     return SpaceInstance(symbol, params, dim, root.rank, kp)
 
@@ -262,7 +286,7 @@ def sharp(p: SpaceInstance, codim: int) -> int:
     return 2 + p.dp - 2 * codim
 
 
-class ProductSpace(namedtuple("ProductSpace", "factors")):
+class ProductSpace(value_tuple("ProductSpace", "factors")):
     """A finite product of catalog spaces, order-insensitive: the
     factors are kept sorted."""
 
@@ -411,6 +435,11 @@ def classical_presentations(max_param: int = 30):
 
 _name = attrgetter("symbol", "params")     # a space's (symbol, params)
 
+# The presentations instantiate() rewrites or rejects as a product.  No
+# family's sweep reaches another non-canonical one: BDI's starts at p = 2,
+# so the sphere Gr(R,1,1+q) is never swept as BDI(1,q).
+_NOT_CANONICAL = SPECIAL_ISOMORPHISMS.keys() | PRODUCT_ISOMORPHISMS.keys()
+
 # every canonical instance with dim <= _catalog_dim, in enumerate_catalog's
 # order; built for the largest max_dim asked so far in this process
 _catalog: List[SpaceInstance] = []
@@ -418,16 +447,20 @@ _catalog_dim = 0
 
 
 def _build_catalog(max_dim: int) -> List[SpaceInstance]:
+    """Every canonical space with dim <= max_dim, in (symbol, params) order.
+
+    Each family's parameters are swept by a loop (``_Family.sweep``).  A
+    presentation that is a special or product isomorphism is skipped by
+    one lookup; every other one is canonical and is built by the uncached
+    ``build_space``, so a build leaves nothing in ``instantiate``'s cache.
+    The spaces share their root data, interned by ``rootsys``, and the
+    deletion counts of each (type, node), cached there.
+    """
     out = []
     for symbol, family in FAMILIES.items():
         for params in family.sweep(max_dim):
-            try:
-                s = instantiate(symbol, params)
-            except ReducibleError:
-                continue
-            # a space without parameters is swept whatever its dim
-            if (s.symbol, s.params) == (symbol, params) and s.dim <= max_dim:
-                out.append(s)
+            if (symbol, params) not in _NOT_CANONICAL:
+                out.append(build_space(symbol, params))
     out.sort(key=_name)
     assert len(set(map(_name, out))) == len(out)
     return out
@@ -436,13 +469,16 @@ def _build_catalog(max_dim: int) -> List[SpaceInstance]:
 def enumerate_catalog(max_dim: int):
     """Every canonical irreducible instance with dim <= max_dim, once each.
 
-    Spheres are included, from S^2 up.  A classical presentation is kept
-    only when instantiate() returns it unchanged, so presentations merged
-    by special isomorphism are never emitted twice.
+    Spheres are included, from S^2 up.  A presentation is listed only in
+    the canonical form instantiate() returns, so presentations merged by
+    special isomorphism are never emitted twice.
 
     The catalog is built once per process, for the largest max_dim asked
-    so far; each call returns a fresh list of its instances with
-    dim <= max_dim, in the catalog's (symbol, params) order.
+    so far, by ``_build_catalog``: families swept by a loop, isomorphic
+    presentations skipped by lookup, each space made by the uncached
+    ``build_space`` from interned root data and cached deletion counts.
+    Each call returns a fresh list of the catalog's instances with
+    dim <= max_dim, in its (symbol, params) order.
     """
     global _catalog, _catalog_dim
     if max_dim < 1:

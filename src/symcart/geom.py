@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, SpaceInstance,
                       instantiate)
 from .homotopy import _cached_per_data_dir, _compile_guard
+from .values import value_tuple
 
 
 def connectivity(ambient: SpaceInstance, sub_dim: int) -> int:
@@ -45,7 +45,7 @@ def trace_bound(delta: float, k: int, r: float) -> float:
     return lam * k * math.tan(lam * r)
 
 
-class HypothesisSet(namedtuple("HypothesisSet", "delta focal_floor codim")):
+class HypothesisSet(value_tuple("HypothesisSet", "delta focal_floor codim")):
     __slots__ = ()
 
     def __new__(cls, delta: float, focal_floor: float, codim: int):

@@ -19,7 +19,8 @@ this is ``kp_by_deletion``, the path the catalog uses.  Two independent
 oracles check it: direct enumeration of the positive roots
 (``zero_coeff_counts``, ``kp_enumerated``) and the published closed
 forms for k itself (``kp_closed_form``, with small-rank and exceptional
-gaps).
+gaps).  The catalog's many spaces share few root data: ``root_type`` and
+``mults`` intern them, and ``deletion_counts`` is cached per (type, node).
 
 >>> len(positive_roots(RootSystemType("E8")))
 120
@@ -33,10 +34,11 @@ KpResult(value=49, maximizer=1)
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
+
+from .values import value_tuple
 
 SHORT = "short"
 LONG = "long"
@@ -44,10 +46,11 @@ EXTRA_LONG = "extra_long"
 
 _EXCEPTIONAL_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
 _EXCEPTIONAL_COUNT = {"E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6}
-CLASSICAL_SYMBOLS = ("A", "B", "C", "D", "BC")
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4, "BC": 1}
+CLASSICAL_SYMBOLS = tuple(_MIN_RANK)
 
 
-class RootSystemType(namedtuple("RootSystemType", "symbol rank")):
+class RootSystemType(value_tuple("RootSystemType", "symbol rank")):
     """A (possibly non-reduced) irreducible root system type.
 
     An exceptional type's rank may be left out.  D(2) and D(3) are
@@ -63,7 +66,7 @@ class RootSystemType(namedtuple("RootSystemType", "symbol rank")):
             if rank not in (0, r):
                 raise ValueError(f"{symbol} has rank {r}")
             return tuple.__new__(cls, (symbol, r))
-        lo = {"A": 1, "B": 2, "C": 2, "D": 4, "BC": 1}.get(symbol)
+        lo = _MIN_RANK.get(symbol)
         if lo is None:
             raise ValueError(f"unknown root system symbol {symbol!r}")
         if rank < lo:
@@ -76,7 +79,7 @@ class PositiveRoot(NamedTuple):
     length_class: str
 
 
-class Multiplicities(namedtuple("Multiplicities", "m_s m_l m_xl")):
+class Multiplicities(value_tuple("Multiplicities", "m_s m_l m_xl")):
     """Root-space dimensions per length class.
 
     Simply-laced systems store their single multiplicity in m_l; unused
@@ -89,6 +92,21 @@ class Multiplicities(namedtuple("Multiplicities", "m_s m_l m_xl")):
         if min(m_s, m_l, m_xl) < 0:
             raise ValueError("multiplicities must be nonnegative")
         return tuple.__new__(cls, (m_s, m_l, m_xl))
+
+
+# The catalog's root data, built once per distinct value: every argument
+# is passed, so each value has one cache key.
+
+@lru_cache(maxsize=None)
+def root_type(symbol: str, rank: int, /) -> RootSystemType:
+    """The process's one ``RootSystemType(symbol, rank)``."""
+    return RootSystemType(symbol, rank)
+
+
+@lru_cache(maxsize=None)
+def mults(m_s: int, m_l: int, m_xl: int, /) -> Multiplicities:
+    """The process's one ``Multiplicities(m_s, m_l, m_xl)``."""
+    return Multiplicities(m_s, m_l, m_xl)
 
 
 def _classical_roots(symbol: str, r: int) -> list:
@@ -235,6 +253,7 @@ def zero_coeff_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
     return n[SHORT], n[LONG], n[EXTRA_LONG]
 
 
+@lru_cache(maxsize=None)
 def deletion_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
     """(n_short, n_long, n_extra_long) among positive roots with j-th coeff 0.
 
@@ -243,7 +262,8 @@ def deletion_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
     e_i - e_k, beside a tail of rank b = r - j of the type's own kind (for
     D, A(r-1) alone when j >= r - 1).  An exceptional diagram leaves
     pieces of type A, B, C, D, E6 or E7, read off its Gram matrix.  No
-    root is enumerated either way.
+    root is enumerated either way, and each (type, node) is counted once
+    per process.
 
     >>> [deletion_counts(RootSystemType("BC", 3), j) for j in (1, 2, 3)]
     [(2, 2, 2), (1, 1, 1), (0, 3, 0)]
@@ -309,10 +329,11 @@ class KpResult(NamedTuple):
 
 def _kp_over_nodes(t: RootSystemType, m: Multiplicities, counts,
                    nodes) -> KpResult:
+    m_s, m_l, m_xl = m
     best, best_j = -1, 0
     for j in nodes:
         n_s, n_l, n_xl = counts(t, j)
-        total = m.m_s * n_s + m.m_l * n_l + m.m_xl * n_xl
+        total = m_s * n_s + m_l * n_l + m_xl * n_xl
         if total > best:
             best, best_j = total, j
     return KpResult(t.rank + best, best_j)
@@ -334,6 +355,9 @@ def kp_by_deletion(t: RootSystemType, m: Multiplicities) -> KpResult:
     [1, r-2] and on [r-1, r] (a = j(j-1)/2 and b(b +- 1) are convex in j,
     b = r - j is linear), so the smallest maximizer is one of the nodes
     1, r-2, r-1, r, and k costs O(1).  Exceptional types visit every node.
+    The node counts are cached per (type, node), so the catalog build,
+    whose spaces share far fewer types than it has spaces, counts each
+    type's nodes once; this is still the one k formula.
     """
     r = t.rank
     nodes = range(1, r + 1)

@@ -1,13 +1,20 @@
 """Catalog instances, reference-table agreement and product spaces."""
 
 import copy
+import json
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
-from symcart.catalog import (EXCEPTIONAL_SYMBOLS, ConstraintError,
+import symcart
+from symcart.catalog import (EXCEPTIONAL_SYMBOLS, FAMILIES, ConstraintError,
                              ProductSpace, ReducibleError,
                              SPECIAL_ISOMORPHISMS, SpaceInstance,
                              classical_presentations,
@@ -147,6 +154,85 @@ def test_enumerate_catalog_slices_one_catalog():
     assert small == _build_catalog(120)
     small.clear()
     assert enumerate_catalog(120) == [s for s in big if s.dim <= 120]
+
+
+def _recursive_sweep(family, max_dim, prefix=()):
+    """Every admitted parameter tuple from prefix on with dim <= max_dim,
+    by recursion over the parameters; a family without parameters yields
+    () whatever its dim."""
+    rest = len(family.smallest) - len(prefix)
+    if not rest:
+        yield prefix
+        return
+    i = len(prefix)
+    v = max(family.smallest[i], prefix[-1]) if prefix else family.smallest[0]
+    while family.dim(*prefix, *[v] * rest) <= max_dim:
+        yield from _recursive_sweep(family, max_dim, prefix + (v,))
+        v += 1
+
+
+def _catalog_by_instantiate(max_dim):
+    """The catalog one presentation at a time: every swept presentation
+    through instantiate(), kept where it comes back unchanged."""
+    out = []
+    for symbol, family in FAMILIES.items():
+        for params in _recursive_sweep(family, max_dim):
+            try:
+                s = instantiate(symbol, params)
+            except ReducibleError:
+                continue
+            if (s.symbol, s.params) == (symbol, params) and s.dim <= max_dim:
+                out.append(s)
+    return sorted(out, key=attrgetter("symbol", "params"))
+
+
+@pytest.mark.parametrize("max_dim", [60, 300, 1500])
+def test_bulk_build_lists_what_instantiate_keeps(max_dim):
+    """The bulk build skips the rewritten presentations by lookup and
+    builds the rest uncached; it misses no space and adds none."""
+    assert _build_catalog(max_dim) == _catalog_by_instantiate(max_dim)
+
+
+_WORK_COUNT = """
+import json
+from symcart import catalog, rootsys
+
+counted = rootsys.deletion_counts
+keys = set()
+
+def recording(t, j):
+    keys.add((t, j))
+    return counted(t, j)
+
+rootsys.deletion_counts = recording
+spaces = catalog.enumerate_catalog(1500)
+caches = {f.__name__: f.cache_info()._asdict() for f in
+          (catalog.instantiate, counted, rootsys.root_type, rootsys.mults)}
+data = [catalog._root_datum(s.symbol, s.params)[1:]
+        if s.symbol in catalog._CLASSICAL else catalog._EXCEPTIONAL[s.symbol][1:3]
+        for s in spaces if s.symbol != "S"]
+print(json.dumps({"spaces": len(spaces), "caches": caches,
+                  "deletion_keys": len(keys),
+                  "types": len({t for t, m in data}),
+                  "mults": len({m for t, m in data})}))
+"""
+
+
+def test_catalog_build_work_counts_in_a_fresh_interpreter():
+    """The catalog and the caches are per process, so this counts one
+    build from a cold start: it fills no instantiate() cache, counts each
+    (type, node) once and builds each distinct root datum once."""
+    env = dict(os.environ, PYTHONPATH=str(Path(symcart.__file__).parents[1]))
+    out = json.loads(subprocess.run(
+        [sys.executable, "-c", _WORK_COUNT], env=env, capture_output=True,
+        text=True, check=True).stdout)
+    caches = out["caches"]
+    assert caches["instantiate"]["currsize"] == 0
+    deletion = caches["deletion_counts"]
+    assert deletion["misses"] == out["deletion_keys"] < deletion["hits"]
+    assert caches["root_type"]["misses"] == out["types"]
+    assert caches["mults"]["misses"] == out["mults"]
+    assert out["types"] + out["mults"] < out["spaces"]
 
 
 def test_valid_is_codimension_budget_at_least_one():

@@ -4,11 +4,12 @@ import doctest
 
 import pytest
 
-from symcart import abelian, catalog, homotopy, recognize, regions, rootsys
+from symcart import (abelian, catalog, homotopy, recognize, regions, rootsys,
+                     values)
 
 
 @pytest.mark.parametrize("module", (abelian, catalog, homotopy, recognize,
-                                    regions, rootsys),
+                                    regions, rootsys, values),
                          ids=lambda m: m.__name__)
 def test_module_doctests_pass(module):
     result = doctest.testmod(module)

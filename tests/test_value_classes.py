@@ -59,3 +59,47 @@ def test_a_product_sorts_its_factors():
                instantiate("E8"))
     assert ProductSpace((c, a, b)).factors == (b, c, a)
     assert ProductSpace((c, a, b)) == ProductSpace((a, b, c))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: AbelianGroup(1)._replace(free_rank=-1),
+     "free rank must be nonnegative"),
+    (lambda: AbelianGroup._make((0, ((6, 1),))),
+     "torsion entries must be prime powers"),
+    (lambda: PartialAbelianGroup(FINITE)._replace(tag=EXACT),
+     "missing group payload"),
+    (lambda: PartialAbelianGroup._make((FINITE, AbelianGroup(1))),
+     "variant finite takes no payload"),
+    (lambda: RankInterval(1, 2)._replace(hi=0), "need 0 <= lo <= hi"),
+    (lambda: RankInterval._make((-1, None)), "need 0 <= lo <= hi"),
+    (lambda: RootSystemType._make(("Q", 3)), "unknown root system symbol 'Q'"),
+    (lambda: RootSystemType("A", 3)._replace(symbol="D"),
+     "D requires rank >= 4, got 3"),
+    (lambda: Multiplicities(1, 1)._replace(m_s=-5),
+     "multiplicities must be nonnegative"),
+    (lambda: ProductSpace._make(((),)), "a product needs at least one factor"),
+    (lambda: ProductSpace((instantiate("E8"),))._replace(factors=()),
+     "a product needs at least one factor"),
+    (lambda: HypothesisSet(1.0, 0.0, 1)._replace(codim=0),
+     "codim >= 1 for a proper submanifold"),
+    (lambda: HypothesisSet._make((0.0, 0.0, 1)),
+     "delta must be positive and finite"),
+])
+def test_make_and_replace_reject_with_the_constructors_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_make_and_replace_build_what_the_constructor_builds():
+    assert RootSystemType._make(("E8", 0)).rank == 8
+    assert RootSystemType._make(("E8", 0)) == RootSystemType("E8")
+    a, b = instantiate("S", (5,)), instantiate("AIII", (2, 5))
+    made = ProductSpace._make(((a, b),))
+    assert type(made) is ProductSpace and made.factors == (b, a)
+    assert ProductSpace((a,))._replace(factors=(a, b)) == ProductSpace((b, a))
+    assert RankInterval(1, 2)._replace(hi=None) == RankInterval(1, None)
+    assert Multiplicities(1, 1)._replace(m_xl=2) == Multiplicities(1, 1, 2)
+    with pytest.raises(TypeError, match="^Expected 2 arguments, got 1$"):
+        RankInterval._make((1,))
+    with pytest.raises(ValueError, match="unexpected field names"):
+        RankInterval(1, 2)._replace(mid=1)

@@ -244,8 +244,8 @@ def _root_datum(symbol: str, params: Tuple[int, ...]):
 
 @lru_cache(maxsize=None)
 def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
-    """Build a space, following special isomorphisms to the canonical form."""
-    params = tuple(params)
+    """Build a space, following special isomorphisms to the canonical form;
+    ``params`` is a tuple, since it is part of the cache key."""
     if symbol == "BDI" and len(params) == 2 and params[0] == 1:
         symbol, params = "S", (params[1],)          # Gr(R,1,1+q) covers to S^q
     while (symbol, params) in SPECIAL_ISOMORPHISMS:

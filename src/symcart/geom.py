@@ -10,18 +10,20 @@ arithmetic over the catalog quantities.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, SpaceInstance,
                       instantiate)
-from .homotopy import _cached_per_data_dir, _compile_guard
 from .values import value_tuple
 
 
 def connectivity(ambient: SpaceInstance, sub_dim: int) -> int:
-    """Connectedness degree 2l - k - n + 2 of an l-dimensional inclusion."""
+    """Connectedness degree 2l - k - n + 2 of an l-dimensional inclusion.
+
+    >>> connectivity(instantiate("S", (12,)), 11)     # k_P = 1, n = 12
+    11
+    """
     if not 1 <= sub_dim < ambient.dim:
         raise ValueError("submanifold dimension out of range")
     return 2 * sub_dim - ambient.kp - ambient.dim + 2
@@ -45,6 +47,11 @@ def trace_bound(delta: float, k: int, r: float) -> float:
     return lam * k * math.tan(lam * r)
 
 
+def _require_proper(codim: int) -> None:
+    if codim < 1:
+        raise ValueError("codim >= 1 for a proper submanifold")
+
+
 class HypothesisSet(value_tuple("HypothesisSet", "delta focal_floor codim")):
     __slots__ = ()
 
@@ -53,8 +60,7 @@ class HypothesisSet(value_tuple("HypothesisSet", "delta focal_floor codim")):
             raise ValueError("delta must be positive and finite")
         if not 0 <= focal_floor < math.pi / 2:
             raise ValueError("focal radius floor must lie in [0, pi/2)")
-        if codim < 1:
-            raise ValueError("codim >= 1 for a proper submanifold")
+        _require_proper(codim)
         return tuple.__new__(cls, (delta, focal_floor, codim))
 
 
@@ -116,7 +122,11 @@ def meridian_codim(fld: str, p: int, q: int, a: int, b: int) -> int:
     """Codimension of the meridian Gr(a, n-2b) x Gr(b, 2b) in Gr(F, p, n).
 
     Requires a + b = p, 0 <= a < p, p <= q (n = p + q).  The real case
-    follows the complex and quaternionic pattern with c = 1.
+    follows the complex and quaternionic pattern with c = 1.  In
+    Gr(C, 3, 23) the a = 2 meridian is the smallest, above C_P = 35/2:
+
+    >>> [meridian_codim("C", 3, 20, a, 3 - a) for a in range(3)]
+    [102, 76, 42]
     """
     c = GRASSMANNIANS[fld][1]
     if a + b != p or not 0 <= a < p or not p <= q:
@@ -125,36 +135,33 @@ def meridian_codim(fld: str, p: int, q: int, a: int, b: int) -> int:
     return c * p * q - (c * a * (n - 2 * b - a) + c * b * b)
 
 
-@_cached_per_data_dir
-def index_lower_bound(fld: str, p: int, data_dir: Optional[str] = None) -> int:
-    """Bundled external-source index value for Gr(F, p, n) submanifolds.
+def index_lower_bound(fld: str, p: int) -> int:
+    """Index value c * p for Gr(F, p, n) submanifolds, c = dim_R F.
 
-    The index expression is compiled by the homotopy tables' guard
-    compiler, so a construct outside its whitelist, or a name other than
-    p, raises ValueError.  Results are cached per data directory as the
-    homotopy tables are: no directory, None and the shipped one share an
-    entry.
+    >>> [index_lower_bound(fld, 3) for fld in "RCH"]
+    [3, 6, 12]
     """
-    with open(os.path.join(data_dir, "index_bounds.txt")) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#") or not line:
-                continue
-            name, _, expr = line.partition("|")
-            if name.strip() == fld:
-                return eval(_compile_guard(expr.strip(), ("p",)),
-                            {"__builtins__": {}}, {"p": p})
-    raise KeyError(fld)
+    # External-source lower bounds for the index of a totally geodesic
+    # submanifold of Gr(F, p, n), taken from the literature on the index
+    # of symmetric spaces; nothing in this package derives them.
+    return GRASSMANNIANS[fld][1] * p
 
 
 class ObstructionVerdict(NamedTuple):
     applicable: bool
     reason: str
     ambient: SpaceInstance
-    cp: Fraction
     index_bound: int
     min_meridian_codim: Optional[int] = None
-    analogy_derived: bool = False      # real case: formula follows C/H pattern
+
+    @property
+    def cp(self) -> Fraction:
+        return self.ambient.cp
+
+    @property
+    def analogy_derived(self) -> bool:
+        """Real ambient (c = 1): meridians follow the C/H pattern."""
+        return self.ambient.symbol == GRASSMANNIANS["R"][0]
 
     def __str__(self):
         head = "Applicable" if self.applicable else "NotApplicable"
@@ -167,31 +174,28 @@ def theorem_b_check(fld: str, p: int, n: int, codim: int,
                     index_bound: Optional[int] = None) -> ObstructionVerdict:
     """Gate for the Cartan-type rigidity of low-codimension submanifolds.
 
-    Preconditions: 3 <= p < n/2.  Applicable when index <= codim <= C_P;
-    in that case the meridian obstruction is verified: every meridian of
-    the ambient Grassmannian has codimension strictly above C_P, so no
-    sphere factor can hide in one.
+    Preconditions: 3 <= p < n/2 and codim >= 1.  Applicable when
+    index <= codim <= C_P; in that case the meridian obstruction is
+    verified: every meridian of the ambient Grassmannian has codimension
+    strictly above C_P, so no sphere factor can hide in one.
     """
     if fld not in GRASSMANNIANS:
         raise ValueError("field must be R, C or H")
     if not (3 <= p and 2 * p < n):
         raise ValueError("need 3 <= p < n/2")
+    _require_proper(codim)
     q = n - p
     ambient = instantiate(GRASSMANNIANS[fld][0], (p, q))
     idx = index_lower_bound(fld, p) if index_bound is None else index_bound
     if not idx <= codim:
         return ObstructionVerdict(False, f"codim {codim} below index bound {idx}",
-                                  ambient, ambient.cp, idx,
-                                  analogy_derived=fld == "R")
+                                  ambient, idx)
     if Fraction(codim) > ambient.cp:
         return ObstructionVerdict(False, f"codim {codim} exceeds C_P = {ambient.cp}",
-                                  ambient, ambient.cp, idx,
-                                  analogy_derived=fld == "R")
+                                  ambient, idx)
     mmin = min_meridian_codim(fld, p, q)
     assert Fraction(mmin) > ambient.cp, (fld, p, q, mmin, ambient.cp)
-    return ObstructionVerdict(True, "index <= codim <= C_P", ambient,
-                              ambient.cp, idx, mmin,
-                              analogy_derived=fld == "R")
+    return ObstructionVerdict(True, "index <= codim <= C_P", ambient, idx, mmin)
 
 
 def min_meridian_codim(fld: str, p: int, q: int) -> int:

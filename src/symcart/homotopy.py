@@ -157,12 +157,6 @@ def _guard_atoms(node: ast.AST, text: str):
         yield terms, ops, names
 
 
-@lru_cache(maxsize=None)
-def _compile_guard(text: str, names: Tuple[str, ...]) -> CodeType:
-    """A checked guard compiled for ``eval`` over ``names``."""
-    return compile(_check_guard(text, names), "<guard>", "eval")
-
-
 _DEGREES = tuple(range(1, MAX_DEGREE + 1))
 
 

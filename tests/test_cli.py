@@ -396,7 +396,12 @@ def test_numeric_options_take_ascii_digits_only(capsys, argv, message):
     (["dump-roots", "A", "--rank", "-2"], "A requires rank >= 1, got -2"),
     (["gate", "S(12)", "--codim", "1", "--focal-r", "-0.5"],
      "focal radius floor must lie in [0, pi/2)"),
-], ids=("max-dim", "codim", "rank", "focal-r"))
+    (["tgeo", "C", "3", "23", "--codim", "0"],
+     "codim >= 1 for a proper submanifold"),
+    (["tgeo", "C", "3", "23", "--codim", "-1"],
+     "codim >= 1 for a proper submanifold"),
+], ids=("max-dim", "codim", "rank", "focal-r", "tgeo-codim-0",
+        "tgeo-codim-negative"))
 def test_signed_ascii_options_reach_their_range_checks(capsys, argv,
                                                        message):
     assert main(argv) == 2

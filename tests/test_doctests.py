@@ -4,12 +4,12 @@ import doctest
 
 import pytest
 
-from symcart import (abelian, catalog, homotopy, recognize, regions, rootsys,
-                     values)
+from symcart import (abelian, catalog, geom, homotopy, recognize, regions,
+                     rootsys, values)
 
 
-@pytest.mark.parametrize("module", (abelian, catalog, homotopy, recognize,
-                                    regions, rootsys, values),
+@pytest.mark.parametrize("module", (abelian, catalog, geom, homotopy,
+                                    recognize, regions, rootsys, values),
                          ids=lambda m: m.__name__)
 def test_module_doctests_pass(module):
     result = doctest.testmod(module)

@@ -147,19 +147,13 @@ def test_meridian_obstruction_sweep():
 
 
 def test_index_lower_bounds():
-    assert index_lower_bound("R", 5) == 5
-    assert index_lower_bound("C", 3) == 6
-    assert index_lower_bound("H", 2) == 8
-
-
-def test_index_bounds_file_goes_through_the_guard_compiler(tmp_path):
-    (tmp_path / "index_bounds.txt").write_text(
-        "R | p\nC | __import__('os').getpid()\nH | q + 1\n")
-    assert index_lower_bound("R", 5, str(tmp_path)) == 5
-    with pytest.raises(ValueError, match="disallowed construct"):
-        index_lower_bound("C", 3, str(tmp_path))
-    with pytest.raises(ValueError, match="unknown name 'q'"):
-        index_lower_bound("H", 3, str(tmp_path))
+    """c * p, the rows R | p, C | 2*p, H | 4*p of the index table that
+    shipped as a data file before the bound was read from GRASSMANNIANS."""
+    for p in range(1, 41):
+        assert [index_lower_bound(fld, p) for fld in "RCH"] == \
+            [p, 2 * p, 4 * p]
+    with pytest.raises(KeyError):
+        index_lower_bound("O", 3)
 
 
 def test_theorem_b_verdicts():
@@ -172,6 +166,15 @@ def test_theorem_b_verdicts():
     assert not v.applicable and "below index" in v.reason
     v = theorem_b_check("R", 4, 30, 5)
     assert v.analogy_derived
+    for fld, p, n in (("R", 3, 7), ("C", 3, 23), ("H", 5, 40)):
+        for codim in (1, 4 * p, 200):
+            v = theorem_b_check(fld, p, n, codim)
+            assert v.cp == v.ambient.cp and v.analogy_derived == (fld == "R")
+            assert v.index_bound == index_lower_bound(fld, p)
+    for codim in (0, -1):
+        with pytest.raises(ValueError,
+                           match="codim >= 1 for a proper submanifold"):
+            theorem_b_check("C", 3, 23, codim)
     with pytest.raises(ValueError):
         theorem_b_check("C", 2, 10, 3)
     with pytest.raises(ValueError):

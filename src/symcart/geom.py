@@ -174,7 +174,8 @@ def theorem_b_check(fld: str, p: int, n: int, codim: int,
                     index_bound: Optional[int] = None) -> ObstructionVerdict:
     """Gate for the Cartan-type rigidity of low-codimension submanifolds.
 
-    Preconditions: 3 <= p < n/2 and codim >= 1.  Applicable when
+    Preconditions: 3 <= p < n/2, codim >= 1 and an ``index_bound``, if
+    given, of at least 1.  Applicable when
     index <= codim <= C_P; in that case the meridian obstruction is
     verified: every meridian of the ambient Grassmannian has codimension
     strictly above C_P, so no sphere factor can hide in one.
@@ -184,6 +185,8 @@ def theorem_b_check(fld: str, p: int, n: int, codim: int,
     if not (3 <= p and 2 * p < n):
         raise ValueError("need 3 <= p < n/2")
     _require_proper(codim)
+    if index_bound is not None and index_bound < 1:
+        raise ValueError("index bound >= 1 required")
     q = n - p
     ambient = instantiate(GRASSMANNIANS[fld][0], (p, q))
     idx = index_lower_bound(fld, p) if index_bound is None else index_bound

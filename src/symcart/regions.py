@@ -12,16 +12,22 @@ side of recognition are constant, so ``recognize.corollary1_scan`` and
 its members from the family's dim formula, instantiating members only
 where they list them.
 
-The start and periods come from every source a row reads (``_tails``):
-the guards' comparison constants and ``//``/``%`` divisors, the fixed
-parameters of record patterns and of the special and product
-isomorphisms, the sphere and CP^n rules, validity and MAX_DEGREE.  The
-regions are derived once per data directory, on the first scan or
-check, and the module is imported only then.
+Each family's start and periods come from the sources its own rows and
+blind side read (``_tails``): the guards' comparison constants and
+``//``/``%`` divisors, the fixed parameters of record patterns and of
+the special and product isomorphisms, and three rules that settle past
+MAX_DEGREE -- the sphere rule for S, the CP^n rule (through the spheres'
+start) and the CP^n blind side for AIII, the Gr(R,2,q) blind side for
+BDI.  A start is then raised until each tail starts valid.  The regions
+are derived once per data directory, on the first scan or check, and
+the module is imported only then.
 
->>> cp = [r for r in regions() if r.least.label() == "AIII(1,11)"][0]
->>> cp.steps, cp.count(300), [s.label() for s in cp.members(26)]
-((0, 1), 140, ['AIII(1,11)', 'AIII(1,12)', 'AIII(1,13)'])
+CP^n = AIII(1,q) settles at q = 5, where S(2q + 1) passes MAX_DEGREE,
+but CP^5 is not valid, so its tail region starts at CP^6:
+
+>>> cp = [r for r in regions() if r.least.label() == "AIII(1,6)"][0]
+>>> cp.steps, cp.count(300), [s.label() for s in cp.members(16)]
+((0, 1), 145, ['AIII(1,6)', 'AIII(1,7)', 'AIII(1,8)'])
 """
 
 from __future__ import annotations
@@ -104,16 +110,21 @@ def _guard_tails(text: str) -> Dict[str, Tuple[int, int]]:
 def _tails(records) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
     """Each symbol's start and per-parameter periods.
 
-    From the start on, a space's row depends on its parameters only
-    through their residues mod the periods.  The start lies past every
-    fixed parameter of a record pattern and of a special or product
-    isomorphism, past every guard's start, and past MAX_DEGREE, where
-    the sphere rule and the blind sides of recognition settle.  CP^n =
-    AIII(1,q) reads the row of S(2q + 1), so AIII takes the spheres'
-    start and period too.
+    From the start on, a space's row and blind side depend on its
+    parameters only through their residues mod the periods.  A family's
+    start lies past what its own sources fix, and no further:
+
+    - each guard's start (``_guard_tails``) and each fixed parameter of
+      a record pattern and of a special or product isomorphism;
+    - S: the sphere rule gives pi_n(S^n) = Z at each n <= MAX_DEGREE,
+      so it settles past MAX_DEGREE;
+    - AIII: CP^n = AIII(1,q) reads the row of S(2q + 1), so it starts
+      where 2q + 1 reaches the spheres' start, and takes their period;
+      its blind side needs 2q + 1 > MAX_DEGREE;
+    - BDI: the blind side of Gr(R,2,q) needs q > MAX_DEGREE.
     """
-    starts = {symbol: MAX_DEGREE + 1 if family.smallest else 0
-              for symbol, family in FAMILIES.items()}
+    starts = dict.fromkeys(FAMILIES, 0)
+    starts["S"] = starts["BDI"] = MAX_DEGREE + 1
     periods = {symbol: [1] * len(family.smallest)
                for symbol, family in FAMILIES.items()}
     for rec in records:
@@ -130,7 +141,8 @@ def _tails(records) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
                                                   period)
     for symbol, params in (*SPECIAL_ISOMORPHISMS, *PRODUCT_ISOMORPHISMS):
         starts[symbol] = max((starts[symbol], *(v + 1 for v in params)))
-    starts["AIII"] = max(starts["AIII"], starts["S"])
+    starts["AIII"] = max(starts["AIII"], starts["S"] // 2,
+                         (MAX_DEGREE + 1) // 2)
     periods["AIII"][1] = math.lcm(periods["AIII"][1], periods["S"][0])
     return starts, periods
 

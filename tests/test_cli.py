@@ -400,8 +400,12 @@ def test_numeric_options_take_ascii_digits_only(capsys, argv, message):
      "codim >= 1 for a proper submanifold"),
     (["tgeo", "C", "3", "23", "--codim", "-1"],
      "codim >= 1 for a proper submanifold"),
+    (["tgeo", "C", "3", "23", "--codim", "1", "--index", "0"],
+     "index bound >= 1 required"),
+    (["tgeo", "C", "3", "23", "--codim", "1", "--index", "-5"],
+     "index bound >= 1 required"),
 ], ids=("max-dim", "codim", "rank", "focal-r", "tgeo-codim-0",
-        "tgeo-codim-negative"))
+        "tgeo-codim-negative", "tgeo-index-0", "tgeo-index-negative"))
 def test_signed_ascii_options_reach_their_range_checks(capsys, argv,
                                                        message):
     assert main(argv) == 2

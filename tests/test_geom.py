@@ -175,6 +175,10 @@ def test_theorem_b_verdicts():
         with pytest.raises(ValueError,
                            match="codim >= 1 for a proper submanifold"):
             theorem_b_check("C", 3, 23, codim)
+    for index_bound in (0, -5):
+        with pytest.raises(ValueError, match="index bound >= 1 required"):
+            theorem_b_check("C", 3, 23, 1, index_bound)
+    assert theorem_b_check("C", 3, 23, 1, 1).applicable
     with pytest.raises(ValueError):
         theorem_b_check("C", 2, 10, 3)
     with pytest.raises(ValueError):

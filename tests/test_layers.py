@@ -6,28 +6,61 @@ from pathlib import Path
 import symcart
 
 _SRC = Path(symcart.__file__).parent
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _imports(module):
-    """The modules that ``module`` imports, its package's own spelled
-    ``symcart.<name>``."""
+def _tree(module):
     path = _SRC / f"{module}.py"
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.level:
-            names |= ({f"symcart.{node.module}"} if node.module else
-                      {f"symcart.{alias.name}" for alias in node.names})
-        elif isinstance(node, ast.ImportFrom):
-            names.add(node.module)
+    return ast.parse(path.read_text(), str(path))
+
+
+def _imported(node):
+    """The modules an import statement names, the package's own spelled
+    ``symcart.<name>``; nothing for any other node."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and node.level:
+        return ({f"symcart.{node.module}"} if node.module else
+                {f"symcart.{alias.name}" for alias in node.names})
+    if isinstance(node, ast.ImportFrom):
+        return {node.module}
+    return set()
+
+
+def _imports(node):
+    """The modules imported anywhere under ``node``."""
+    return set().union(*map(_imported, ast.walk(node)))
+
+
+def _import_time_imports(node):
+    """The modules imported outside function bodies under ``node``: those
+    that importing its module runs."""
+    names = _imported(node)
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, _FUNCTIONS):
+            names |= _import_time_imports(child)
     return names
 
 
 def test_geom_is_arithmetic_over_catalog_spaces():
     """geom reads no file and no homotopy table: from its package it
     imports only the catalog and the value classes, and it has no ``os``."""
-    names = _imports("geom")
+    names = _imports(_tree("geom"))
     assert {n for n in names if n.partition(".")[0] == "symcart"} <= \
         {"symcart.catalog", "symcart.values"}, names
     assert "os" not in {n.partition(".")[0] for n in names}, names
+
+
+def test_regions_is_imported_only_by_the_scan_and_the_check():
+    """No package module imports ``symcart.regions`` when it is itself
+    imported, so set-up never compiles it; the scan and the consistency
+    check import it inside their bodies."""
+    importers = set()
+    for path in sorted(_SRC.glob("*.py")):
+        tree = _tree(path.stem)
+        assert "symcart.regions" not in _import_time_imports(tree), path.stem
+        importers |= {f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                      if isinstance(node, _FUNCTIONS)
+                      and "symcart.regions" in _imports(node)}
+    assert importers == {"recognize.corollary1_scan",
+                         "homotopy.consistency_violations"}

@@ -445,10 +445,11 @@ def test_scan_work_counts_per_region_and_per_class_pair():
 
     Counts, not wall time.  The records are parsed once, and the scan
     and the check read one homotopy row per region, plus the sphere rows
-    that the CP^n rule reads: 268 regions stand for the 1,576 catalog
+    that the CP^n rule reads: 133 regions stand for the 1,576 catalog
     spaces of dim <= 300 and the 13,249 of dim <= 2000, so both dims
-    build the same rows and evaluate the same guards, each matched guard
-    once per row.  Only the class pairs that hold a violating or
+    build the same 134 rows (the 133 regions' and that of S(13), read by
+    CP^6) and evaluate the same 168 guards, each matched guard once per
+    row.  Only the class pairs that hold a violating or
     undetermined pair visit their pairs, never a blind one, without a
     per-pair ``_is_blind_pair`` call.  The scan compares class profiles
     without ``compatible``, ranking each distinct cell value at most
@@ -460,8 +461,8 @@ def test_scan_work_counts_per_region_and_per_class_pair():
     small, big = _count_work(300), _count_work(2000)
     for counts in (small, big):
         assert counts["parses"] == 1
-        assert counts["rows"] == counts["read"] < 300
-        assert counts["guard_evals"] == counts["guarded"] > 0
+        assert counts["rows"] == counts["read"] == 134
+        assert counts["guard_evals"] == counts["guarded"] == 168
         assert counts["blind"] == 0
         assert counts["scan_compatible"] == 0 < counts["compatible"]
         assert 0 < counts["field_ranks"] <= counts["cell_values"]

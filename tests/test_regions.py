@@ -10,11 +10,11 @@ import symcart
 from symcart.abelian import INCOMPATIBLE, compatible, format_group
 from symcart.catalog import enumerate_catalog, instantiate
 from symcart.cli import main
-from symcart.homotopy import (_compile_degree_guard, consistency_violations,
-                              load_records, row)
+from symcart.homotopy import (MAX_DEGREE, _compile_degree_guard,
+                              consistency_violations, load_records, row)
 from symcart.recognize import _blind_side, corollary1_scan
 from symcart.regions import (MAX_REGION_PERIOD, MAX_REGION_START,
-                             _guard_tails, regions)
+                             _guard_tails, _tails, regions)
 from test_recognize import _pair_loop_scan
 
 _DATA = Path(symcart.__file__).parent / "data"
@@ -56,8 +56,22 @@ def test_every_region_member_is_what_its_region_predicts():
 
 def test_regions_are_few_and_start_where_the_tables_settle():
     """Every shipped guard settles by parameter 12 (Spin(n), whose stable
-    row holds for k <= n - 2), with period 1."""
-    assert len(regions()) < 300
+    row holds for k <= n - 2), with period 1.  A family starts where its
+    own sources settle: past MAX_DEGREE only for the sphere rule (S) and
+    the blind side of Gr(R,2,q) (BDI), at q = 5 for CP^n, whose S(2q + 1)
+    passes MAX_DEGREE there, and elsewhere at its own guards, patterns
+    and isomorphisms.  A family's start is then raised until its tails
+    start valid (CP^5, dim 10, is not)."""
+    starts, periods = _tails(load_records())
+    assert {s: start for s, start in starts.items() if periods[s]} == {
+        "S": 11, "SU": 6, "AI": 11, "AII": 3, "Spin": 12, "Sp": 3, "CI": 5,
+        "DIII": 6, "BDI": 11, "AIII": 5, "CII": 2}
+    assert all(starts[s] <= MAX_DEGREE for s in ("CII", "SU", "DIII"))
+    for symbol in ("SU", "DIII"):       # the stable row starts holding there
+        start = starts[symbol]
+        assert row(instantiate(symbol, (start - 1,))) != \
+            row(instantiate(symbol, (start,)))
+    assert len(regions()) == 133
     tails = [r for r in regions() if any(r.steps)]
     assert {r.steps[-1] for r in tails} == {1}
     assert max(min(p for p, step in zip(r.least.params, r.steps) if step)
@@ -200,3 +214,36 @@ def test_a_periodic_guard_splits_its_tail(tmp_path):
     assert (report.distinguishable_pairs, report.blind_pairs,
             report.violations, report.undetermined) == \
         _pair_loop_scan(120, 9, data_dir)
+
+
+def test_a_late_sphere_row_moves_the_cpn_tail(tmp_path):
+    """A sphere row that settles at n = 20 starts S's tail there, and
+    CP^n = AIII(1,q), which reads S(2q + 1), then splits at q = 10, where
+    2q + 1 reaches 20; below it each CP^n is a region of its own.  Every
+    member is what its region predicts, and the scan and the check equal
+    their per-space oracles."""
+    data_dir = _tables(tmp_path, spheres=["S(n) | n >= 20 and k == 9 | 9=Z_2"])
+    starts, _ = _tails(load_records(data_dir))
+    assert (starts["S"], starts["AIII"]) == (20, 10)
+    found = regions(data_dir)
+    cpn = [(r.least.params[1], r.steps) for r in found
+           if r.least.symbol == "AIII" and r.least.params[0] == 1]
+    assert cpn == [(q, (0, 0)) for q in range(2, 10)] + [(10, (0, 1))]
+    spheres = [(r.least.params[0], r.steps) for r in found
+               if r.least.symbol == "S"]
+    assert spheres[-1] == (20, (1,))
+    for region in found:
+        least = region.least
+        sides = [_blind_side(least, degree) for degree in (9, 10)]
+        for s in region.members(300):
+            assert s.valid == least.valid, s
+            assert [_blind_side(s, degree) for degree in (9, 10)] == sides
+            assert row(s, data_dir) == region.row, s
+    for max_dim, degree in ((120, 9), (60, 10)):
+        report = corollary1_scan(max_dim, degree, data_dir)
+        assert (report.distinguishable_pairs, report.blind_pairs,
+                report.violations, report.undetermined) == \
+            _pair_loop_scan(max_dim, degree, data_dir)
+    bad = consistency_violations(300, data_dir)
+    assert bad == _per_instance_violations(300, data_dir)
+    assert [s.label() for s, *_ in bad[:1]] == ["S(20)"]

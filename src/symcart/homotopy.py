@@ -36,11 +36,11 @@ once per degree.  The sphere and CP^n rules are applied only to spaces
 of their symbols.  A missing table file, or a row that does not parse
 (a repeated degree, or a prime outside ``abelian.FIELDS``, among them)
 raises ``ValueError``; a row's message starts with its ``file:line``.
-A guard's ``//`` and ``%`` divide only by nonzero integer constants, so
-a guard that loads cannot fail when evaluated.  A pattern's fixed
+A guard adds, subtracts and multiplies integers, and divides nowhere,
+so a guard that loads cannot fail when evaluated.  A pattern's fixed
 parameters are ASCII digits, and a guard is linear: each comparison
 reads one parameter besides k (``_guard_atoms``), so its truth is
-eventually periodic in every parameter, as the regions need.
+eventually constant in every parameter, as the regions need.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -71,17 +71,17 @@ _DATA_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "data"))
 
 _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp,
                   ast.Not, ast.USub, ast.Compare, ast.BinOp, ast.Add,
-                  ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod, ast.Eq,
-                  ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE,
-                  ast.Name, ast.Load, ast.Constant)
+                  ast.Sub, ast.Mult, ast.Eq, ast.NotEq, ast.Lt,
+                  ast.LtE, ast.Gt, ast.GtE, ast.Name, ast.Load,
+                  ast.Constant)
 
 
 def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
     """Parse a guard expression, allowing only arithmetic/comparison nodes
     over integer constants and the variables in ``names``.
 
-    ``//`` and ``%`` must divide by a nonzero integer constant, so no
-    guard that passes this check can raise when evaluated.
+    No allowed node divides, so no guard that passes this check can
+    raise when evaluated.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -95,22 +95,15 @@ def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
             raise ValueError(f"non-integer constant in guard {text!r}")
         if isinstance(node, ast.Name) and node.id not in names:
             raise ValueError(f"unknown name {node.id!r} in guard {text!r}")
-        if isinstance(node, ast.BinOp) \
-                and isinstance(node.op, (ast.FloorDiv, ast.Mod)) \
-                and not (isinstance(node.right, ast.Constant)
-                         and node.right.value):
-            raise ValueError(f"divisor {ast.unparse(node.right)!r} in guard "
-                             f"{text!r} is not a nonzero integer constant")
     return tree
 
 
 def _term_names(node: ast.AST, text: str) -> frozenset:
     """The names that an arithmetic term of a guard reads.
 
-    A term is linear: integer constants and names, joined by ``+``, ``-``,
-    ``//`` and ``%`` by a constant, and ``*`` with a side that reads no
-    name.  Such a term, as a function of one name, moves by a constant
-    when the name moves by the product of the term's divisors.
+    A term is linear: integer constants and names, joined by ``+`` and
+    ``-``, and by ``*`` with a side that reads no name.  Such a term, as
+    a function of one name, moves by a constant when the name moves by 1.
     """
     if isinstance(node, ast.Constant):
         return frozenset()
@@ -134,9 +127,10 @@ def _guard_atoms(node: ast.AST, text: str):
     besides k).
 
     A comparison may read one parameter besides k.  Its truth at each
-    k = 1..MAX_DEGREE is then eventually periodic in that parameter (see
-    ``_atom_tail``), and so is the guard's in each parameter, which the
-    region scan needs; ``k < q - p`` has no such period and is rejected.
+    k = 1..MAX_DEGREE is then eventually constant in that parameter (see
+    ``regions._atom_tail``), and so is the guard's in each parameter,
+    which the region scan needs; ``k < q - p`` need not settle in either
+    parameter and is rejected.
     """
     if isinstance(node, ast.BoolOp):
         for value in node.values:

@@ -185,12 +185,6 @@ class _ProfileClass:
         """The members with no blind side, as ``members`` lists them."""
         return [m for m in self.members if m[1] is None]
 
-    @cached_property
-    def by_side(self) -> Dict[str, List[SpaceInstance]]:
-        """The members on each blind side, in catalog order."""
-        return {side: [s for s, at in self.members if at == side]
-                for side in _OTHER_SIDE}
-
 
 def _pairs(ca: _ProfileClass, cb: Optional[_ProfileClass], sided_too: bool):
     """The different-symbol pairs of a class pair, in member order.
@@ -212,16 +206,9 @@ def _pairs(ca: _ProfileClass, cb: Optional[_ProfileClass], sided_too: bool):
 
 def _blind(ca: _ProfileClass, cb: Optional[_ProfileClass]):
     """The blind pairs of a class pair, in member order (see ``_pairs``)."""
-    before = dict.fromkeys(_OTHER_SIDE, 0)   # ca's members per side up to a
-    for a, side in ca.members:
-        if side is None:
-            continue
-        other = _OTHER_SIDE[side]
-        if cb is None:
-            before[side] += 1
-            yield from ((a, b) for b in ca.by_side[other][before[other]:])
-        else:
-            yield from ((a, b) for b in cb.by_side[other])
+    side = dict(ca.members + (cb or ca).members)    # member -> blind side
+    return ((a, b) for a, b in _pairs(ca, cb, True)
+            if (side[a], side[b]) in _BLIND_SIDE_PAIRS)
 
 
 def _apart(classes: List[_ProfileClass], max_degree: int) -> List[int]:

@@ -2,25 +2,23 @@
 
 Every shipped guard compares linear terms of one parameter and the
 degree k <= MAX_DEGREE (``homotopy._guard_atoms``), so a family's row
-stops changing, up to a period, once its parameters pass a start that
-the tables determine.  A family's canonical spaces therefore split into
-finitely many regions: each parameter is either fixed below the
-family's start or runs from the start on through one residue class of
-its period.  On a region the row, validity, canonical form and blind
-side of recognition are constant, so ``recognize.corollary1_scan`` and
-``homotopy.consistency_violations`` read one row per region and count
-its members from the family's dim formula, instantiating members only
-where they list them.
+stops changing once its parameters pass a start that the tables
+determine.  A family's canonical spaces therefore split into finitely
+many regions: each parameter is either fixed below the family's start
+or runs from the start on.  On a region the row, validity, canonical
+form and blind side of recognition are constant, so
+``recognize.corollary1_scan`` and ``homotopy.consistency_violations``
+read one row per region and count its members from the family's dim
+formula, instantiating members only where they list them.
 
-Each family's start and periods come from the sources its own rows and
-blind side read (``_tails``): the guards' comparison constants and
-``//``/``%`` divisors, the fixed parameters of record patterns and of
-the special and product isomorphisms, and three rules that settle past
-MAX_DEGREE -- the sphere rule for S, the CP^n rule (through the spheres'
-start) and the CP^n blind side for AIII, the Gr(R,2,q) blind side for
-BDI.  A start is then raised until each tail starts valid.  The regions
-are derived once per data directory, on the first scan or check, and
-the module is imported only then.
+Each family's start comes from the sources its own rows and blind side
+read (``_tails``): the guards' comparison constants, the fixed
+parameters of record patterns and of the special and product
+isomorphisms, and three rules that settle past MAX_DEGREE -- the sphere
+rule for S, the CP^n rule and the CP^n blind side for AIII, the
+Gr(R,2,q) blind side for BDI.  A start is then raised until each tail
+starts valid.  The regions are derived once per data directory, on the
+first scan or check, and the module is imported only then.
 
 CP^n = AIII(1,q) settles at q = 5, where S(2q + 1) passes MAX_DEGREE,
 but CP^5 is not valid, so its tail region starts at CP^6:
@@ -33,45 +31,38 @@ but CP^5 is not valid, so its tail region starts at CP^6:
 from __future__ import annotations
 
 import ast
-import math
 from bisect import bisect_right
 from functools import lru_cache
 from operator import attrgetter, eq, ge, gt, le, lt, ne
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .catalog import (FAMILIES, PRODUCT_ISOMORPHISMS, SPECIAL_ISOMORPHISMS,
                       ReducibleError, SpaceInstance, instantiate)
 from .homotopy import (_DEGREES, _NO_BUILTINS, MAX_DEGREE, Cell,
                        _cached_per_data_dir, _guard_atoms, load_records, row)
 
-# A table whose rows would settle only past this parameter, or repeat
-# with a longer period, is refused by the region scan: its regions could
-# outnumber the catalog spaces they stand for.
+# A table whose rows would settle only past this parameter is refused by
+# the region scan: its regions could outnumber the catalog spaces they
+# stand for.
 MAX_REGION_START = 32
-MAX_REGION_PERIOD = 16
 
 
 _COMPARE = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt,
             ast.GtE: ge}
 
 
-def _atom_tail(terms, ops, name: str) -> Tuple[int, int]:
-    """(start, period) in ``name`` of the comparison ``terms[0] ops[0]
-    terms[1] ...``: from ``start`` on, its truth at each k = 1..MAX_DEGREE
-    repeats with ``period``.
+def _atom_tail(terms, ops, name: str) -> int:
+    """The start in ``name`` of the comparison ``terms[0] ops[0]
+    terms[1] ...``: from it on, its truth at each k = 1..MAX_DEGREE is
+    constant.
 
     The terms are linear (``homotopy._term_names``), so moving ``name``
-    by the product P of their divisors moves each difference e of
-    adjacent terms by a constant d, its drift, at every x and k.  Where d is 0, e repeats
-    from any x.  Elsewhere ``e op 0`` takes its final truth, in each
-    residue class x, once e + m*d has d's sign, or is 0 if ``0 op 0`` is
-    that truth too; the start lies just past the last x + m*period
-    that has not.
+    by 1 moves each difference e of adjacent terms by a constant d, its
+    drift, at every value and k.  Where d is 0, e never moves.
+    Elsewhere ``e op 0`` takes its final truth once e + m*d has d's sign,
+    or is 0 if ``0 op 0`` is that truth too; the start is the largest
+    such least m over the degrees and differences, or 0.
     """
-    period = math.prod(abs(node.right.value) for term in terms
-                       for node in ast.walk(term)
-                       if isinstance(node, ast.BinOp)
-                       and isinstance(node.op, (ast.FloorDiv, ast.Mod)))
     diffs = [ast.BinOp(a, ast.Sub(), b) for a, b in zip(terms, terms[1:])]
     code = compile(ast.fix_missing_locations(ast.Expression(
         ast.Tuple(diffs, ast.Load()))), "<guard>", "eval")
@@ -80,78 +71,65 @@ def _atom_tail(terms, ops, name: str) -> Tuple[int, int]:
         return eval(code, {**_NO_BUILTINS, name: x, "k": k})
 
     compares = [_COMPARE[type(op)] for op in ops]
-    drifts = [b - a for a, b in zip(at(0, 1), at(period, 1))]
+    drifts = [b - a for a, b in zip(at(0, 1), at(1, 1))]
     start = 0
-    for x in range(period):
-        for k in _DEGREES:
-            for e, d, cmp in zip(at(x, k), drifts, compares):
-                if d:                   # m > -e/d, or m >= -e/d
-                    m = -(e // d) if cmp(0, 0) == cmp(d, 0) else -e // d + 1
-                    if m > 0:           # x + (m - 1)*period is not yet
-                        start = max(start, x + (m - 1) * period + 1)
-    return start, period
+    for k in _DEGREES:
+        for e, d, cmp in zip(at(0, k), drifts, compares):
+            if d:                       # m > -e/d, or m >= -e/d
+                start = max(start, -(e // d) if cmp(0, 0) == cmp(d, 0)
+                            else -e // d + 1)
+    return start
 
 
 @lru_cache(maxsize=None)
-def _guard_tails(text: str) -> Dict[str, Tuple[int, int]]:
-    """(start, period) per parameter of a loaded guard: from start on,
-    the guard's truth at each degree repeats with period in that
-    parameter, whatever the others are (each comparison reads one)."""
+def _guard_tails(text: str) -> Dict[str, int]:
+    """The start per parameter of a loaded guard: from it on, the
+    guard's truth at each degree is constant in that parameter, whatever
+    the others are (each comparison reads one)."""
     tails = {}
     for terms, ops, names in _guard_atoms(ast.parse(text, mode="eval").body,
                                           text):
         for name in names:
-            start, period = _atom_tail(terms, ops, name)
-            old_start, old_period = tails.get(name, (0, 1))
-            tails[name] = (max(start, old_start), math.lcm(period, old_period))
+            tails[name] = max(_atom_tail(terms, ops, name),
+                              tails.get(name, 0))
     return tails
 
 
-def _tails(records) -> Tuple[Dict[str, int], Dict[str, List[int]]]:
-    """Each symbol's start and per-parameter periods.
+def _tails(records) -> Dict[str, int]:
+    """Each symbol's start: from it on, a parameter no longer changes a
+    space's row or blind side.
 
-    From the start on, a space's row and blind side depend on its
-    parameters only through their residues mod the periods.  A family's
-    start lies past what its own sources fix, and no further:
+    A family's start lies past what its own sources fix, and no further:
 
     - each guard's start (``_guard_tails``) and each fixed parameter of
       a record pattern and of a special or product isomorphism;
     - S: the sphere rule gives pi_n(S^n) = Z at each n <= MAX_DEGREE,
       so it settles past MAX_DEGREE;
-    - AIII: CP^n = AIII(1,q) reads the row of S(2q + 1), so it starts
-      where 2q + 1 reaches the spheres' start, and takes their period;
-      its blind side needs 2q + 1 > MAX_DEGREE;
+    - AIII: CP^n = AIII(1,q) reads pi_k(S(2q + 1)), which the sphere
+      rule, read first, makes trivial at each k <= MAX_DEGREE once
+      2q + 1 > MAX_DEGREE, as its blind side needs;
     - BDI: the blind side of Gr(R,2,q) needs q > MAX_DEGREE.
     """
     starts = dict.fromkeys(FAMILIES, 0)
     starts["S"] = starts["BDI"] = MAX_DEGREE + 1
-    periods = {symbol: [1] * len(family.smallest)
-               for symbol, family in FAMILIES.items()}
+    starts["AIII"] = (MAX_DEGREE + 1) // 2
     for rec in records:
         family = FAMILIES.get(rec.symbol)
         if family is None or len(rec.param_values) != len(family.smallest):
             continue                    # matches no catalog space
-        starts[rec.symbol] = max((starts[rec.symbol], *(
+        guard = {} if rec.guard is None else _guard_tails(rec.guard_text)
+        starts[rec.symbol] = max((starts[rec.symbol], *guard.values(), *(
             v + 1 for v in rec.param_values if v is not None)))
-        if rec.guard is not None:
-            for name, (start, period) in _guard_tails(rec.guard_text).items():
-                i = rec.param_names.index(name)
-                starts[rec.symbol] = max(starts[rec.symbol], start)
-                periods[rec.symbol][i] = math.lcm(periods[rec.symbol][i],
-                                                  period)
     for symbol, params in (*SPECIAL_ISOMORPHISMS, *PRODUCT_ISOMORPHISMS):
         starts[symbol] = max((starts[symbol], *(v + 1 for v in params)))
-    starts["AIII"] = max(starts["AIII"], starts["S"] // 2,
-                         (MAX_DEGREE + 1) // 2)
-    periods["AIII"][1] = math.lcm(periods["AIII"][1], periods["S"][0])
-    return starts, periods
+    return starts
 
 
 class Region(NamedTuple):
     """The canonical spaces of one family that share one homotopy row.
 
     A member's parameter i is ``least.params[i]`` where ``steps[i]`` is
-    0, and otherwise runs from there in steps of ``steps[i]``, kept
+    0, and otherwise runs on from there in steps of 1, kept
     nondecreasing; the fixed parameters come first.  Every member has
     ``least``'s row, validity, canonical form and blind side, and
     ``least`` has the smallest parameters, and so the smallest dim.
@@ -163,10 +141,8 @@ class Region(NamedTuple):
 
     def _first(self, i: int, prefix: Tuple[int, ...]) -> int:
         """The least value of parameter i after the member's ``prefix``."""
-        v, step = self.least.params[i], self.steps[i]
-        if step and prefix and prefix[-1] > v:
-            v += -((v - prefix[-1]) // step) * step
-        return v
+        v = self.least.params[i]
+        return max(v, prefix[-1]) if self.steps[i] and prefix else v
 
     def _prefixes(self, max_dim: int, length: int, prefix=()):
         """The first ``length`` parameters of every member with
@@ -185,7 +161,7 @@ class Region(NamedTuple):
             yield from self._prefixes(max_dim, length, prefix + (v,))
             if not self.steps[i]:
                 return
-            v += self.steps[i]
+            v += 1
 
     def params(self, max_dim: int) -> Iterator[Tuple[int, ...]]:
         """Every member's parameters with dim <= max_dim, in order."""
@@ -205,22 +181,21 @@ class Region(NamedTuple):
             return 0
         if not self.steps or not self.steps[-1]:
             return sum(1 for _ in self.params(max_dim))
-        dim, last, step = (FAMILIES[self.least.symbol].dim,
-                           len(self.steps) - 1, self.steps[-1])
+        dim, last = FAMILIES[self.least.symbol].dim, len(self.steps) - 1
         total = 0
         for prefix in self._prefixes(max_dim, last):
             v = self._first(last, prefix)
             # an integer dim that grows with the parameter passes max_dim
             # within max_dim + 1 steps
-            values = range(v, v + step * (max_dim + 1), step)
+            values = range(v, v + max_dim + 1)
             total += bisect_right(values, max_dim,
                                   key=lambda u: dim(*prefix, u))
         return total
 
 
-def _family_regions(symbol: str, start: int, periods: List[int]):
+def _family_regions(symbol: str, start: int):
     """(least member, steps) of each region of one family: its
-    parameters fixed below ``start``, then one residue class each."""
+    parameters fixed below ``start``, then one run from it on."""
     smallest = FAMILIES[symbol].smallest
 
     def extend(params, steps):
@@ -237,9 +212,7 @@ def _family_regions(symbol: str, start: int, periods: List[int]):
         if not any(steps):
             for v in range(lo, start):
                 yield from extend(params + (v,), steps + (0,))
-        lo = max(lo, start)
-        for v in range(lo, lo + periods[i]):
-            yield from extend(params + (v,), steps + (periods[i],))
+        yield from extend(params + (max(lo, start),), steps + (1,))
 
     return extend((), ())
 
@@ -253,18 +226,13 @@ def regions(data_dir=None) -> Tuple[Region, ...]:
     family's start is raised, if need be, until each region with a
     tail starts with a valid space; d_P grows in every parameter, so
     the whole tail is then valid.  A family whose rows settle past
-    MAX_REGION_START, or repeat with a period above MAX_REGION_PERIOD,
-    raises ``ValueError``.
+    MAX_REGION_START raises ``ValueError``.
     """
-    starts, periods = _tails(load_records(data_dir))
+    starts = _tails(load_records(data_dir))
     out = []
     for symbol in FAMILIES:
-        if max(periods[symbol], default=1) > MAX_REGION_PERIOD:
-            raise ValueError(f"the homotopy rows of {symbol} repeat with "
-                             f"period {max(periods[symbol])}, above "
-                             f"MAX_REGION_PERIOD = {MAX_REGION_PERIOD}")
         for start in range(starts[symbol], MAX_REGION_START + 1):
-            found = list(_family_regions(symbol, start, periods[symbol]))
+            found = list(_family_regions(symbol, start))
             if all(s.valid for s, steps in found if any(steps)):
                 break
         else:

@@ -558,18 +558,23 @@ def test_a_malformed_data_row_is_one_error_line(capsys, tmp_path, row,
 
 
 def test_a_guard_dividing_by_a_variable_is_one_error_line(capsys, tmp_path):
+    """Any ``//`` or ``%`` in a guard, by a variable or a constant, is a
+    malformed row: one ``error:`` line, exit 2."""
     for f in (Path(symcart.__file__).parent / "data").glob("*.txt"):
         shutil.copy(f, tmp_path)
     table = tmp_path / "exceptional.txt"
     text = table.read_text()
     lineno = text.count("\n") + 1
-    table.write_text(text + "E6 | k // (k - k) >= 1 | 2=Z\n")
-    code = main(["homotopy", "E6", "--data-dir", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == (f"error: {table}:{lineno}: "
-                            "divisor 'k - k' in guard 'k // (k - k) >= 1' "
-                            "is not a nonzero integer constant\n")
+    for guard, construct in (("k // (k - k) >= 1", "FloorDiv"),
+                             ("k // 3 >= 1", "FloorDiv"),
+                             ("k % 4 == 2", "Mod")):
+        table.write_text(text + f"E6 | {guard} | 2=Z\n")
+        code = main(["homotopy", "E6", "--data-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: {table}:{lineno}: disallowed "
+                                f"construct {construct} in guard "
+                                f"{guard!r}\n")
 
 
 def test_a_data_dir_without_the_tables_is_one_error_line(capsys, tmp_path):

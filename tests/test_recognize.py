@@ -221,10 +221,10 @@ def _split_blind_pairs(tmp_path):
     """A copy of the shipped tables whose blind pairs span profile classes.
 
     With the shipped tables every blind pair lies inside one class.  Here
-    spurious pi_9 cells move Gr(R,2,q) with odd q, together with AII(4),
-    into a class that sorts before CP^n's, and Gr(R,2,q) with q = 2 mod 4
-    into one that sorts after it; their blind pairs become violations of
-    distinguishable class pairs, counted from either side.
+    spurious pi_9 cells move Gr(R,2,q) with 11 <= q <= 14, together with
+    AII(4), into a class that sorts before CP^n's, and Gr(R,2,q) with
+    15 <= q <= 18 into one that sorts after it; their blind pairs become
+    violations of distinguishable class pairs, counted from either side.
     """
     for f in (Path(symcart.__file__).parent / "data").glob("*.txt"):
         shutil.copy(f, tmp_path)
@@ -233,9 +233,9 @@ def _split_blind_pairs(tmp_path):
     assert "BDI(2,q) | q >= 11 | 2=Z\n" in text
     grassmannians.write_text(text.replace(
         "BDI(2,q) | q >= 11 | 2=Z\n",
-        "BDI(2,q) | q >= 11 and q % 2 == 1 | 2=Z; 9=Z_2\n"
-        "BDI(2,q) | q >= 11 and q % 4 == 2 | 2=Z; 9=Z_3\n"
-        "BDI(2,q) | q >= 11 and q % 4 == 0 | 2=Z\n"))
+        "BDI(2,q) | q >= 11 and q <= 14 | 2=Z; 9=Z_2\n"
+        "BDI(2,q) | q >= 15 and q <= 18 | 2=Z; 9=Z_3\n"
+        "BDI(2,q) | q >= 19 | 2=Z\n"))
     spheres = tmp_path / "spheres.txt"   # read first: its rows win ties
     spheres.write_text("AII(4) | - | 2=Z; 9=Z_2\n" + spheres.read_text())
     return str(tmp_path)

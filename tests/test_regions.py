@@ -8,13 +8,12 @@ from hypothesis import given, strategies as st
 
 import symcart
 from symcart.abelian import INCOMPATIBLE, compatible, format_group
-from symcart.catalog import enumerate_catalog, instantiate
+from symcart.catalog import FAMILIES, enumerate_catalog, instantiate
 from symcart.cli import main
 from symcart.homotopy import (MAX_DEGREE, _compile_degree_guard,
                               consistency_violations, load_records, row)
 from symcart.recognize import _blind_side, corollary1_scan
-from symcart.regions import (MAX_REGION_PERIOD, MAX_REGION_START,
-                             _guard_tails, _tails, regions)
+from symcart.regions import MAX_REGION_START, _guard_tails, _tails, regions
 from test_recognize import _pair_loop_scan
 
 _DATA = Path(symcart.__file__).parent / "data"
@@ -56,14 +55,15 @@ def test_every_region_member_is_what_its_region_predicts():
 
 def test_regions_are_few_and_start_where_the_tables_settle():
     """Every shipped guard settles by parameter 12 (Spin(n), whose stable
-    row holds for k <= n - 2), with period 1.  A family starts where its
-    own sources settle: past MAX_DEGREE only for the sphere rule (S) and
-    the blind side of Gr(R,2,q) (BDI), at q = 5 for CP^n, whose S(2q + 1)
-    passes MAX_DEGREE there, and elsewhere at its own guards, patterns
-    and isomorphisms.  A family's start is then raised until its tails
-    start valid (CP^5, dim 10, is not)."""
-    starts, periods = _tails(load_records())
-    assert {s: start for s, start in starts.items() if periods[s]} == {
+    row holds for k <= n - 2).  A family starts where its own sources
+    settle: past MAX_DEGREE only for the sphere rule (S) and the blind
+    side of Gr(R,2,q) (BDI), at q = 5 for CP^n, whose S(2q + 1) passes
+    MAX_DEGREE there, and elsewhere at its own guards, patterns and
+    isomorphisms.  A family's start is then raised until its tails start
+    valid (CP^5, dim 10, is not)."""
+    starts = _tails(load_records())
+    assert {s: start for s, start in starts.items()
+            if FAMILIES[s].smallest} == {
         "S": 11, "SU": 6, "AI": 11, "AII": 3, "Spin": 12, "Sp": 3, "CI": 5,
         "DIII": 6, "BDI": 11, "AIII": 5, "CII": 2}
     assert all(starts[s] <= MAX_DEGREE for s in ("CII", "SU", "DIII"))
@@ -114,13 +114,10 @@ _leaves = st.one_of(st.sampled_from(["q", "k"]),
 
 
 def _extend(terms):
-    divisor = st.integers(1, 6).map(str)
     return st.one_of(
         st.tuples(terms, st.sampled_from(["+", "-"]), terms)
         .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.tuples(st.integers(-4, 4), terms).map(lambda t: f"{t[0]} * {t[1]}"),
-        st.tuples(terms, st.sampled_from(["//", "%"]), divisor)
-        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"))
+        st.tuples(st.integers(-4, 4), terms).map(lambda t: f"{t[0]} * {t[1]}"))
 
 
 _terms = st.recursive(_leaves, _extend, max_leaves=6)
@@ -140,22 +137,21 @@ _guards = st.recursive(
 @given(_guards)
 def test_a_guard_repeats_past_its_start(guard):
     """Brute force: from the start ``_guard_tails`` gives, the guard's
-    truth at every degree repeats with its period."""
+    truth at every degree is constant."""
     code = _compile_degree_guard(guard, ("q",))
-    start, period = _guard_tails(guard).get("q", (0, 1))
+    start = _guard_tails(guard).get("q", 0)
 
     def holds(q):
         return [bool(v) for v in eval(code, {"__builtins__": {}, "q": q})]
 
-    for q in range(start, start + 3 * period + 40):
-        assert holds(q) == holds(q + period), (guard, q)
+    for q in range(start, start + 40):
+        assert holds(q) == holds(start), (guard, q)
 
 
 def test_guard_tails_of_the_shipped_forms():
-    assert _guard_tails("k <= 2*n - 1") == {"n": (6, 1)}
-    assert _guard_tails("n >= 5 and k <= n - 2") == {"n": (12, 1)}
-    assert _guard_tails("p >= 11 and k < q") == {"p": (11, 1), "q": (11, 1)}
-    assert _guard_tails("q >= 11 and q % 4 == 2") == {"q": (11, 4)}
+    assert _guard_tails("k <= 2*n - 1") == {"n": 6}
+    assert _guard_tails("n >= 5 and k <= n - 2") == {"n": 12}
+    assert _guard_tails("p >= 11 and k < q") == {"p": 11, "q": 11}
     assert _guard_tails("k > 2") == {}
 
 
@@ -166,10 +162,7 @@ def test_guard_tails_of_the_shipped_forms():
     (["BDI(2,100) | - | 2=Z"],
      f"the homotopy rows of BDI do not settle by parameter "
      f"MAX_REGION_START = {MAX_REGION_START}"),
-    (["BDI(2,q) | q % 17 == 3 | 2=Z"],
-     f"the homotopy rows of BDI repeat with period 17, above "
-     f"MAX_REGION_PERIOD = {MAX_REGION_PERIOD}"),
-], ids=("guard", "pattern", "period"))
+], ids=("guard", "pattern"))
 def test_a_table_past_the_region_bounds_fails_the_scan_only(
         capsys, tmp_path, rows, message):
     """Such a table loads and answers single spaces; a scan or check on
@@ -197,38 +190,19 @@ def test_a_guard_without_a_period_is_a_malformed_row(capsys, tmp_path):
         "p and q in one comparison; each may read one parameter besides k\n")
 
 
-def test_a_periodic_guard_splits_its_tail(tmp_path):
-    """Under a ``%`` guard the tail of Gr(R,2,q) splits into one region
-    per residue mod 4, whose rows follow the residue; the scan over
-    them equals the pair loop."""
-    data_dir = _tables(tmp_path, real_grassmannians=[
-        "BDI(2,q) | q >= 13 and q % 4 == 1 | 9=Z_2"])
-    tail = [r for r in regions(data_dir)
-            if r.least.symbol == "BDI" and r.least.params[0] == 2
-            and any(r.steps)]
-    assert [(r.least.params[1], r.steps) for r in tail] == [
-        (13, (0, 4)), (14, (0, 4)), (15, (0, 4)), (16, (0, 4))]
-    assert [r.least.params[1] % 4 == 1 for r in tail] == \
-        [len(r.row[9 - 1]) > len(tail[1].row[9 - 1]) for r in tail]
-    report = corollary1_scan(120, 9, data_dir)
-    assert (report.distinguishable_pairs, report.blind_pairs,
-            report.violations, report.undetermined) == \
-        _pair_loop_scan(120, 9, data_dir)
-
-
-def test_a_late_sphere_row_moves_the_cpn_tail(tmp_path):
-    """A sphere row that settles at n = 20 starts S's tail there, and
-    CP^n = AIII(1,q), which reads S(2q + 1), then splits at q = 10, where
-    2q + 1 reaches 20; below it each CP^n is a region of its own.  Every
-    member is what its region predicts, and the scan and the check equal
-    their per-space oracles."""
+def test_a_late_sphere_row_leaves_the_cpn_tail(tmp_path):
+    """A sphere row that settles at n = 20 starts S's tail there, but
+    CP^n = AIII(1,q), which reads pi_k(S(2q + 1)), keeps its tail from
+    CP^6: the sphere rule, read first, answers every k <= MAX_DEGREE
+    < 2q + 1.  Every member is what its region predicts, and the scan and
+    the check equal their per-space oracles."""
     data_dir = _tables(tmp_path, spheres=["S(n) | n >= 20 and k == 9 | 9=Z_2"])
-    starts, _ = _tails(load_records(data_dir))
-    assert (starts["S"], starts["AIII"]) == (20, 10)
+    starts = _tails(load_records(data_dir))
+    assert (starts["S"], starts["AIII"]) == (20, 5)
     found = regions(data_dir)
     cpn = [(r.least.params[1], r.steps) for r in found
            if r.least.symbol == "AIII" and r.least.params[0] == 1]
-    assert cpn == [(q, (0, 0)) for q in range(2, 10)] + [(10, (0, 1))]
+    assert cpn == [(q, (0, 0)) for q in range(2, 6)] + [(6, (0, 1))]
     spheres = [(r.least.params[0], r.steps) for r in found
                if r.least.symbol == "S"]
     assert spheres[-1] == (20, (1,))

@@ -238,8 +238,8 @@ def _text_verdict(p, args):
 # and 22 MB peak RSS (23 MB with --format json) as a whole process, against
 # 0.35 s and 20 MB at 300, of which the interpreter's own start-up
 # (`python3 -c pass`) took 0.24 s (fastest of 9 runs each; Python 3.11,
-# 2-vCPU Xeon host).  The scan reads regions and counts the blind pairs,
-# but it still lists its violations and undetermined pairs, about 1.5 per
+# 2-vCPU Xeon host).  The scan reads regions and counts its pairs, but
+# this command lists every violation and undetermined pair, about 1.5 per
 # unit of max_dim at degree 9, so the bound stays
 MAX_SCAN_DIM = 2000
 

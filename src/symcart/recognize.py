@@ -11,7 +11,8 @@ ever being guessed).  Each cell value is ranked once per process
 ``corollary1_scan`` costs per region and per profile class, not per
 space or per pair: it reads the catalog as the regions of
 ``symcart.regions``, counts their members from the families' dim
-formulas, and instantiates spaces only to list the pairs it reports.
+formulas, and counts the pairs of each bucket it reports; spaces are
+instantiated only when a bucket's pairs are listed.
 
 ``decompose`` searches cores, not products.  A space whose every pi_k
 through the degree is exactly trivial (S^n for n > max_degree) is
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import merge
 from itertools import accumulate, repeat
 from operator import add, attrgetter, eq, ge
@@ -235,47 +236,62 @@ def _apart(classes: List[_ProfileClass], max_degree: int) -> List[int]:
     return masks
 
 
-class BlindPairs:
-    """The scan's blind pairs, counted rather than listed: a read-only view.
+class ScanPairs:
+    """One bucket of the scan's pairs, counted rather than listed: a
+    read-only view.
 
-    It holds the class pairs that contain them, as ``(ca, cb)`` with
-    ``cb`` None for a class paired with itself, and their count from the
-    classes' side counts, so ``len`` lists nothing; iterating lists the
-    classes' members and yields every pair in scan order, and the view
-    equals a list of those pairs.
+    It holds, per class pair whose pairs fall in the bucket, a function
+    that lists them and the verdict each listed pair carries (None for
+    a blind pair, listed as ``(a, b)``; otherwise ``(a, b, verdict)``),
+    and their count from the classes' counts, so ``len`` lists nothing;
+    iterating lists the classes' members and yields every pair in scan
+    order, the same sequence each time, and the view equals a list of
+    those pairs.
     """
 
-    def __init__(self, class_pairs=(), count: int = 0):
-        self._class_pairs = tuple(class_pairs)
-        self._count = count
+    def __init__(self):
+        self._parts = []                    # (listing, verdict)
+        self._count = 0
+
+    def _add(self, count: int, listing, verdict: Optional[Verdict] = None):
+        """File ``count`` pairs, which the argless ``listing`` lists.  No
+        pair, no part: iterating lists no class that adds no pair."""
+        if count:
+            self._parts.append((listing, verdict))
+            self._count += count
 
     def __len__(self) -> int:
         return self._count
 
     def __iter__(self):
-        for ca, cb in self._class_pairs:
-            yield from _blind(ca, cb)
+        for listing, v in self._parts:
+            if v is None:
+                yield from listing()
+            else:
+                yield from ((a, b, v) for a, b in listing())
 
     def __eq__(self, other):
-        if not isinstance(other, (BlindPairs, list)):
+        if not isinstance(other, (ScanPairs, list)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self):
-        return f"<BlindPairs: {len(self)} pairs>"
+        return f"<ScanPairs: {len(self)} pairs>"
 
 
 class ScanReport:
-    """``corollary1_scan``'s counts and listed pairs, filled in as it runs."""
+    """``corollary1_scan``'s counts, and its buckets of pairs as
+    ``ScanPairs`` views: ``len`` of a bucket lists no pair, and only
+    iterating one instantiates the members it lists."""
 
     def __init__(self, max_dim: int, max_degree: int):
         self.max_dim = max_dim
         self.max_degree = max_degree
         self.instances = 0
         self.distinguishable_pairs = 0
-        self.blind_pairs = BlindPairs()
-        self.violations: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = []
-        self.undetermined: List[Tuple[SpaceInstance, SpaceInstance, Verdict]] = []
+        self.blind_pairs = ScanPairs()
+        self.violations = ScanPairs()
+        self.undetermined = ScanPairs()
 
     @property
     def clean(self) -> bool:
@@ -304,18 +320,20 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     blind side.  Every pair of different symbols but the blind ones is
     first counted distinguishable: (n^2 - sum h^2)/2 over the symbol
     histogram, less the product of the two blind sides' sizes.  One
-    bitmask per class
-    (``_apart``) then names the classes it is distinguishable from, and
-    only the other class pairs, and those that may hold blind pairs, are
-    compared: their different-symbol pairs, |A|.|B| - sum h_A.h_B (or
-    (n^2 - sum h^2)/2 within one class), are moved out of the count.  A
-    distinguishable class pair lists its blind pairs as violations; an
-    indistinguishable one files its blind pairs in ``BlindPairs``, a view
-    that counts them and lists nothing, and lists only its other pairs,
-    as violations; an undetermined one lists all its pairs.  Only the
-    members of a class that lists pairs are instantiated, in catalog
-    order.  The comparisons read each distinct cell value's rank
-    intervals from ``abelian.field_ranks``, so they too cost per value.
+    bitmask per class (``_apart``) then names the classes it is
+    distinguishable from, and only the other class pairs, and those that
+    may hold blind pairs, are compared: their different-symbol pairs,
+    |A|.|B| - sum h_A.h_B (or (n^2 - sum h^2)/2 within one class), are
+    moved out of the count.  Each compared class pair files its pairs in
+    the report's buckets, ``ScanPairs`` views that count them from the
+    class counts and list nothing: a distinguishable class pair's blind
+    pairs are violations; an indistinguishable one's blind pairs are
+    blind, and its other pairs, diff - n_blind of them, violations; an
+    undetermined one's pairs, all diff of them, undetermined.  A class's
+    members are instantiated, in catalog order, only when a bucket that
+    holds its pairs is iterated.  The comparisons read each distinct
+    cell value's rank intervals from ``abelian.field_ranks``, so they
+    too cost per value.
     """
     from .regions import regions        # built by the first scan or check
     if max_dim < 11:
@@ -341,8 +359,10 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
     # every pair of different symbols but the blind ones counts as
     # distinguishable; then each class pair that is not, or that may hold
     # blind pairs, is compared, in class order, and its pairs moved
-    symbols = sum((c.symbols for c in classes), Counter())
-    sides = sum((c.sided for c in classes), Counter())
+    symbols, sides = Counter(), Counter()
+    for c in classes:
+        symbols.update(c.symbols)
+        sides.update(c.sided)
     n = report.instances
     report.distinguishable_pairs = (
         (n * n - sum(h * h for h in symbols.values())) // 2
@@ -352,7 +372,6 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
         {(i, j) for i, mask in enumerate(_apart(classes, max_degree))
          for j in range(i, len(classes)) if not mask >> j & 1}
         | {(i, j) for i in sided for j in sided if i <= j})
-    blind, n_blind_total = [], 0
     for i, j in compared:
         ca, cb = classes[i], None if i == j else classes[j]
         if cb is None:
@@ -367,21 +386,17 @@ def corollary1_scan(max_dim: int, max_degree: int = 9,
         if not diff:
             continue
         v = distinguish_profiles(ca.prof, (cb or ca).prof, max_degree)
+        blind = partial(_blind, ca, cb)
         if v.kind == DISTINGUISHABLE:
-            if n_blind:
-                report.violations += [(a, b, v) for a, b in _blind(ca, cb)]
+            report.violations._add(n_blind, blind, v)
             continue
         report.distinguishable_pairs -= diff - n_blind
         if v.kind == INDISTINGUISHABLE:
-            if n_blind:
-                blind.append((ca, cb))
-                n_blind_total += n_blind
-            report.violations += [(a, b, v)
-                                  for a, b in _pairs(ca, cb, False)]
+            report.blind_pairs._add(n_blind, blind)
+            report.violations._add(diff - n_blind,
+                                   partial(_pairs, ca, cb, False), v)
         else:
-            report.undetermined += [(a, b, v)
-                                    for a, b in _pairs(ca, cb, True)]
-    report.blind_pairs = BlindPairs(blind, n_blind_total)
+            report.undetermined._add(diff, partial(_pairs, ca, cb, True), v)
     return report
 
 

@@ -33,12 +33,12 @@ from __future__ import annotations
 import ast
 from bisect import bisect_right
 from functools import lru_cache
-from operator import attrgetter, eq, ge, gt, le, lt, ne
+from operator import add, attrgetter, eq, ge, gt, le, lt, ne, sub
 from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .catalog import (FAMILIES, PRODUCT_ISOMORPHISMS, SPECIAL_ISOMORPHISMS,
                       ReducibleError, SpaceInstance, instantiate)
-from .homotopy import (_DEGREES, _NO_BUILTINS, MAX_DEGREE, Cell,
+from .homotopy import (_DEGREES, MAX_DEGREE, Cell,
                        _cached_per_data_dir, _guard_atoms, load_records, row)
 
 # A table whose rows would settle only past this parameter is refused by
@@ -51,33 +51,48 @@ _COMPARE = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt,
             ast.GtE: ge}
 
 
+def _linear(term, name: str) -> Tuple[int, int, int]:
+    """A linear guard term (``homotopy._term_names``) in k and ``name``
+    as its integer coefficients: (constant, k's, ``name``'s)."""
+    if isinstance(term, ast.Constant):
+        return int(term.value), 0, 0
+    if isinstance(term, ast.Name):
+        return 0, int(term.id == "k"), int(term.id == name)
+    if isinstance(term, ast.UnaryOp):           # -x, the only unary term
+        return tuple(-c for c in _linear(term.operand, name))
+    a, b = _linear(term.left, name), _linear(term.right, name)
+    if isinstance(term.op, ast.Add):
+        return tuple(map(add, a, b))
+    if isinstance(term.op, ast.Sub):
+        return tuple(map(sub, a, b))
+    if any(a[1:]):                              # a side of * reads no name
+        a, b = b, a
+    return tuple(a[0] * c for c in b)
+
+
 def _atom_tail(terms, ops, name: str) -> int:
     """The start in ``name`` of the comparison ``terms[0] ops[0]
     terms[1] ...``: from it on, its truth at each k = 1..MAX_DEGREE is
     constant.
 
-    The terms are linear (``homotopy._term_names``), so moving ``name``
-    by 1 moves each difference e of adjacent terms by a constant d, its
-    drift, at every value and k.  Where d is 0, e never moves.
+    The terms are linear, so each difference e of adjacent terms is
+    c + c_k*k + d*``name`` in integers: moving ``name`` by 1 moves e by
+    d, its drift, at every value and k.  Where d is 0, e never moves.
     Elsewhere ``e op 0`` takes its final truth once e + m*d has d's sign,
     or is 0 if ``0 op 0`` is that truth too; the start is the largest
     such least m over the degrees and differences, or 0.
     """
-    diffs = [ast.BinOp(a, ast.Sub(), b) for a, b in zip(terms, terms[1:])]
-    code = compile(ast.fix_missing_locations(ast.Expression(
-        ast.Tuple(diffs, ast.Load()))), "<guard>", "eval")
-
-    def at(x, k):
-        return eval(code, {**_NO_BUILTINS, name: x, "k": k})
-
-    compares = [_COMPARE[type(op)] for op in ops]
-    drifts = [b - a for a, b in zip(at(0, 1), at(1, 1))]
+    forms = [_linear(t, name) for t in terms]
     start = 0
-    for k in _DEGREES:
-        for e, d, cmp in zip(at(0, k), drifts, compares):
-            if d:                       # m > -e/d, or m >= -e/d
-                start = max(start, -(e // d) if cmp(0, 0) == cmp(d, 0)
-                            else -e // d + 1)
+    for a, b, op in zip(forms, forms[1:], ops):
+        c, c_k, d = map(sub, a, b)
+        if not d:
+            continue
+        cmp = _COMPARE[type(op)]
+        for k in _DEGREES:              # m > -e/d, or m >= -e/d
+            e = c + c_k * k
+            start = max(start, -(e // d) if cmp(0, 0) == cmp(d, 0)
+                        else -e // d + 1)
     return start
 
 

@@ -34,8 +34,8 @@ KpResult(value=49, maximizer=1)
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import NamedTuple, Optional, Tuple
 
 from .values import value_tuple
@@ -179,43 +179,41 @@ def _closure_roots(g) -> list:
 
     Built height by height: a candidate alpha + alpha_i is a root iff
     q > 0 where q = p - <alpha, alpha_i^vee>, p the largest k with
-    alpha - k*alpha_i still a root.  The roots of largest norm are long,
-    the rest short.
+    alpha - k*alpha_i still a root.  Each root carries its inner products
+    with the simple roots and its norm, each updated from its parent's,
+    and the pairing is an exact integer division.  The roots of largest
+    norm are long, the rest short.
     """
     r = len(g)
-    norms = [g[i][i] for i in range(r)]
-    simple = [tuple(1 if j == i else 0 for j in range(r)) for i in range(r)]
-    roots = set(simple)
-    frontier = list(simple)
+    # root -> (its inner products with the simple roots, its norm)
+    roots = {tuple(int(j == i) for j in range(r)): (tuple(g[i]), g[i][i])
+             for i in range(r)}
+    frontier = list(roots)
     while frontier:
         nxt = []
         for alpha in frontier:
+            inner, norm = roots[alpha]
             for i in range(r):
                 # p: how far we can subtract alpha_i and stay a root
                 p = 0
                 probe = list(alpha)
                 while True:
                     probe[i] -= 1
-                    if min(probe) < 0 or tuple(probe) not in roots:
+                    if probe[i] < 0 or tuple(probe) not in roots:
                         break
                     p += 1
-                pairing = Fraction(2 * sum(alpha[j] * g[j][i] for j in range(r)),
-                                   norms[i])
-                assert pairing.denominator == 1
-                if p - pairing > 0:
-                    cand = tuple(c + (1 if j == i else 0)
-                                 for j, c in enumerate(alpha))
+                pairing, rest = divmod(2 * inner[i], g[i][i])
+                assert not rest, (alpha, i)
+                if p > pairing:
+                    cand = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
                     if cand not in roots:
-                        roots.add(cand)
+                        roots[cand] = (tuple(map(add, inner, g[i])),
+                                       norm + 2 * inner[i] + g[i][i])
                         nxt.append(cand)
         frontier = nxt
 
-    def norm(alpha):
-        return sum(alpha[i] * alpha[j] * g[i][j]
-                   for i in range(r) for j in range(r))
-
-    top = max(norm(a) for a in roots)
-    return [PositiveRoot(a, LONG if norm(a) == top else SHORT)
+    top = max(norm for _, norm in roots.values())
+    return [PositiveRoot(a, LONG if roots[a][1] == top else SHORT)
             for a in sorted(roots)]
 
 

@@ -64,3 +64,15 @@ def test_regions_is_imported_only_by_the_scan_and_the_check():
                       and "symcart.regions" in _imports(node)}
     assert importers == {"recognize.corollary1_scan",
                          "homotopy.consistency_violations"}
+
+
+def test_regions_runs_no_code():
+    """``regions`` reads each guard's terms from their AST as integer
+    coefficients: it neither compiles nor evaluates code."""
+    called = set()
+    for node in ast.walk(_tree("regions")):
+        if isinstance(node, ast.Call):
+            f = node.func
+            called.add(f.id if isinstance(f, ast.Name)
+                       else getattr(f, "attr", None))
+    assert not called & {"compile", "eval", "exec"}, called

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from operator import eq
 from pathlib import Path
 
 import pytest
@@ -191,15 +192,31 @@ def _pair_loop_scan(max_dim, max_degree, data_dir=None):
     return distinguishable, blind, violations, undetermined
 
 
+def _assert_counts_equal_listings(report):
+    """Each bucket's ``len``, taken from the class counts, is the length
+    of its listing, and two iterations list one sequence."""
+    for view in (report.blind_pairs, report.violations, report.undetermined):
+        assert len(view) == sum(1 for _ in view)
+        assert sum(map(eq, view, view)) == len(view)
+
+
 @pytest.mark.parametrize("max_degree, max_dim", [
     (9, 120), (9, 300), (10, 120), (10, 300),
     # at degree 3 most classes merge: 12,939 violations at dim 120
-    (3, 120)])
+    (3, 120), (3, 60), (9, 60), (10, 60), (3, 300)])
 def test_counted_scan_equals_the_pair_loop(max_dim, max_degree):
     report = corollary1_scan(max_dim, max_degree)
+    _assert_counts_equal_listings(report)
     assert (report.distinguishable_pairs, report.blind_pairs,
             report.violations, report.undetermined) == \
         _pair_loop_scan(max_dim, max_degree)
+
+
+@pytest.mark.parametrize("max_degree", (3, 9, 10))
+def test_bucket_counts_equal_listings_at_dim_1000(max_degree):
+    """The pair loop takes about 20 s here, so only the listings are
+    checked: 1,355,312 violations at degree 3, never held at once."""
+    _assert_counts_equal_listings(corollary1_scan(1000, max_degree))
 
 
 @pytest.mark.parametrize("max_dim, max_degree, counts", [
@@ -249,6 +266,7 @@ def test_counted_scan_equals_the_pair_loop_across_classes(tmp_path):
                         if _is_blind_pair(a, b)]
     assert ("BDI", "AIII") in blind_violations
     assert ("AIII", "BDI") in blind_violations
+    _assert_counts_equal_listings(report)
     assert (report.distinguishable_pairs, report.blind_pairs,
             report.violations, report.undetermined) == \
         _pair_loop_scan(120, 9, data_dir)
@@ -387,14 +405,19 @@ recognize._is_blind_pair = counted_is_blind
 for module in (abelian, homotopy, recognize):
     if hasattr(module, "compatible"):
         module.compatible = counted_compatible
-recognize.corollary1_scan(max_dim)
+report = recognize.corollary1_scan(max_dim)
 scan_compatible = calls["compatible"]
 field_ranks = abelian.field_ranks.cache_info().misses
 instantiated = catalog.instantiate.cache_info().misses
 homotopy.consistency_violations(max_dim)
 check_instantiated = catalog.instantiate.cache_info().misses - instantiated
+counted = [len(report.blind_pairs), len(report.violations),
+           len(report.undetermined)]
+cached = catalog.instantiate.cache_info().currsize
 from symcart.regions import regions
 leasts = {r.least for r in regions()}
+listed = {s for a, b, _ in report.violations for s in (a, b)}
+listing_built = catalog.instantiate.cache_info().currsize - cached
 # the (value, value) pairs that the consistency check may compare
 value_pairs = {(a, b) for r in regions() for cands in r.row
                for i, (_, a) in enumerate(cands) for _, b in cands[i + 1:]}
@@ -427,6 +450,9 @@ print(json.dumps({**calls, "regions": len(leasts), "read": len(read),
                   "field_ranks": field_ranks,
                   "cell_values": len(cell_values),
                   "check_instantiated": check_instantiated,
+                  "counted": counted, "cached": cached,
+                  "listing_built": listing_built,
+                  "listed_new": len(listed - leasts),
                   "value_pairs": len(value_pairs)}))
 """
 
@@ -457,6 +483,11 @@ def test_scan_work_counts_per_region_and_per_class_pair():
     read a region's row.  The check that follows reads the scan's
     regions and instantiates no space; it calls ``compatible`` once per
     distinct pair of overlapping values, 3 of them.
+
+    Taking ``len`` of the report's buckets lists no pair, so the scan
+    and the check leave only the 144 spaces that building the regions
+    and their rows instantiates, at both dims.  Iterating the violations
+    then builds exactly the members it lists that are no region's least.
     """
     small, big = _count_work(300), _count_work(2000)
     for counts in (small, big):
@@ -469,6 +500,10 @@ def test_scan_work_counts_per_region_and_per_class_pair():
         assert counts["check_instantiated"] == 0
         assert counts["compatible"] <= counts["value_pairs"] == 3
         assert 0 < counts["warm_lookups"] <= counts["valid_regions"]
+        assert counts["cached"] == 144
+        assert 0 < counts["listing_built"] == counts["listed_new"]
+    assert small["counted"] == [20445, 287, 147]
+    assert big["counted"] == [986045, 1987, 997]
     assert big["rows"] == small["rows"]
     assert big["guard_evals"] == small["guard_evals"]
 

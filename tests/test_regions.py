@@ -178,7 +178,7 @@ def test_a_table_past_the_region_bounds_fails_the_scan_only(
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
-def test_a_guard_without_a_period_is_a_malformed_row(capsys, tmp_path):
+def test_a_comparison_of_two_parameters_is_a_malformed_row(capsys, tmp_path):
     data_dir = _tables(tmp_path, real_grassmannians=[
         "BDI(p,q) | p >= 11 and k < q - p | 2=Z"])
     table = tmp_path / "real_grassmannians.txt"

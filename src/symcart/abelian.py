@@ -119,6 +119,7 @@ class AbelianGroup(value_tuple("AbelianGroup", "free_rank torsion")):
 
 
 TRIVIAL = AbelianGroup()
+_Z = AbelianGroup(1)
 
 # Variant tags for partially known groups.
 EXACT = "exact"
@@ -169,7 +170,7 @@ class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
         if self.tag in (EXACT, CONTAINS):
             return self.group
         if self.tag in (RANK_ONE, RANK_AT_LEAST_ONE):
-            return AbelianGroup(1)
+            return _Z
         return TRIVIAL
 
     def primes(self) -> frozenset:
@@ -271,11 +272,51 @@ def direct_sum(a: PartialAbelianGroup, b: PartialAbelianGroup) -> PartialAbelian
     low = a.lower_bound().direct_sum(b.lower_bound())
     if q.lo == q.hi == 1 and not low.torsion:
         return PartialAbelianGroup(RANK_ONE)
-    if q.lo == 1 and low == AbelianGroup(1):
+    if q.lo == 1 and low == _Z:
         return PartialAbelianGroup(RANK_AT_LEAST_ONE)
     if low.is_trivial:
         return PartialAbelianGroup(UNKNOWN)
     return PartialAbelianGroup(CONTAINS, low)
+
+
+_BOUNDED = (EXACT, FINITE, RANK_ONE)     # the tags whose q_rank has an end
+
+
+def direct_sum_all(cells: Iterable[PartialAbelianGroup]) -> PartialAbelianGroup:
+    """``direct_sum`` folded left over cells from the trivial group.
+
+    The fold is kept as a tag, a free rank and a torsion list -- the
+    lower bound of a partial sum, whose free rank is the low end of its
+    ``q_rank`` -- so the cells' torsion is sorted and checked once, by the
+    one group built at the end, not at every step.  Each step takes
+    ``direct_sum``'s branch, the widening of a partial operand among them,
+    so the result equals the fold's.
+    """
+    tag, free, torsion = EXACT, 0, []
+    for c in cells:
+        g = c.lower_bound()
+        if c.tag == EXACT and g.is_trivial:
+            continue
+        if tag == EXACT and not (free or torsion):
+            tag, free, torsion = c.tag, g.free_rank, list(g.torsion)
+            continue
+        free += g.free_rank
+        torsion += g.torsion
+        if tag == EXACT == c.tag:
+            continue
+        bounded = tag in _BOUNDED and c.tag in _BOUNDED
+        if bounded and not free:
+            tag = FINITE
+            torsion.clear()
+        elif torsion or free > 1:
+            tag = CONTAINS
+        elif free:
+            tag = RANK_ONE if bounded else RANK_AT_LEAST_ONE
+        else:
+            tag = UNKNOWN
+    if tag in (EXACT, CONTAINS):
+        return PartialAbelianGroup(tag, AbelianGroup(free, tuple(sorted(torsion))))
+    return PartialAbelianGroup(tag)
 
 
 EQUAL = "Equal"

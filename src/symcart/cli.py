@@ -11,11 +11,13 @@ to the commands that read it.
 
 ``COMMANDS`` declares each command once: its ``cmd_*`` function, text
 renderer, help line and arguments.  When the first argument names a
-command, ``main`` builds only that command's parser, the one argparse
-would dispatch to, and parses the rest of the arguments with it; any
-other call (``--help``, no or an unknown command) builds the whole tree
-from the same table, so the messages that list every command are
-argparse's own.  Each parser is built once per process and holds no
+command and the rest are plainly well-formed, ``main`` reads them
+straight from the table (``_read_args``) into the namespace argparse
+would make, and builds no parser.  argparse handles every other call,
+so help, usage and error text are its own: a call asking for help or
+that argparse rejects builds only its command's parser, and any other
+call (``--help``, no or an unknown command) builds the whole tree from
+the same table.  Each parser is built once per process and holds no
 per-call state.  ``COMMANDS`` binds the functions when the module is
 imported: a test that replaces one replaces its table entry.
 """
@@ -387,6 +389,7 @@ def _arg(*flags, **kwargs):
     return flags, kwargs
 
 
+_FORMAT = _arg("--format", choices=("text", "json"), default="text")
 _SPACE = _arg("space")
 _CELLS = (      # the options of the commands that read pi_k cells
     _arg("--max-degree", type=_integer, default=9,
@@ -395,7 +398,7 @@ _CELLS = (      # the options of the commands that read pi_k cells
          help="override the bundled homotopy data files"))
 
 # each command once: its function, its text renderer, its help line and
-# its arguments after --format, which every command takes
+# its arguments after _FORMAT, which every command takes
 COMMANDS = {
     "table": (cmd_table, _text_table,
               "reproduce the classical/exceptional tables", (
@@ -447,19 +450,90 @@ COMMANDS = {
 }
 
 
+def _arguments(command):
+    """The ``_arg`` entries of ``command``, ``--format`` first."""
+    return (_FORMAT, *COMMANDS[command][3])
+
+
 def _add_arguments(parser, command):
-    func, render, _, arguments = COMMANDS[command]
+    func, render, _, _ = COMMANDS[command]
     parser.set_defaults(func=func, render=render)
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    for flags, kwargs in arguments:
+    for flags, kwargs in _arguments(command):
         parser.add_argument(*flags, **kwargs)
     return parser
+
+
+def _dest(flags):
+    return flags[0].lstrip("-").replace("-", "_")
+
+
+def _read_args(command, argv):
+    """The namespace that ``command``'s parser makes of ``argv``, the
+    arguments after the command name, read from ``COMMANDS`` without
+    argparse; or None, and argparse judges the call.
+
+    Only a plainly well-formed call is read: each option given at most
+    once, by its exact option string, and followed by a value that does
+    not start with ``-``; every positional and required option present;
+    every value accepted by its ``type`` and ``choices``.  Any other token
+    starting with ``-`` (``-h``, an abbreviation, ``--opt=value``, ``--``,
+    a negative number) returns None, so argparse alone words help and
+    errors.  The table's ``_arg`` keywords are ``type``, ``choices``,
+    ``default``, ``required``, ``action="store_true"`` and ``help``.
+    """
+    arguments = _arguments(command)
+    options = {flags[0]: (_dest(flags), kwargs)
+               for flags, kwargs in arguments if flags[0][0] == "-"}
+    positionals = iter([(_dest(flags), kwargs)
+                        for flags, kwargs in arguments if flags[0][0] != "-"])
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] == "-":
+            dest, kwargs = options.get(token, (None, None))
+            if dest is None or dest in given:
+                return None
+            if kwargs.get("action") == "store_true":
+                given[dest] = True
+                continue
+            token = next(tokens, "-")      # a missing value reads as "-"
+            if token[:1] == "-":
+                return None
+        else:
+            dest, kwargs = next(positionals, (None, None))
+            if dest is None:
+                return None
+        try:
+            value = kwargs.get("type", str)(token)
+        except Exception:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[dest] = value
+    if next(positionals, None) is not None:
+        return None
+    func, render, _, _ = COMMANDS[command]
+    args = argparse.Namespace(command=command, func=func, render=render)
+    for flags, kwargs in arguments:
+        dest = _dest(flags)
+        if dest in given:
+            value = given[dest]
+        elif kwargs.get("required"):
+            return None
+        elif kwargs.get("action") == "store_true":
+            value = False
+        else:
+            value = kwargs.get("default")
+        setattr(args, dest, value)
+    return args
 
 
 @lru_cache(maxsize=None)
 def _build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of ``symcart <command> ...``'s arguments after the
-    command name, or with no command the whole program's parser."""
+    command name, or with no command the whole program's parser.  A
+    well-formed call is read by ``_read_args`` instead; argparse parses
+    the calls that ask for help or that it rejects."""
     if command is not None:         # as argparse names a subcommand parser
         return _add_arguments(_Parser(prog=f"symcart {command}"), command)
     parser = _Parser(
@@ -475,8 +549,10 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        args = _build_parser(argv[0]).parse_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
+        args = _read_args(argv[0], argv[1:])
+        if args is None:            # help, or a call argparse rejects
+            args = _build_parser(argv[0]).parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
     else:                 # --help, no or an unknown command: the whole tree
         args = _build_parser().parse_args(argv)
     try:

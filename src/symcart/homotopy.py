@@ -62,7 +62,8 @@ from types import CodeType
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .abelian import (FIELDS, UNKNOWN, AbelianGroup, PartialAbelianGroup,
-                      compatible, direct_sum, parse_group, INCOMPATIBLE)
+                      compatible, direct_sum_all, parse_group,
+                      INCOMPATIBLE)
 from .catalog import ProductSpace, SpaceInstance, instantiate
 
 MAX_DEGREE = 10
@@ -418,15 +419,11 @@ def groups(s: SpaceInstance, max_degree: int = 9,
 
 def profile(q: ProductSpace, max_degree: int = 9,
             data_dir=None) -> Dict[int, PartialAbelianGroup]:
-    """Degreewise direct sum of the factors' homotopy groups."""
+    """Degreewise direct sum of the factors' homotopy groups, each degree
+    summed in one pass (``direct_sum_all``)."""
     _check_degree(max_degree)
-    out = {}
-    for k in range(1, max_degree + 1):
-        acc = PartialAbelianGroup.trivial()
-        for f in q.factors:
-            acc = direct_sum(acc, pi(f, k, data_dir))
-        out[k] = acc
-    return out
+    return {k: direct_sum_all(pi(f, k, data_dir) for f in q.factors)
+            for k in range(1, max_degree + 1)}
 
 
 def consistency_violations(max_dim: int, data_dir=None):

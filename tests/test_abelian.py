@@ -3,13 +3,14 @@
 import copy
 import itertools
 import pickle
+from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from symcart.abelian import (AbelianGroup, GroupSyntaxError,
                              PartialAbelianGroup, RankInterval, compatible,
-                             direct_sum, field_ranks, format_group,
+                             direct_sum, direct_sum_all, field_ranks, format_group,
                              parse_group, p_rank, q_rank, CONTAINS, EQUAL,
                              FINITE, INCOMPATIBLE, POSSIBLY_EQUAL,
                              RANK_AT_LEAST_ONE, RANK_ONE, UNKNOWN)
@@ -113,6 +114,18 @@ def test_rank_additivity(g, h):
 def test_direct_sum_associative_commutative(g, h, k):
     assert g.direct_sum(h) == h.direct_sum(g)
     assert g.direct_sum(h).direct_sum(k) == g.direct_sum(h.direct_sum(k))
+
+
+@settings(max_examples=500)
+@given(st.lists(partial_groups, max_size=8))
+@example([parse_group(g) for g in ("f", "Z_2", "r1")])
+@example([parse_group(g) for g in ("r1", "Z + Z_2", "f")])
+def test_direct_sum_all_is_the_left_fold_of_direct_sum(cells):
+    """The fold is order-sensitive where a partial sum widens: f + Z_2
+    is f, so f + Z_2 + r1 is r1, while Z_2 + r1 + f is "Z + Z_2 in"; and
+    r1 + (Z + Z_2), of rank exactly 2, widens to "Z^2 + Z_2 in"."""
+    assert direct_sum_all(cells) == \
+        reduce(direct_sum, cells, PartialAbelianGroup.trivial())
 
 
 @given(partial_groups, partial_groups)

@@ -2,14 +2,17 @@
 
 import argparse
 import inspect
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symcart
 from symcart import cli, rootsys
@@ -290,10 +293,12 @@ def test_max_dim_is_bounded(capsys, monkeypatch):
             main(["corollary1-check", *argv])
 
 
-def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
-    """A call builds the parser of the command it runs, once per process.
-    Only ``--help``, no command or an unknown command build the whole
-    tree (the program's parser and one per command), once too."""
+def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch):
+    """A well-formed call is read from ``COMMANDS`` and builds no parser,
+    however often it runs.  A call argparse rejects builds its command's
+    parser once per process; ``--help``, no command or an unknown command
+    build the whole tree (the program's parser and one per command),
+    once too."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -308,11 +313,12 @@ def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
              ["gate", "S(12)", "--codim", "1"],
              ["tgeo", "C", "3", "23", "--codim", "7"],
              ["dump-roots", "G2"], ["decompose", "S(12)"],
-             ["homotopy", "S(7)", "--max-degree", "99"],
              ["table", "exceptional"],
              ["corollary1-check", "--max-dim", "20"]]
+    rejected_call = ["homotopy", "S(7)", "--max-degree", "99"]
     counts, rejected = [], 0
-    for argv in [*calls, *calls, ["--help"], ["no-such-command"], []]:
+    for argv in [*calls, *calls, rejected_call, rejected_call,
+                 ["--help"], ["no-such-command"], []]:
         before = len(built)
         try:
             main(argv)
@@ -320,11 +326,107 @@ def test_a_call_builds_only_its_commands_parser(capsys, monkeypatch):
             rejected += 1
         counts.append(len(built) - before)
     n = len(calls)
-    assert counts[0] == 1                          # a cold kp call
-    assert sum(counts[:n]) == len(cli.COMMANDS) == 9
-    assert counts[n:2 * n] == [0] * n              # every parser is reused
-    assert counts[2 * n:] == [10, 0, 0]            # the whole tree, once
+    assert counts[:2 * n] == [0] * 2 * n           # read, not parsed
+    assert counts[2 * n:2 * n + 2] == [1, 0]       # its parser, reused
+    assert counts[2 * n + 2:] == [10, 0, 0]        # the whole tree, once
     assert rejected == 5
+
+
+def _parsed(argv):
+    """``vars`` of the namespace argparse makes of ``argv`` (a command and
+    its arguments), or None where argparse exits: help or a rejection."""
+    sink = io.StringIO()
+    try:
+        with redirect_stdout(sink), redirect_stderr(sink):
+            return vars(cli._build_parser(argv[0]).parse_args(
+                argv[1:], argparse.Namespace(command=argv[0])))
+    except SystemExit:
+        return None
+
+
+def _agrees_with_argparse(argv):
+    """The table reader's namespace equals argparse's, or the reader
+    leaves the call to argparse; whatever argparse rejects, it leaves.
+    Returns whether the reader read the call."""
+    read = cli._read_args(argv[0], argv[1:])
+    parsed = _parsed(argv)
+    assert read is None or vars(read) == parsed, argv
+    return read is not None
+
+
+def test_the_reader_knows_every_keyword_the_table_uses():
+    for command in cli.COMMANDS:
+        for flags, kwargs in cli._arguments(command):
+            assert len(flags) == 1 and "dest" not in kwargs
+            assert set(kwargs) <= {"type", "choices", "default",
+                                   "required", "action", "help"}, flags
+            assert kwargs.get("action", "store_true") == "store_true"
+
+
+def test_the_reader_reads_every_golden_call_as_argparse_does():
+    """Both golden corpora: each call the reader reads, it reads as
+    argparse does; it reads every call argparse accepts (the corpora
+    use exact option strings only) and none it rejects."""
+    golden = Path(__file__).parent / "golden"
+    argvs = [[*c["argv"], "--format", c["format"]] for c in map(
+        json.loads, (golden / "cli_corpus.jsonl").read_text().splitlines())]
+    argvs += [c["argv"] for c in map(
+        json.loads, (golden / "cli_surface.jsonl").read_text().splitlines())]
+    argvs = [argv for argv in argvs if argv and argv[0] in cli.COMMANDS]
+    assert len(argvs) == 176 + 12
+    for argv in argvs:
+        assert _agrees_with_argparse(argv) == (_parsed(argv) is not None)
+
+
+_VALUES = ("3", "0", "7", "10", "99", "1.5", "1e3", "inf", " 7", "",
+           "S(5)", "SU(3)", "XYZ(3)", "Gr(R,2,13)", "classical", "R", "C",
+           "G2", "text", "xml")
+_ODD = ("-h", "--help", "--", "-", "--m", "--max", "--format=json", "-1",
+        "-0.5", "\u0661\u0662", "\u00b2", "\uff11",
+        *{flags[0] for command in cli.COMMANDS
+          for flags, _ in cli._arguments(command) if flags[0][0] == "-"})
+
+
+@st.composite
+def _calls(draw):
+    """A command with its arguments in any order, each value drawn one
+    time in six from ``_ODD``, else mostly from its choices if it has
+    any, else from ``_VALUES``; then up to two tokens inserted (an option
+    string, an abbreviation, a negative number, ...) or deleted."""
+    def value(kwargs):
+        if not draw(st.integers(0, 5)):
+            return draw(st.sampled_from(_ODD))
+        if "choices" in kwargs and draw(st.integers(0, 3)):
+            return draw(st.sampled_from([*map(str, kwargs["choices"])]))
+        return draw(st.sampled_from(_VALUES))
+
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    groups = []
+    for flags, kwargs in cli._arguments(command):
+        if flags[0][0] != "-":
+            groups.append([value(kwargs)])
+        elif draw(st.booleans()):
+            if kwargs.get("action") == "store_true":
+                groups.append([flags[0]])
+            elif draw(st.integers(0, 4)):
+                groups.append([flags[0], value(kwargs)])
+            else:                                       # --x=v
+                groups.append([f"{flags[0]}={value(kwargs)}"])
+    argv = [t for group in draw(st.permutations(groups)) for t in group]
+    for at, token in draw(st.lists(st.tuples(
+            st.integers(0, 12),
+            st.none() | st.sampled_from(_ODD + _VALUES)), max_size=2)):
+        if token is not None:
+            argv.insert(at, token)
+        elif at < len(argv):
+            del argv[at]
+    return [command, *argv]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_calls())
+def test_the_reader_reads_any_call_as_argparse_does(argv):
+    _agrees_with_argparse(argv)
 
 
 def test_sphere_arity_is_a_named_condition(capsys):

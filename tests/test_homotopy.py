@@ -2,13 +2,15 @@
 
 import re
 import shutil
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
 
 import symcart.homotopy
-from symcart.abelian import format_group, parse_group
+from symcart.abelian import (AbelianGroup, PartialAbelianGroup, direct_sum,
+                             format_group, parse_group)
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
 from symcart.homotopy import (MAX_DEGREE, NOT_COVERED, consistency_violations,
                               coverage, load_records, pi, pi_candidates,
@@ -100,6 +102,36 @@ def test_profile_sums_factors():
     assert format_group(prof[3]) == "Z^2"
     assert format_group(prof[2]) == "Z"
     assert format_group(prof[6]) == "Z_4^2 + Z_3^2"
+
+
+def test_a_products_profile_builds_one_group_per_degree(monkeypatch):
+    """``profile`` sums each degree's cells in one pass, so the groups
+    it builds per degree do not grow with the factor count; the left
+    fold of ``direct_sum`` re-sorted and re-checked the whole torsion at
+    every factor (``homotopy`` on 4,000 factors took 25 s).  Its sums
+    are the fold's, partial and widened cells among them."""
+    kinds = [instantiate(symbol, params) for symbol, params in (
+        ("S", (5,)), ("S", (2,)), ("BDI", (3, 7)), ("G", ()), ("AI", (4,)))]
+    profile(ProductSpace(tuple(kinds)))         # each kind's row, built once
+    made = []
+    new = AbelianGroup.__new__
+
+    def counted(cls, *args):
+        made.append(cls)
+        return new(cls, *args)
+
+    monkeypatch.setattr(AbelianGroup, "__new__", staticmethod(counted))
+    built = {}
+    for n in (1, 30, 4000):
+        q = ProductSpace(tuple(islice(cycle(kinds), n)))
+        made.clear()
+        prof = profile(q)
+        built[n] = len(made)
+        if n <= 30:
+            assert prof == {k: reduce(direct_sum, (pi(f, k) for f in q.factors),
+                                      PartialAbelianGroup.trivial())
+                            for k in range(1, 10)}
+    assert built[1] == built[30] == built[4000] <= 9
 
 
 def test_full_catalog_coverage_through_degree_ten():

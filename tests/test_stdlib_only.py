@@ -47,3 +47,39 @@ def test_cold_start_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == []
+
+
+_WELL_FORMED_CALLS = """
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from symcart.cli import COMMANDS, main
+calls = [["table", "exceptional"], ["kp", "SU(151)"],
+         ["homotopy", "S(7)", "--max-degree", "3"],
+         ["distinguish", "S(7)", "S(8)"],
+         ["corollary1-check", "--max-dim", "20"], ["decompose", "S(12)"],
+         ["gate", "S(12)", "--codim", "1"],
+         ["tgeo", "C", "3", "23", "--codim", "7"],
+         ["dump-roots", "G2", "--format", "json"]]
+assert sorted(argv[0] for argv in calls) == sorted(COMMANDS)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+print(json.dumps({"codes": codes, "parsers": len(built),
+                  "locale": "locale" in sys.modules}))
+"""
+
+
+def test_a_well_formed_call_neither_builds_a_parser_nor_imports_locale():
+    """A well-formed call of each command is read from ``COMMANDS``:
+    building an ``ArgumentParser`` costs a cold call about 0.6 ms, and
+    argparse's first message lookup imports ``locale`` (``gettext.find``),
+    about 1.7 ms more."""
+    env = dict(os.environ, PYTHONPATH=str(_SRC.parent))
+    out = subprocess.run([sys.executable, "-c", _WELL_FORMED_CALLS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"codes": [0] * 9, "parsers": 0,
+                               "locale": False}

@@ -30,17 +30,18 @@ fix all); the index files each record under its shape and fixed values,
 so a space takes one lookup per shape of its symbol (three for BDI) and
 no pattern is tested slot by slot.  Each record is parsed once: its
 per-degree cells are built then, equal values shared between records,
-and its guard is compiled into one expression that lists the guard's
-truth at k = 1..MAX_DEGREE, so a row evaluates a matched guard once, not
-once per degree.  The sphere and CP^n rules are applied only to spaces
-of their symbols.  A missing table file, or a row that does not parse
-(a repeated degree, or a prime outside ``abelian.FIELDS``, among them)
-raises ``ValueError``; a row's message starts with its ``file:line``.
-A guard adds, subtracts and multiplies integers, and divides nowhere,
-so a guard that loads cannot fail when evaluated.  A pattern's fixed
+and its whitelisted guard is read into a ``Guard`` of integer
+comparisons with their constants at k = 1..MAX_DEGREE, so a row
+evaluates a matched guard once, in integers; no guard is compiled.  The
+sphere and CP^n rules are applied only to spaces of their symbols.  A
+missing table file, or a row that does not parse (a repeated degree, a
+prime outside ``abelian.FIELDS``, a pattern naming k or a parameter
+twice, among them) raises ``ValueError`` whose message starts with the
+row's ``file:line``.  A guard adds, subtracts and multiplies integers,
+so one that loads cannot fail when evaluated.  A pattern's fixed
 parameters are ASCII digits, and a guard is linear: each comparison
-reads one parameter besides k (``_guard_atoms``), so its truth is
-eventually constant in every parameter, as the regions need.
+reads one parameter besides k (``_read``), so its truth is eventually
+constant in every parameter, as the regions need.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -57,9 +58,10 @@ import re
 from functools import lru_cache, wraps
 from heapq import merge
 from itertools import repeat
-from operator import itemgetter
-from types import CodeType
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from keyword import iskeyword
+from operator import eq, ge, gt, itemgetter, le, lt, ne
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Tuple)
 
 from .abelian import (FIELDS, UNKNOWN, AbelianGroup, PartialAbelianGroup,
                       compatible, direct_sum_all, parse_group,
@@ -99,80 +101,113 @@ def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
     return tree
 
 
-def _term_names(node: ast.AST, text: str) -> frozenset:
-    """The names that an arithmetic term of a guard reads.
+def _linear(node: ast.AST, text: str) -> Dict[str, int]:
+    """An arithmetic term of a guard as its integer coefficient of each
+    name it reads, the constant's under "".
 
     A term is linear: integer constants and names, joined by ``+`` and
-    ``-``, and by ``*`` with a side that reads no name.  Such a term, as
-    a function of one name, moves by a constant when the name moves by 1.
+    ``-``, and by ``*`` with a side that reads no name.  A name read
+    stays a key when its coefficient cancels, so ``(q - q) * k`` still
+    multiplies two variable terms.
     """
     if isinstance(node, ast.Constant):
-        return frozenset()
+        return {"": int(node.value)}
     if isinstance(node, ast.Name):
-        return frozenset((node.id,))
+        return {node.id: 1}
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return _term_names(node.operand, text)
+        return {n: -c for n, c in _linear(node.operand, text).items()}
     if isinstance(node, ast.BinOp):
-        left = _term_names(node.left, text)
-        right = _term_names(node.right, text)
-        if isinstance(node.op, ast.Mult) and left and right:
+        a, b = _linear(node.left, text), _linear(node.right, text)
+        if not isinstance(node.op, ast.Mult):
+            sign = -1 if isinstance(node.op, ast.Sub) else 1
+            return {n: a.get(n, 0) + sign * b.get(n, 0) for n in a | b}
+        if a.keys() - {""} and b.keys() - {""}:
             raise ValueError(f"guard {text!r} multiplies two variable terms")
-        return left | right
+        if a.keys() - {""}:
+            a, b = b, a
+        return {n: a[""] * c for n, c in b.items()}
     raise ValueError(f"guard {text!r} uses a {type(node).__name__} "
                      "as a number")
 
 
-def _guard_atoms(node: ast.AST, text: str):
-    """Each comparison of a guard, and each bare term it tests for being
-    nonzero, as (its terms, its operators, the parameters they read
-    besides k).
+_DEGREES = tuple(range(1, MAX_DEGREE + 1))
+_COMPARE = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt,
+            ast.GtE: ge}
+_BOOL_OPS = {"and": all, "or": any, "not": lambda truths: not truths[0]}
 
-    A comparison may read one parameter besides k.  Its truth at each
-    k = 1..MAX_DEGREE is then eventually constant in that parameter (see
-    ``regions._atom_tail``), and so is the guard's in each parameter,
-    which the region scan needs; ``k < q - p`` need not settle in either
-    parameter and is rejected.
+
+class Comparison(NamedTuple):
+    """``e op 0``, where e = c + c_k*k + drift*``name`` is the difference
+    of two adjacent terms of a guard's comparison, or a bare term."""
+
+    name: Optional[str]               # the parameter e reads besides k
+    op: Callable[[int, int], bool]
+    drift: int
+    consts: Tuple[int, ...]           # c + c_k*k at k = 1..MAX_DEGREE
+
+
+def _truth(node, bindings: Dict[str, int]) -> Iterator[bool]:
+    """A guard tree's truth at k = 1..MAX_DEGREE (see ``Guard``)."""
+    if isinstance(node, Comparison):        # c + shift op 0: c op -shift
+        name, op, drift, consts = node
+        return map(op, consts, repeat(-drift * bindings[name] if drift else 0))
+    op, *args = node
+    return map(_BOOL_OPS[op], zip(*(_truth(a, bindings) for a in args)))
+
+
+class Guard(NamedTuple):
+    """A loaded guard.  ``tree`` is a Comparison, or a tuple of "and",
+    "or" or "not" and its subtrees."""
+
+    tree: tuple
+    comparisons: Tuple[Comparison, ...]     # the tree's, in text order
+
+    def holds(self, bindings: Dict[str, int]) -> Tuple[bool, ...]:
+        """The guard's truth at k = 1..MAX_DEGREE, in integers."""
+        return tuple(_truth(self.tree, bindings))
+
+
+def _read(node: ast.AST, text: str, comparisons: List[Comparison]):
+    """A whitelisted guard's tree (see ``Guard``), each comparison also
+    appended to ``comparisons``.
+
+    A comparison chain is the "and" of its links, and a bare term is
+    compared with 0 by ``!=``.  A comparison may read one parameter
+    besides k, so its truth at each degree is eventually constant in it
+    (see ``regions._guard_tails``), and so is the guard's in each
+    parameter; ``k < q - p`` need not settle in either and is rejected.
     """
     if isinstance(node, ast.BoolOp):
-        for value in node.values:
-            yield from _guard_atoms(value, text)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-        yield from _guard_atoms(node.operand, text)
-    else:
-        terms, ops = (([node.left, *node.comparators], node.ops)
-                      if isinstance(node, ast.Compare)
-                      else ([node, ast.Constant(0)], [ast.NotEq()]))
-        names = frozenset().union(
-            *(_term_names(t, text) for t in terms)) - {"k"}
-        if len(names) > 1:
-            raise ValueError(f"guard {text!r} compares "
-                             f"{' and '.join(sorted(names))} in one "
-                             "comparison; each may read one parameter "
-                             "besides k")
-        yield terms, ops, names
-
-
-_DEGREES = tuple(range(1, MAX_DEGREE + 1))
+        return ("and" if isinstance(node.op, ast.And) else "or",
+                *(_read(value, text, comparisons) for value in node.values))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return "not", _read(node.operand, text, comparisons)
+    terms, ops = (([node.left, *node.comparators], node.ops)
+                  if isinstance(node, ast.Compare)
+                  else ([node, ast.Constant(0)], [ast.NotEq()]))
+    forms = [_linear(t, text) for t in terms]
+    names = set().union(*forms) - {"", "k"}
+    if len(names) > 1:
+        raise ValueError(f"guard {text!r} compares "
+                         f"{' and '.join(sorted(names))} in one comparison; "
+                         "each may read one parameter besides k")
+    name = next(iter(names), None)
+    links = []
+    for a, b, op in zip(forms, forms[1:], ops):
+        c, c_k, drift = (a.get(n, 0) - b.get(n, 0) for n in ("", "k", name))
+        links.append(Comparison(name, _COMPARE[type(op)], drift,
+                                tuple(c + c_k * k for k in _DEGREES)))
+    comparisons += links
+    return links[0] if len(links) == 1 else ("and", *links)
 
 
 @lru_cache(maxsize=None)
-def _compile_degree_guard(text: str, names: Tuple[str, ...]) -> CodeType:
-    """A checked guard over ``names`` and k, compiled as the list of its
-    values at k = 1..MAX_DEGREE.
-
-    The whitelist and grammar checks (see ``_guard_atoms``) run on the
-    guard alone; the comprehension is built around the checked tree, so
-    the text is never re-parsed.  Its code reads the parameters as
-    globals: pass their bindings, with an empty ``__builtins__``, as
-    ``eval``'s globals.
-    """
-    checked = _check_guard(text, (*names, "k")).body
-    for _ in _guard_atoms(checked, text):   # raises outside the grammar
-        pass
-    loop = ast.comprehension(target=ast.Name("k", ast.Store()),
-                             iter=ast.Constant(_DEGREES), ifs=[], is_async=0)
-    tree = ast.Expression(ast.ListComp(checked, [loop]))
-    return compile(ast.fix_missing_locations(tree), "<guard>", "eval")
+def _read_guard(text: str, names: Tuple[str, ...]) -> Guard:
+    """A guard over ``names`` and k, whitelisted as written and then read
+    into integer comparisons; no code is compiled."""
+    comparisons = []
+    tree = _read(_check_guard(text, (*names, "k")).body, text, comparisons)
+    return Guard(tree, tuple(comparisons))
 
 
 def _cached_per_data_dir(fn):
@@ -200,7 +235,6 @@ def _cached_per_data_dir(fn):
 
 Cell = Tuple[str, PartialAbelianGroup]          # (source, value) of a pi_k
 
-_NO_BUILTINS = {"__builtins__": {}}
 _TRIVIAL = PartialAbelianGroup.trivial()
 _Z = PartialAbelianGroup.exact(AbelianGroup(1))
 _UNKNOWN = PartialAbelianGroup(UNKNOWN)
@@ -212,8 +246,7 @@ class HomotopyRecord(NamedTuple):
     param_names: Tuple[str, ...]      # variable names or "" for fixed slots
     param_values: Tuple[Optional[int], ...]
     guard_text: str
-    guard: Optional[CodeType]         # guard_text's values at k = 1..MAX_DEGREE
-                                      # (see _compile_degree_guard); None for "-"
+    guard: Optional[Guard]            # guard_text read; None for "-"
     cells: Tuple[Cell, ...]           # (source, pi_k) for k = 1..MAX_DEGREE
 
     def bindings(self, s: SpaceInstance) -> Dict[str, int]:
@@ -242,17 +275,22 @@ def _parse_record(line: str, source: str, stable: bool,
             if piece.isascii() and piece.isdigit():     # not '²' or '١٢'
                 names.append("")
                 values.append(int(piece))
-            elif piece.isascii() and piece.isidentifier():
+            elif not piece.isascii() or not piece.isidentifier() \
+                    or iskeyword(piece):        # a guard reads True as 1
+                raise ValueError(f"bad pattern {pattern!r}")
+            elif piece == "k":
+                raise ValueError(f"pattern {pattern!r} names a parameter k, "
+                                 "which guards read as the degree")
+            elif piece in names:
+                raise ValueError(f"pattern {pattern!r} names {piece} twice")
+            else:
                 names.append(piece)
                 values.append(None)
-            else:
-                raise ValueError(f"bad pattern {pattern!r}")
     by_degree = {}
     for cell in cells.split(";"):
         deg, _, group_text = cell.partition("=")
         k = int(deg.strip())
-        if not 1 <= k <= MAX_DEGREE:
-            raise ValueError(f"degree {k} out of range 1..{MAX_DEGREE}")
+        _check_degree(k)
         if k in by_degree:
             raise ValueError(f"degree {k} repeated")
         text = group_text.strip()
@@ -266,11 +304,10 @@ def _parse_record(line: str, source: str, stable: bool,
     if stable:
         by_degree.setdefault(MAX_DEGREE,
                              by_degree.get(MAX_DEGREE - 8, _TRIVIAL))
-    code = None
-    if guard != "-":                  # a guard names the parameters and k
-        code = _compile_degree_guard(guard, tuple(filter(None, names)))
+    params = tuple(filter(None, names))         # a guard reads these and k
     return HomotopyRecord(
-        source, symbol, tuple(names), tuple(values), guard, code,
+        source, symbol, tuple(names), tuple(values), guard,
+        None if guard == "-" else _read_guard(guard, params),
         tuple((source, by_degree.get(k, _TRIVIAL)) for k in _DEGREES))
 
 
@@ -369,8 +406,8 @@ def row(s: SpaceInstance, data_dir=None) -> Tuple[Tuple[Cell, ...], ...]:
     rule = _RULES.get(s.symbol)
     out = rule(s, data_dir) if rule else [[] for _ in _DEGREES]
     for _, rec in found:
-        holds = _UNGUARDED if rec.guard is None else eval(
-            rec.guard, {**_NO_BUILTINS, **rec.bindings(s)})
+        holds = _UNGUARDED if rec.guard is None else \
+            rec.guard.holds(rec.bindings(s))
         for cands, cell, ok in zip(out, rec.cells, holds):
             if ok:
                 cands.append(cell)

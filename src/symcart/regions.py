@@ -1,18 +1,18 @@
 """Parameter regions of the catalog on which homotopy rows are constant.
 
-Every shipped guard compares linear terms of one parameter and the
-degree k <= MAX_DEGREE (``homotopy._guard_atoms``), so a family's row
-stops changing once its parameters pass a start that the tables
-determine.  A family's canonical spaces therefore split into finitely
-many regions: each parameter is either fixed below the family's start
-or runs from the start on.  On a region the row, validity, canonical
-form and blind side of recognition are constant, so
-``recognize.corollary1_scan`` and ``homotopy.consistency_violations``
+Every loaded guard is and/or/not over integer comparisons, each linear
+in one parameter and the degree k <= MAX_DEGREE (``homotopy.Guard``),
+so a family's row stops changing once its parameters pass a start that
+the tables determine.  A family's canonical spaces therefore split into
+finitely many regions: each parameter is either fixed below the
+family's start or runs from the start on.  On a region the row,
+validity, canonical form and blind side of recognition are constant,
+so ``recognize.corollary1_scan`` and ``homotopy.consistency_violations``
 read one row per region and count its members from the family's dim
 formula, instantiating members only where they list them.
 
 Each family's start comes from the sources its own rows and blind side
-read (``_tails``): the guards' comparison constants, the fixed
+read (``_tails``): its guards' comparisons, as loaded, the fixed
 parameters of record patterns and of the special and product
 isomorphisms, and three rules that settle past MAX_DEGREE -- the sphere
 rule for S, the CP^n rule and the CP^n blind side for AIII, the
@@ -30,16 +30,14 @@ but CP^5 is not valid, so its tail region starts at CP^6:
 
 from __future__ import annotations
 
-import ast
 from bisect import bisect_right
-from functools import lru_cache
-from operator import add, attrgetter, eq, ge, gt, le, lt, ne, sub
+from operator import attrgetter
 from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .catalog import (FAMILIES, PRODUCT_ISOMORPHISMS, SPECIAL_ISOMORPHISMS,
                       ReducibleError, SpaceInstance, instantiate)
-from .homotopy import (_DEGREES, MAX_DEGREE, Cell,
-                       _cached_per_data_dir, _guard_atoms, load_records, row)
+from .homotopy import (MAX_DEGREE, Cell, Guard, _cached_per_data_dir,
+                       load_records, row)
 
 # A table whose rows would settle only past this parameter is refused by
 # the region scan: its regions could outnumber the catalog spaces they
@@ -47,66 +45,24 @@ from .homotopy import (_DEGREES, MAX_DEGREE, Cell,
 MAX_REGION_START = 32
 
 
-_COMPARE = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt,
-            ast.GtE: ge}
-
-
-def _linear(term, name: str) -> Tuple[int, int, int]:
-    """A linear guard term (``homotopy._term_names``) in k and ``name``
-    as its integer coefficients: (constant, k's, ``name``'s)."""
-    if isinstance(term, ast.Constant):
-        return int(term.value), 0, 0
-    if isinstance(term, ast.Name):
-        return 0, int(term.id == "k"), int(term.id == name)
-    if isinstance(term, ast.UnaryOp):           # -x, the only unary term
-        return tuple(-c for c in _linear(term.operand, name))
-    a, b = _linear(term.left, name), _linear(term.right, name)
-    if isinstance(term.op, ast.Add):
-        return tuple(map(add, a, b))
-    if isinstance(term.op, ast.Sub):
-        return tuple(map(sub, a, b))
-    if any(a[1:]):                              # a side of * reads no name
-        a, b = b, a
-    return tuple(a[0] * c for c in b)
-
-
-def _atom_tail(terms, ops, name: str) -> int:
-    """The start in ``name`` of the comparison ``terms[0] ops[0]
-    terms[1] ...``: from it on, its truth at each k = 1..MAX_DEGREE is
-    constant.
-
-    The terms are linear, so each difference e of adjacent terms is
-    c + c_k*k + d*``name`` in integers: moving ``name`` by 1 moves e by
-    d, its drift, at every value and k.  Where d is 0, e never moves.
-    Elsewhere ``e op 0`` takes its final truth once e + m*d has d's sign,
-    or is 0 if ``0 op 0`` is that truth too; the start is the largest
-    such least m over the degrees and differences, or 0.
-    """
-    forms = [_linear(t, name) for t in terms]
-    start = 0
-    for a, b, op in zip(forms, forms[1:], ops):
-        c, c_k, d = map(sub, a, b)
-        if not d:
-            continue
-        cmp = _COMPARE[type(op)]
-        for k in _DEGREES:              # m > -e/d, or m >= -e/d
-            e = c + c_k * k
-            start = max(start, -(e // d) if cmp(0, 0) == cmp(d, 0)
-                        else -e // d + 1)
-    return start
-
-
-@lru_cache(maxsize=None)
-def _guard_tails(text: str) -> Dict[str, int]:
+def _guard_tails(guard: Guard) -> Dict[str, int]:
     """The start per parameter of a loaded guard: from it on, the
     guard's truth at each degree is constant in that parameter, whatever
-    the others are (each comparison reads one)."""
+    the others are (each comparison reads one).
+
+    A comparison ``e op 0`` has e = c + c_k*k + d*``name`` in integers,
+    so moving ``name`` by 1 moves e by d, its drift, at every value and
+    k.  Where d is 0, e never moves.  Elsewhere ``e op 0`` takes its
+    final truth once e + m*d has d's sign, or is 0 if ``0 op 0`` is that
+    truth too; the start is the largest such least m over the degrees
+    and comparisons, or 0.
+    """
     tails = {}
-    for terms, ops, names in _guard_atoms(ast.parse(text, mode="eval").body,
-                                          text):
-        for name in names:
-            tails[name] = max(_atom_tail(terms, ops, name),
-                              tails.get(name, 0))
+    for name, op, d, consts in guard.comparisons:
+        if name:                        # m > -e/d, or m >= -e/d
+            tails[name] = max((tails.get(name, 0), *(
+                -(e // d) if op(0, 0) == op(d, 0) else -e // d + 1
+                for e in consts if d)))
     return tails
 
 
@@ -132,7 +88,7 @@ def _tails(records) -> Dict[str, int]:
         family = FAMILIES.get(rec.symbol)
         if family is None or len(rec.param_values) != len(family.smallest):
             continue                    # matches no catalog space
-        guard = {} if rec.guard is None else _guard_tails(rec.guard_text)
+        guard = {} if rec.guard is None else _guard_tails(rec.guard)
         starts[rec.symbol] = max((starts[rec.symbol], *guard.values(), *(
             v + 1 for v in rec.param_values if v is not None)))
     for symbol, params in (*SPECIAL_ISOMORPHISMS, *PRODUCT_ISOMORPHISMS):

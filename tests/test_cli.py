@@ -643,6 +643,9 @@ def test_data_dir_reaches_the_tables(capsys, tmp_path):
     ("BDI(p,q) | k < q - p | 2=Z", "guard 'k < q - p' compares p and q in "
                                    "one comparison; each may read one "
                                    "parameter besides k\n"),
+    ("BDI(k,q) | k >= 9 | 9=Z_5", "pattern 'BDI(k,q)' names a parameter k, "
+                                  "which guards read as the degree\n"),
+    ("BDI(p,p) | - | 2=Z_5", "pattern 'BDI(p,p)' names p twice\n"),
 ])
 def test_a_malformed_data_row_is_one_error_line(capsys, tmp_path, row,
                                                 message):

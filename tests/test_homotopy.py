@@ -3,7 +3,7 @@
 import re
 import shutil
 from functools import lru_cache, reduce
-from itertools import cycle, islice
+from itertools import cycle, islice, product
 from pathlib import Path
 
 import pytest
@@ -206,16 +206,16 @@ def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):
     ("q >= 11 and k <= 2", None),
 ])
 def test_degree_guards_pass_the_whitelist_before_the_wrapper(guard, message):
-    """A guard is checked as written, before it is wrapped in the
-    comprehension over k, whose own nodes the whitelist would reject."""
-    compile_degree_guard = symcart.homotopy._compile_degree_guard
+    """A guard is checked as written, before the reader wraps its
+    comparisons in their constants at k = 1..MAX_DEGREE: a comprehension
+    over k, a call and an attribute fail the whitelist."""
+    read_guard = symcart.homotopy._read_guard
     if message is None:
-        holds = eval(compile_degree_guard(guard, ("q",)),
-                     {"__builtins__": {}, "q": 12})
-        assert holds == [k <= 2 for k in range(1, MAX_DEGREE + 1)]
+        assert read_guard(guard, ("q",)).holds({"q": 12}) == \
+            tuple(k <= 2 for k in range(1, MAX_DEGREE + 1))
     else:
         with pytest.raises(ValueError, match=message):
-            compile_degree_guard(guard, ("q",))
+            read_guard(guard, ("q",))
 
 
 # The per-cell resolution that rows replaced, kept as the reference: for
@@ -259,6 +259,26 @@ def _matches(rec, s):
 def _oracle_guard(text):
     """A guard's code; ``load_records`` has already whitelisted its text."""
     return compile(text, "<guard>", "eval")
+
+
+def _oracle_holds(text, bindings):
+    """A whitelisted guard's truth at k = 1..MAX_DEGREE, by ``eval``."""
+    return tuple(bool(eval(_oracle_guard(text), {"__builtins__": {}},
+                           {**bindings, "k": k}))
+                 for k in range(1, MAX_DEGREE + 1))
+
+
+def test_every_shipped_guard_holds_where_eval_says():
+    """Each shipped guard, read into integer comparisons, has the truth
+    that ``eval`` of its text gives, for every parameter in 1..40."""
+    guards = {(rec.guard_text, tuple(filter(None, rec.param_names))): rec.guard
+              for rec in load_records() if rec.guard is not None}
+    assert len(guards) == 20
+    for (text, names), guard in guards.items():
+        for values in product(range(1, 41), repeat=len(names)):
+            bindings = dict(zip(names, values))
+            assert guard.holds(bindings) == _oracle_holds(text, bindings), \
+                (text, bindings)
 
 
 def _oracle_candidates(s, k, records):
@@ -398,7 +418,17 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
                           "20' multiplies two variable terms"),
                          ("BDI(3,q) | (q > 3) + k > 1 | 2=Z",
                           "guard '\\(q > 3\\) \\+ k > 1' uses a Compare "
-                          "as a number")):
+                          "as a number"),
+                         # k would read as the degree, so BDI(3,12) would
+                         # gain pi_9 = Z_5; p,p would match any BDI(p,q)
+                         ("BDI(k,q) | k >= 9 | 9=Z_5", "pattern "
+                          "'BDI\\(k,q\\)' names a parameter k, which guards "
+                          "read as the degree"),
+                         ("BDI(p,p) | - | 2=Z_5",
+                          "pattern 'BDI\\(p,p\\)' names p twice"),
+                         # a guard would read True as 1
+                         ("BDI(True,q) | True >= 2 | 2=Z",
+                          "bad pattern 'BDI\\(True,q\\)'")):
         table.write_text(shipped + row + "\n")
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(table))}:{lineno}: "

@@ -66,13 +66,19 @@ def test_regions_is_imported_only_by_the_scan_and_the_check():
                          "homotopy.consistency_violations"}
 
 
-def test_regions_runs_no_code():
-    """``regions`` reads each guard's terms from their AST as integer
-    coefficients: it neither compiles nor evaluates code."""
-    called = set()
-    for node in ast.walk(_tree("regions")):
-        if isinstance(node, ast.Call):
-            f = node.func
-            called.add(f.id if isinstance(f, ast.Name)
-                       else getattr(f, "attr", None))
-    assert not called & {"compile", "eval", "exec"}, called
+def test_no_module_runs_code():
+    """No package module compiles, evaluates or executes code: guards are
+    read from their AST into integer comparisons, in ``homotopy`` alone,
+    and ``regions`` reads those comparisons, not the AST."""
+    runs_code = {f"{prefix}{name}" for prefix in ("", "builtins.")
+                 for name in ("compile", "eval", "exec")}
+    for path in sorted(_SRC.rglob("*.py")):
+        called = set()                  # re.compile reads "re.compile"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called.add(f.id if isinstance(f, ast.Name) else
+                           f"{getattr(f.value, 'id', '')}.{f.attr}"
+                           if isinstance(f, ast.Attribute) else None)
+        assert not called & runs_code, (path, called & runs_code)
+    assert "ast" not in _imports(_tree("regions"))

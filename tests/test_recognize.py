@@ -385,11 +385,12 @@ from symcart.catalog import instantiate
 
 max_dim = int(sys.argv[1])
 calls = {"guard_evals": 0, "blind": 0, "compatible": 0}
-is_blind, compatible = recognize._is_blind_pair, abelian.compatible
+holds, is_blind = homotopy.Guard.holds, recognize._is_blind_pair
+compatible = abelian.compatible
 
-def counted_eval(*args):
+def counted_holds(*args):
     calls["guard_evals"] += 1
-    return eval(*args)
+    return holds(*args)
 
 def counted_is_blind(*args):
     calls["blind"] += 1
@@ -399,7 +400,7 @@ def counted_compatible(*args):
     calls["compatible"] += 1
     return compatible(*args)
 
-homotopy.eval = counted_eval        # rows evaluate guards by the global name
+homotopy.Guard.holds = counted_holds   # rows evaluate a guard by its holds
 recognize._is_blind_pair = counted_is_blind
 # every symcart module that holds compatible, as perfbench's tracer rebinds it
 for module in (abelian, homotopy, recognize):

@@ -4,16 +4,17 @@ import shutil
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import symcart
 from symcart.abelian import INCOMPATIBLE, compatible, format_group
 from symcart.catalog import FAMILIES, enumerate_catalog, instantiate
 from symcart.cli import main
-from symcart.homotopy import (MAX_DEGREE, _compile_degree_guard,
-                              consistency_violations, load_records, row)
+from symcart.homotopy import (MAX_DEGREE, _read_guard, consistency_violations,
+                              load_records, row)
 from symcart.recognize import _blind_side, corollary1_scan
 from symcart.regions import MAX_REGION_START, _guard_tails, _tails, regions
+from test_homotopy import _oracle_holds
 from test_recognize import _pair_loop_scan
 
 _DATA = Path(symcart.__file__).parent / "data"
@@ -134,25 +135,33 @@ _guards = st.recursive(
     max_leaves=3)
 
 
+@settings(max_examples=500)
+@given(_guards, st.integers(-60, 60))
+def test_a_guard_holds_where_eval_says(guard, q):
+    """A guard read into integer comparisons has the truth that ``eval``
+    of its text gives, at every degree."""
+    assert _read_guard(guard, ("q",)).holds({"q": q}) == \
+        _oracle_holds(guard, {"q": q})
+
+
 @given(_guards)
 def test_a_guard_repeats_past_its_start(guard):
     """Brute force: from the start ``_guard_tails`` gives, the guard's
-    truth at every degree is constant."""
-    code = _compile_degree_guard(guard, ("q",))
-    start = _guard_tails(guard).get("q", 0)
-
-    def holds(q):
-        return [bool(v) for v in eval(code, {"__builtins__": {}, "q": q})]
-
+    truth at every degree, by ``eval`` of its text, is constant."""
+    start = _guard_tails(_read_guard(guard, ("q",))).get("q", 0)
     for q in range(start, start + 40):
-        assert holds(q) == holds(start), (guard, q)
+        assert _oracle_holds(guard, {"q": q}) == \
+            _oracle_holds(guard, {"q": start}), (guard, q)
 
 
 def test_guard_tails_of_the_shipped_forms():
-    assert _guard_tails("k <= 2*n - 1") == {"n": 6}
-    assert _guard_tails("n >= 5 and k <= n - 2") == {"n": 12}
-    assert _guard_tails("p >= 11 and k < q") == {"p": 11, "q": 11}
-    assert _guard_tails("k > 2") == {}
+    def tails(text, *names):
+        return _guard_tails(_read_guard(text, names))
+
+    assert tails("k <= 2*n - 1", "n") == {"n": 6}
+    assert tails("n >= 5 and k <= n - 2", "n") == {"n": 12}
+    assert tails("p >= 11 and k < q", "p", "q") == {"p": 11, "q": 11}
+    assert tails("k > 2") == {}
 
 
 @pytest.mark.parametrize("rows, message", [

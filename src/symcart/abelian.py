@@ -385,14 +385,15 @@ def _parse_exact(text: str, original: str, offset: int) -> AbelianGroup:
         power = 1
         if "^" in t:
             t, _, exp = t.partition("^")
-            if not exp.isdigit() or int(exp) < 1:
+            if not (exp.isascii() and exp.isdigit()) or int(exp) < 1:
                 raise GroupSyntaxError(original, pos, "bad exponent")
             power = int(exp)
         if t == "Z":
             free += power
         elif t.startswith("Z_"):
             order = t[2:]
-            if not order.isdigit() or int(order) < 2:
+            # not '²' or '١٢', which str.isdigit passes
+            if not (order.isascii() and order.isdigit()) or int(order) < 2:
                 raise GroupSyntaxError(original, pos, "bad cyclic order")
             orders.extend([int(order)] * power)
         elif t == "0" and power == 1:

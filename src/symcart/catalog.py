@@ -17,10 +17,12 @@ Fraction(5, 2)
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 from .rootsys import (Multiplicities, RootSystemType, kp_by_deletion, mults,
                       root_type)
@@ -131,10 +133,13 @@ class _Family(NamedTuple):
 
     Parameters (at most two) are nondecreasing and at least ``smallest``
     (n >= n0, or p0 <= p <= q); ``note`` says why smaller ones are left
-    out.  ``dim`` grows in every parameter; for a classical family
-    ``datum`` gives the restricted root system and its multiplicities
-    (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
-    Ch. X), built by ``rootsys``'s interning constructors.
+    out.  ``dim`` grows in every parameter.  ``sweep`` lists and ``count``
+    counts the tuples up to a dim, for the catalog build and for each
+    region of ``symcart.regions``, a family of its running parameters.
+    For a classical family ``datum`` gives the restricted root system
+    and its multiplicities (Helgason, Differential Geometry, Lie Groups,
+    and Symmetric Spaces, Ch. X), built by ``rootsys``'s interning
+    constructors.
     """
 
     smallest: Tuple[int, ...]
@@ -151,29 +156,38 @@ class _Family(NamedTuple):
         return (len(params) == len(self.smallest)
                 and self.smallest[0] <= params[0] <= params[-1])
 
-    def sweep(self, max_dim: int) -> List[Tuple[int, ...]]:
-        """Every admitted parameter tuple with dim <= max_dim, in order.
+    def _runs(self, max_dim: int) -> Iterator[Tuple[Tuple[int, ...], range]]:
+        """The admitted tuples with dim <= max_dim as runs (prefix, values)
+        of the last parameter: one per value of the first, if there are two.
 
-        An odometer over nondecreasing tuples: the digit that moved last
-        has the least completion after it, and dim grows in every
-        parameter, so once that completion passes max_dim the digit
-        before it moves on.
+        dim grows in every parameter, and an integer dim passes max_dim
+        within max_dim + 1 steps, so bisection ends each run; the first
+        empty run ends the prefixes, since later ones start no lower.
         """
-        n, dim, smallest = len(self.smallest), self.dim, self.smallest
-        if not n:
-            return [()] if dim() <= max_dim else []
-        params, out, i = list(smallest), [], 0
-        while True:
-            if dim(*params) <= max_dim:
-                out.append(tuple(params))
-                i = n - 1
-            elif i:
-                i -= 1
-            else:
-                return out
-            params[i] += 1
-            for k in range(i + 1, n):
-                params[k] = max(smallest[k], params[k - 1])
+        *first, last = self.smallest
+        prefixes = ((p,) for p in itertools.count(*first)) if first else [()]
+        for prefix in prefixes:
+            start = max((last, *prefix))
+            values = range(start, start + max_dim + 1)
+            end = bisect_right(values, max_dim,
+                               key=lambda v: self.dim(*prefix, v))
+            if not end:
+                return
+            yield prefix, values[:end]
+
+    def sweep(self, max_dim: int) -> List[Tuple[int, ...]]:
+        """Every admitted parameter tuple with dim <= max_dim, in order."""
+        if not self.smallest:
+            return [()] if self.dim() <= max_dim else []
+        return [(*prefix, v) for prefix, values in self._runs(max_dim)
+                for v in values]
+
+    def count(self, max_dim: int) -> int:
+        """The number of admitted tuples with dim <= max_dim, summed over
+        the runs without building a tuple."""
+        if not self.smallest:
+            return int(self.dim() <= max_dim)
+        return sum(len(values) for _, values in self._runs(max_dim))
 
 
 def _grassmannian(c: int) -> _Family:
@@ -449,7 +463,7 @@ _catalog_dim = 0
 def _build_catalog(max_dim: int) -> List[SpaceInstance]:
     """Every canonical space with dim <= max_dim, in (symbol, params) order.
 
-    Each family's parameters are swept by a loop (``_Family.sweep``).  A
+    Each family's parameters are swept in runs (``_Family.sweep``).  A
     presentation that is a special or product isomorphism is skipped by
     one lookup; every other one is canonical and is built by the uncached
     ``build_space``, so a build leaves nothing in ``instantiate``'s cache.
@@ -474,7 +488,7 @@ def enumerate_catalog(max_dim: int):
     special isomorphism are never emitted twice.
 
     The catalog is built once per process, for the largest max_dim asked
-    so far, by ``_build_catalog``: families swept by a loop, isomorphic
+    so far, by ``_build_catalog``: families swept in runs, isomorphic
     presentations skipped by lookup, each space made by the uncached
     ``build_space`` from interned root data and cached deletion counts.
     Each call returns a fresh list of the catalog's instances with

@@ -23,14 +23,11 @@ no candidate is Unknown.  ``pi``, ``coverage``, ``pi_candidates``,
 row is built once per (space, data directory).  The last two read one
 row per region of ``symcart.regions``, not one per space.
 
-Records are found through an index built on the first lookup.  A
-record's shape is its symbol, arity and the positions of the parameters
-its pattern fixes (``BDI(3,q)`` fixes slot 0, ``E6`` and ``BDI(3,12)``
-fix all); the index files each record under its shape and fixed values,
-so a space takes one lookup per shape of its symbol (three for BDI) and
-no pattern is tested slot by slot.  Each record is parsed once: its
-per-degree cells are built then, equal values shared between records,
-and its whitelisted guard is read into a ``Guard`` of integer
+Records are found through an index, built on the first lookup, that
+files each record under its pattern, so a space looks up at most
+2^arity patterns and tests none slot by slot.  Each record is parsed
+once: its per-degree cells are built then, equal values shared between
+records, and its whitelisted guard is read into a ``Guard`` of integer
 comparisons with their constants at k = 1..MAX_DEGREE, so a row
 evaluates a matched guard once, in integers; no guard is compiled.  The
 sphere and CP^n rules are applied only to spaces of their symbols.  A
@@ -39,9 +36,9 @@ prime outside ``abelian.FIELDS``, a pattern naming k or a parameter
 twice, among them) raises ``ValueError`` whose message starts with the
 row's ``file:line``.  A guard adds, subtracts and multiplies integers,
 so one that loads cannot fail when evaluated.  A pattern's fixed
-parameters are ASCII digits, and a guard is linear: each comparison
-reads one parameter besides k (``_read``), so its truth is eventually
-constant in every parameter, as the regions need.
+parameters and a cell's degree are ASCII digits, and a guard is linear:
+each comparison reads one parameter besides k (``_read``), so its truth
+is eventually constant in every parameter, as the regions need.
 
 >>> cp3 = instantiate("AIII", (1, 3))
 >>> pi(cp3, 7), coverage(cp3, 7)
@@ -57,7 +54,7 @@ import os
 import re
 from functools import lru_cache, wraps
 from heapq import merge
-from itertools import repeat
+from itertools import chain, product, repeat
 from keyword import iskeyword
 from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
@@ -288,12 +285,13 @@ def _parse_record(line: str, source: str, stable: bool,
                 values.append(None)
     by_degree = {}
     for cell in cells.split(";"):
-        deg, _, group_text = cell.partition("=")
-        k = int(deg.strip())
+        deg, _, text = (part.strip() for part in cell.partition("="))
+        if not (deg.isascii() and deg.isdigit()):   # not '٣', '1_0' or '+3'
+            raise ValueError(f"bad degree {deg!r} in cell {cell.strip()!r}")
+        k = int(deg)
         _check_degree(k)
         if k in by_degree:
             raise ValueError(f"degree {k} repeated")
-        text = group_text.strip()
         if text not in parsed:
             g = parse_group(text)
             if extra := g.primes().difference(FIELDS):
@@ -344,25 +342,14 @@ def load_records(data_dir: Optional[str] = None) -> Tuple[HomotopyRecord, ...]:
 
 @lru_cache(maxsize=None)
 def _index(data_dir: str):
-    """``load_records(data_dir)`` filed by pattern shape.
-
-    A record's shape is its arity and the positions of the parameters
-    its pattern fixes.  ``shapes`` maps each symbol to its records'
-    shapes in first-seen order; ``by_key`` files each record under
-    (symbol, shape, its fixed values) as (file position, record), in file
-    order.  A space's records are then those under (symbol, shape, its
-    parameters at the shape's positions), for each shape of its arity.
-    """
-    by_key, shapes = {}, {}
+    """``load_records(data_dir)`` filed by pattern: each record under
+    (symbol, its ``param_values``, None in each named slot) as (file
+    position, record), in file order."""
+    by_pattern = {}
     for pos, rec in enumerate(load_records(data_dir)):
-        fixed = tuple(i for i, v in enumerate(rec.param_values)
-                      if v is not None)
-        shape = (len(rec.param_values), fixed)
-        if shape not in shapes.setdefault(rec.symbol, []):
-            shapes[rec.symbol].append(shape)
-        by_key.setdefault((rec.symbol, shape, tuple(
-            rec.param_values[i] for i in fixed)), []).append((pos, rec))
-    return by_key, shapes
+        by_pattern.setdefault((rec.symbol, rec.param_values),
+                              []).append((pos, rec))
+    return by_pattern
 
 
 def _sphere_rule(s: SpaceInstance, data_dir: str) -> List[List[Cell]]:
@@ -377,9 +364,10 @@ def _projective_rule(s: SpaceInstance, data_dir: str) -> List[List[Cell]]:
     pi_2 = Z and pi_k = pi_k(S^(2n+1)) for k >= 3."""
     if s.params[0] != 1:
         return [[] for _ in _DEGREES]
-    sphere = instantiate("S", (2 * s.params[1] + 1,))
+    sphere = groups(instantiate("S", (2 * s.params[1] + 1,)), MAX_DEGREE,
+                    data_dir)
     return [[("projective_rule", _TRIVIAL if k == 1 else _Z if k == 2
-              else pi(sphere, k, data_dir))] for k in _DEGREES]
+              else sphere[k])] for k in _DEGREES]
 
 
 # each rule's cells for pi_1..pi_MAX_DEGREE of a space of its symbol
@@ -395,14 +383,11 @@ def row(s: SpaceInstance, data_dir=None) -> Tuple[Tuple[Cell, ...], ...]:
     the module docstring): the first answers ``pi(s, k)``, and an empty
     tuple means no table covers the cell.
     """
-    by_key, shapes = _index(data_dir)
-    found = []
-    for shape in shapes.get(s.symbol, ()):
-        arity, fixed = shape
-        if arity == len(s.params):
-            found += by_key.get(
-                (s.symbol, shape, tuple(s.params[i] for i in fixed)), ())
-    found.sort(key=itemgetter(0))
+    by_pattern = _index(data_dir)
+    found = sorted(chain.from_iterable(    # each slot fixed to s's or named
+        by_pattern.get((s.symbol, pattern), ())
+        for pattern in product(*((p, None) for p in s.params))),
+        key=itemgetter(0))
     rule = _RULES.get(s.symbol)
     out = rule(s, data_dir) if rule else [[] for _ in _DEGREES]
     for _, rec in found:
@@ -431,7 +416,6 @@ def pi_candidates(s: SpaceInstance, k: int, data_dir=None) -> List[Cell]:
 NOT_COVERED = "not_covered"
 
 
-@_cached_per_data_dir
 def pi(s: SpaceInstance, k: int, data_dir=None) -> PartialAbelianGroup:
     """pi_k(s) from the database; Unknown when no table covers the cell."""
     _check_degree(k)
@@ -456,10 +440,11 @@ def groups(s: SpaceInstance, max_degree: int = 9,
 
 def profile(q: ProductSpace, max_degree: int = 9,
             data_dir=None) -> Dict[int, PartialAbelianGroup]:
-    """Degreewise direct sum of the factors' homotopy groups, each degree
-    summed in one pass (``direct_sum_all``)."""
-    _check_degree(max_degree)
-    return {k: direct_sum_all(pi(f, k, data_dir) for f in q.factors)
+    """Degreewise direct sum of the factors' homotopy groups: each
+    factor's groups read once, each degree summed in one pass
+    (``direct_sum_all``)."""
+    factors = [groups(f, max_degree, data_dir) for f in q.factors]
+    return {k: direct_sum_all(g[k] for g in factors)
             for k in range(1, max_degree + 1)}
 
 

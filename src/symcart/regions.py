@@ -8,8 +8,11 @@ finitely many regions: each parameter is either fixed below the
 family's start or runs from the start on.  On a region the row,
 validity, canonical form and blind side of recognition are constant,
 so ``recognize.corollary1_scan`` and ``homotopy.consistency_violations``
-read one row per region and count its members from the family's dim
-formula, instantiating members only where they list them.
+read one row per region.  A region's running parameters form a family
+of their own (``catalog._Family``, its dim the family's with the fixed
+parameters bound), so the catalog's one sweep counts the region's
+members, building no tuple, and lists them; members are instantiated
+only where they are listed.
 
 Each family's start comes from the sources its own rows and blind side
 read (``_tails``): its guards' comparisons, as loaded, the fixed
@@ -30,12 +33,12 @@ but CP^5 is not valid, so its tail region starts at CP^6:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from functools import partial
 from operator import attrgetter
 from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .catalog import (FAMILIES, PRODUCT_ISOMORPHISMS, SPECIAL_ISOMORPHISMS,
-                      ReducibleError, SpaceInstance, instantiate)
+                      ReducibleError, SpaceInstance, _Family, instantiate)
 from .homotopy import (MAX_DEGREE, Cell, Guard, _cached_per_data_dir,
                        load_records, row)
 
@@ -99,46 +102,27 @@ def _tails(records) -> Dict[str, int]:
 class Region(NamedTuple):
     """The canonical spaces of one family that share one homotopy row.
 
-    A member's parameter i is ``least.params[i]`` where ``steps[i]`` is
-    0, and otherwise runs on from there in steps of 1, kept
-    nondecreasing; the fixed parameters come first.  Every member has
-    ``least``'s row, validity, canonical form and blind side, and
-    ``least`` has the smallest parameters, and so the smallest dim.
+    A member's parameters are ``fixed``, then a tuple of ``running``:
+    the family of the parameters that run on from ``least``'s, kept
+    nondecreasing, whose dim is the family's with ``fixed`` bound.
+    Every member has ``least``'s row, validity, canonical form and blind
+    side, and ``least`` has the smallest parameters, and so the smallest
+    dim.
     """
 
     least: SpaceInstance
-    steps: Tuple[int, ...]
+    fixed: Tuple[int, ...]
+    running: _Family
     row: Tuple[Tuple[Cell, ...], ...]
 
-    def _first(self, i: int, prefix: Tuple[int, ...]) -> int:
-        """The least value of parameter i after the member's ``prefix``."""
-        v = self.least.params[i]
-        return max(v, prefix[-1]) if self.steps[i] and prefix else v
-
-    def _prefixes(self, max_dim: int, length: int, prefix=()):
-        """The first ``length`` parameters of every member with
-        dim <= max_dim, in order, each once."""
-        if len(prefix) == length:
-            yield prefix
-            return
-        dim, i = FAMILIES[self.least.symbol].dim, len(prefix)
-        v = self._first(i, prefix)
-        while True:
-            smallest = prefix + (v,)    # and the least values after it
-            for j in range(i + 1, len(self.steps)):
-                smallest += (self._first(j, smallest),)
-            if dim(*smallest) > max_dim:    # dim grows in every parameter
-                return
-            yield from self._prefixes(max_dim, length, prefix + (v,))
-            if not self.steps[i]:
-                return
-            v += 1
+    @property
+    def steps(self) -> Tuple[int, ...]:
+        """Per parameter, 0 where it is fixed and 1 where it runs."""
+        return (0,) * len(self.fixed) + (1,) * len(self.running.smallest)
 
     def params(self, max_dim: int) -> Iterator[Tuple[int, ...]]:
         """Every member's parameters with dim <= max_dim, in order."""
-        if self.least.dim > max_dim:
-            return iter(())
-        return self._prefixes(max_dim, len(self.steps))
+        return (self.fixed + p for p in self.running.sweep(max_dim))
 
     def members(self, max_dim: int) -> Iterator[SpaceInstance]:
         """Every member with dim <= max_dim, in catalog order."""
@@ -146,22 +130,8 @@ class Region(NamedTuple):
         return (instantiate(symbol, p) for p in self.params(max_dim))
 
     def count(self, max_dim: int) -> int:
-        """The number of members with dim <= max_dim, none instantiated:
-        the last parameter's values are counted by bisection."""
-        if self.least.dim > max_dim:
-            return 0
-        if not self.steps or not self.steps[-1]:
-            return sum(1 for _ in self.params(max_dim))
-        dim, last = FAMILIES[self.least.symbol].dim, len(self.steps) - 1
-        total = 0
-        for prefix in self._prefixes(max_dim, last):
-            v = self._first(last, prefix)
-            # an integer dim that grows with the parameter passes max_dim
-            # within max_dim + 1 steps
-            values = range(v, v + max_dim + 1)
-            total += bisect_right(values, max_dim,
-                                  key=lambda u: dim(*prefix, u))
-        return total
+        """The number of members with dim <= max_dim, none instantiated."""
+        return self.running.count(max_dim)
 
 
 def _family_regions(symbol: str, start: int):
@@ -210,5 +180,9 @@ def regions(data_dir=None) -> Tuple[Region, ...]:
             raise ValueError(f"the homotopy rows of {symbol} do not settle "
                              f"by parameter MAX_REGION_START = "
                              f"{MAX_REGION_START}")
-        out += [Region(s, steps, row(s, data_dir)) for s, steps in found]
+        for s, steps in found:
+            fixed = s.params[:steps.count(0)]       # they come first
+            running = _Family(s.params[len(fixed):],
+                              partial(FAMILIES[symbol].dim, *fixed), None)
+            out.append(Region(s, fixed, running, row(s, data_dir)))
     return tuple(sorted(out, key=attrgetter("least")))

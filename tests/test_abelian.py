@@ -84,7 +84,11 @@ def test_parse_normalizes_composite_orders():
     assert format_group(parse_group("Z + Z_24")) == "Z + Z_8 + Z_3"
 
 
-@pytest.mark.parametrize("text", ["Z_", "Z +", "Z_1", "Z^0", "in", "Z_x"])
+@pytest.mark.parametrize("text", [
+    "Z_", "Z +", "Z_1", "Z^0", "in", "Z_x",
+    # str.isdigit passes these; int reads the first as Z_12, fails on the rest
+    "Z_\u0661\u0662", "Z_\u00b2", "Z^\u00b2", "Z + Z_2^\u0663",
+])
 def test_parse_errors_are_positioned(text):
     with pytest.raises(GroupSyntaxError) as exc:
         parse_group(text)

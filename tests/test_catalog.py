@@ -21,6 +21,7 @@ from symcart.catalog import (EXCEPTIONAL_SYMBOLS, FAMILIES, ConstraintError,
                              enumerate_catalog, instantiate, product_kp,
                              reference_classical, reference_exceptional,
                              sharp, _build_catalog)
+from symcart.regions import regions
 
 
 @pytest.mark.parametrize("symbol,params", [("S", (12,)), ("AIII", (2, 5)),
@@ -191,6 +192,22 @@ def test_bulk_build_lists_what_instantiate_keeps(max_dim):
     """The bulk build skips the rewritten presentations by lookup and
     builds the rest uncached; it misses no space and adds none."""
     assert _build_catalog(max_dim) == _catalog_by_instantiate(max_dim)
+
+
+def test_one_sweep_lists_and_counts_what_recursion_finds():
+    """Each family's runs, and each region's running family's, list the
+    tuples that recursion over the parameters finds, and count as many,
+    at fixed dims and at one that a member's dim equals."""
+    families = [*FAMILIES.values(), *(r.running for r in regions())]
+    for family in families:
+        hit = family.dim(*(v + 3 for v in family.smallest))
+        for max_dim in (1, 10, 11, 60, 300, 1500, hit):
+            swept = family.sweep(max_dim)
+            # the recursion yields () whatever a parameterless dim is
+            assert swept == [p for p in _recursive_sweep(family, max_dim)
+                             if family.dim(*p) <= max_dim], (family, max_dim)
+            assert family.count(max_dim) == len(swept), (family, max_dim)
+        assert hit in {family.dim(*p) for p in family.sweep(hit)}
 
 
 _WORK_COUNT = """

@@ -182,11 +182,11 @@ def test_each_cache_has_one_key_per_data_directory():
     assert load_records() is load_records(None) is load_records(shipped)
     assert load_records.cache_info().misses == 1
     s = instantiate("SU", (4,))
-    pi.cache_clear()
-    pi(s, 3)
-    pi(s, 3, None)
-    pi(s, 3, data_dir=shipped)
-    assert pi.cache_info().misses == 1
+    row.cache_clear()
+    row(s)
+    row(s, None)
+    row(s, data_dir=shipped)
+    assert row.cache_info().misses == 1
 
 
 def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):
@@ -428,7 +428,21 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
                           "pattern 'BDI\\(p,p\\)' names p twice"),
                          # a guard would read True as 1
                          ("BDI(True,q) | True >= 2 | 2=Z",
-                          "bad pattern 'BDI\\(True,q\\)'")):
+                          "bad pattern 'BDI\\(True,q\\)'"),
+                         # int reads each degree as 3, 10 and 3
+                         ("E6 | - | \u0663=Z_2",
+                          "bad degree '\u0663' in cell '\u0663=Z_2'"),
+                         ("E6 | - | 1_0=Z_2",
+                          "bad degree '1_0' in cell '1_0=Z_2'"),
+                         ("E6 | - | +3=Z_2",
+                          "bad degree '\\+3' in cell '\\+3=Z_2'"),
+                         # int reads the first as Z_12 and fails on the rest
+                         ("E6 | - | 3=Z_\u0661\u0662", "bad cyclic order at "
+                          "position 0 in 'Z_\u0661\u0662'"),
+                         ("E6 | - | 3=Z_\u00b2",
+                          "bad cyclic order at position 0 in 'Z_\u00b2'"),
+                         ("E6 | - | 3=Z^\u00b2",
+                          "bad exponent at position 0 in 'Z\\^\u00b2'")):
         table.write_text(shipped + row + "\n")
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(table))}:{lineno}: "

@@ -224,10 +224,15 @@ def test_bucket_counts_equal_listings_at_dim_1000(max_degree):
     (1000, 10, (6041, 12778964, 242550, 2, 497)),
     (2000, 9, (13197, 59954858, 986045, 1987, 997)),
     (2000, 10, (13197, 59957838, 985050, 2, 997)),
+    (200_000, 9, (2097461, 1424838680919, 9998600045, 199987, 99997)),
+    (200_000, 3, (2097461, 1321139829729, 9998600045, 103696315168, 2836006)),
+    (200_000, 10, (2097461, 1424838980899, 9998500050, 2, 99997)),
 ])
 def test_scan_counts_at_large_dims(max_dim, max_degree, counts):
     """(instances, distinguishable, blind, violations, undetermined) as
-    the per-instance scan counted them, before scans read regions."""
+    the per-instance scan counted them, before scans read regions, up to
+    dim 2000; at dim 200,000, far past the listing bound, as the region
+    scan counted them when each region swept its own members."""
     report = corollary1_scan(max_dim, max_degree)
     assert (report.instances, report.distinguishable_pairs,
             len(report.blind_pairs), len(report.violations),
@@ -434,7 +439,7 @@ guarded = sum(1 for s in read for rec in records
               and all(v is None or v == p
                       for v, p in zip(rec.param_values, s.params)))
 # a space is hashed only as a key of these caches
-space_caches = (homotopy.row, homotopy.pi, recognize._ranked)
+space_caches = (homotopy.row, recognize._ranked)
 
 def space_lookups():
     return sum(c.cache_info().hits + c.cache_info().misses for c in space_caches)

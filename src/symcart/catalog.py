@@ -21,6 +21,7 @@ import itertools
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import attrgetter
 from typing import Callable, Iterator, List, NamedTuple, Tuple
 
@@ -156,14 +157,22 @@ class _Family(NamedTuple):
         return (len(params) == len(self.smallest)
                 and self.smallest[0] <= params[0] <= params[-1])
 
-    def _runs(self, max_dim: int) -> Iterator[Tuple[Tuple[int, ...], range]]:
-        """The admitted tuples with dim <= max_dim as runs (prefix, values)
-        of the last parameter: one per value of the first, if there are two.
+    def _runs(self, max_dim: int) -> Iterator[Tuple[Tuple[int, ...],
+                                                    Tuple[range, ...]]]:
+        """The admitted tuples with dim <= max_dim as runs (prefix, rest),
+        each the tuples prefix + r for r in ``product(*rest)``.
 
-        dim grows in every parameter, and an integer dim passes max_dim
-        within max_dim + 1 steps, so bisection ends each run; the first
-        empty run ends the prefixes, since later ones start no lower.
+        ``rest`` is a range of the last parameter, one run per value of
+        the first if there are two; a family with no parameters has the
+        one run ((), ()), of the tuple (), if dim() <= max_dim.  dim
+        grows in every parameter, and an integer dim passes max_dim
+        within max_dim + 1 steps, so bisection ends each range; the first
+        empty one ends the prefixes, since later ones start no lower.
         """
+        if not self.smallest:
+            if self.dim() <= max_dim:
+                yield (), ()
+            return
         *first, last = self.smallest
         prefixes = ((p,) for p in itertools.count(*first)) if first else [()]
         for prefix in prefixes:
@@ -173,21 +182,17 @@ class _Family(NamedTuple):
                                key=lambda v: self.dim(*prefix, v))
             if not end:
                 return
-            yield prefix, values[:end]
+            yield prefix, (values[:end],)
 
     def sweep(self, max_dim: int) -> List[Tuple[int, ...]]:
         """Every admitted parameter tuple with dim <= max_dim, in order."""
-        if not self.smallest:
-            return [()] if self.dim() <= max_dim else []
-        return [(*prefix, v) for prefix, values in self._runs(max_dim)
-                for v in values]
+        return [prefix + r for prefix, rest in self._runs(max_dim)
+                for r in itertools.product(*rest)]
 
     def count(self, max_dim: int) -> int:
         """The number of admitted tuples with dim <= max_dim, summed over
         the runs without building a tuple."""
-        if not self.smallest:
-            return int(self.dim() <= max_dim)
-        return sum(len(values) for _, values in self._runs(max_dim))
+        return sum(prod(map(len, rest)) for _, rest in self._runs(max_dim))
 
 
 def _grassmannian(c: int) -> _Family:

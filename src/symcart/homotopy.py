@@ -364,10 +364,9 @@ def _projective_rule(s: SpaceInstance, data_dir: str) -> List[List[Cell]]:
     pi_2 = Z and pi_k = pi_k(S^(2n+1)) for k >= 3."""
     if s.params[0] != 1:
         return [[] for _ in _DEGREES]
-    sphere = groups(instantiate("S", (2 * s.params[1] + 1,)), MAX_DEGREE,
-                    data_dir)
+    sphere = instantiate("S", (2 * s.params[1] + 1,))
     return [[("projective_rule", _TRIVIAL if k == 1 else _Z if k == 2
-              else sphere[k])] for k in _DEGREES]
+              else pi(sphere, k, data_dir))] for k in _DEGREES]
 
 
 # each rule's cells for pi_1..pi_MAX_DEGREE of a space of its symbol
@@ -416,6 +415,7 @@ def pi_candidates(s: SpaceInstance, k: int, data_dir=None) -> List[Cell]:
 NOT_COVERED = "not_covered"
 
 
+@_cached_per_data_dir
 def pi(s: SpaceInstance, k: int, data_dir=None) -> PartialAbelianGroup:
     """pi_k(s) from the database; Unknown when no table covers the cell."""
     _check_degree(k)
@@ -440,11 +440,10 @@ def groups(s: SpaceInstance, max_degree: int = 9,
 
 def profile(q: ProductSpace, max_degree: int = 9,
             data_dir=None) -> Dict[int, PartialAbelianGroup]:
-    """Degreewise direct sum of the factors' homotopy groups: each
-    factor's groups read once, each degree summed in one pass
-    (``direct_sum_all``)."""
-    factors = [groups(f, max_degree, data_dir) for f in q.factors]
-    return {k: direct_sum_all(g[k] for g in factors)
+    """Degreewise direct sum of the factors' homotopy groups, each degree
+    summed in one pass (``direct_sum_all``)."""
+    _check_degree(max_degree)
+    return {k: direct_sum_all(pi(f, k, data_dir) for f in q.factors)
             for k in range(1, max_degree + 1)}
 
 

@@ -22,8 +22,8 @@ by its summed rank intervals; the paddings that fit beside a core are
 counted by an integer recurrence for the node bound and listed only for
 the cores that pass.  A space's profile never changes within a process,
 so each space is ranked once: its rank intervals and
-visibility are cached per (space, degree, data directory), as
-``homotopy.row`` caches each row.
+visibility are cached per (space, degree, data directory), as ``pi``
+caches each group.
 """
 
 from __future__ import annotations
@@ -429,7 +429,7 @@ def _ranked(s: SpaceInstance, max_degree: int, data_dir=None) -> _Ranked:
     """The rank intervals of ``s``'s profile through max_degree.
 
     Computed once per process for each space, degree and data directory,
-    the directory keyed by its absolute path, as ``homotopy.row`` is;
+    the directory keyed by its absolute path, as ``pi`` itself is;
     callers share the result and must not mutate it.
     """
     prof = groups(s, max_degree, data_dir)

@@ -27,8 +27,8 @@ CP^n = AIII(1,q) settles at q = 5, where S(2q + 1) passes MAX_DEGREE,
 but CP^5 is not valid, so its tail region starts at CP^6:
 
 >>> cp = [r for r in regions() if r.least.label() == "AIII(1,6)"][0]
->>> cp.steps, cp.count(300), [s.label() for s in cp.members(16)]
-((0, 1), 145, ['AIII(1,6)', 'AIII(1,7)', 'AIII(1,8)'])
+>>> cp.fixed, cp.count(300), [s.label() for s in cp.members(16)]
+((1,), 145, ['AIII(1,6)', 'AIII(1,7)', 'AIII(1,8)'])
 """
 
 from __future__ import annotations
@@ -111,14 +111,14 @@ class Region(NamedTuple):
     """
 
     least: SpaceInstance
-    fixed: Tuple[int, ...]
     running: _Family
     row: Tuple[Tuple[Cell, ...], ...]
 
     @property
-    def steps(self) -> Tuple[int, ...]:
-        """Per parameter, 0 where it is fixed and 1 where it runs."""
-        return (0,) * len(self.fixed) + (1,) * len(self.running.smallest)
+    def fixed(self) -> Tuple[int, ...]:
+        """The parameters every member shares: ``least``'s first ones."""
+        params = self.least.params
+        return params[:len(params) - len(self.running.smallest)]
 
     def params(self, max_dim: int) -> Iterator[Tuple[int, ...]]:
         """Every member's parameters with dim <= max_dim, in order."""
@@ -135,11 +135,12 @@ class Region(NamedTuple):
 
 
 def _family_regions(symbol: str, start: int):
-    """(least member, steps) of each region of one family: its
-    parameters fixed below ``start``, then one run from it on."""
+    """(least member, number of fixed parameters) of each region of one
+    family: its parameters fixed below ``start``, then one run from it
+    on."""
     smallest = FAMILIES[symbol].smallest
 
-    def extend(params, steps):
+    def extend(params, fixed):
         i = len(params)
         if i == len(smallest):
             try:
@@ -147,15 +148,15 @@ def _family_regions(symbol: str, start: int):
             except ReducibleError:
                 return
             if (s.symbol, s.params) == (symbol, params):
-                yield s, steps
+                yield s, fixed
             return
         lo = max((smallest[i], *params[-1:]))
-        if not any(steps):
+        if fixed == i:
             for v in range(lo, start):
-                yield from extend(params + (v,), steps + (0,))
-        yield from extend(params + (max(lo, start),), steps + (1,))
+                yield from extend(params + (v,), fixed + 1)
+        yield from extend(params + (max(lo, start),), fixed)
 
-    return extend((), ())
+    return extend((), 0)
 
 
 @_cached_per_data_dir
@@ -174,15 +175,14 @@ def regions(data_dir=None) -> Tuple[Region, ...]:
     for symbol in FAMILIES:
         for start in range(starts[symbol], MAX_REGION_START + 1):
             found = list(_family_regions(symbol, start))
-            if all(s.valid for s, steps in found if any(steps)):
+            if all(s.valid for s, fixed in found if fixed < len(s.params)):
                 break
         else:
             raise ValueError(f"the homotopy rows of {symbol} do not settle "
                              f"by parameter MAX_REGION_START = "
                              f"{MAX_REGION_START}")
-        for s, steps in found:
-            fixed = s.params[:steps.count(0)]       # they come first
-            running = _Family(s.params[len(fixed):],
-                              partial(FAMILIES[symbol].dim, *fixed), None)
-            out.append(Region(s, fixed, running, row(s, data_dir)))
+        for s, fixed in found:
+            running = _Family(s.params[fixed:], partial(
+                FAMILIES[symbol].dim, *s.params[:fixed]), None)
+            out.append(Region(s, running, row(s, data_dir)))
     return tuple(sorted(out, key=attrgetter("least")))

@@ -182,11 +182,11 @@ def test_each_cache_has_one_key_per_data_directory():
     assert load_records() is load_records(None) is load_records(shipped)
     assert load_records.cache_info().misses == 1
     s = instantiate("SU", (4,))
-    row.cache_clear()
-    row(s)
-    row(s, None)
-    row(s, data_dir=shipped)
-    assert row.cache_info().misses == 1
+    pi.cache_clear()
+    pi(s, 3)
+    pi(s, 3, None)
+    pi(s, 3, data_dir=shipped)
+    assert pi.cache_info().misses == 1
 
 
 def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):

@@ -439,7 +439,7 @@ guarded = sum(1 for s in read for rec in records
               and all(v is None or v == p
                       for v, p in zip(rec.param_values, s.params)))
 # a space is hashed only as a key of these caches
-space_caches = (homotopy.row, recognize._ranked)
+space_caches = (homotopy.row, homotopy.pi, recognize._ranked)
 
 def space_lookups():
     return sum(c.cache_info().hits + c.cache_info().misses for c in space_caches)

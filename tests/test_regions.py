@@ -73,10 +73,10 @@ def test_regions_are_few_and_start_where_the_tables_settle():
         assert row(instantiate(symbol, (start - 1,))) != \
             row(instantiate(symbol, (start,)))
     assert len(regions()) == 133
-    tails = [r for r in regions() if any(r.steps)]
-    assert {r.steps[-1] for r in tails} == {1}
-    assert max(min(p for p, step in zip(r.least.params, r.steps) if step)
-               for r in tails) == 12
+    assert all(r.fixed + r.running.smallest == r.least.params
+               for r in regions())
+    tails = [r for r in regions() if r.running.smallest]
+    assert max(r.running.smallest[0] for r in tails) == 12
     assert all(r.least.valid for r in tails)
 
 
@@ -209,12 +209,12 @@ def test_a_late_sphere_row_leaves_the_cpn_tail(tmp_path):
     starts = _tails(load_records(data_dir))
     assert (starts["S"], starts["AIII"]) == (20, 5)
     found = regions(data_dir)
-    cpn = [(r.least.params[1], r.steps) for r in found
+    cpn = [(r.least.params[1], r.fixed) for r in found
            if r.least.symbol == "AIII" and r.least.params[0] == 1]
-    assert cpn == [(q, (0, 0)) for q in range(2, 6)] + [(6, (0, 1))]
-    spheres = [(r.least.params[0], r.steps) for r in found
+    assert cpn == [(q, (1, q)) for q in range(2, 6)] + [(6, (1,))]
+    spheres = [(r.least.params[0], r.fixed) for r in found
                if r.least.symbol == "S"]
-    assert spheres[-1] == (20, (1,))
+    assert spheres[-1] == (20, ())
     for region in found:
         least = region.least
         sides = [_blind_side(least, degree) for degree in (9, 10)]

@@ -8,7 +8,8 @@ arithmetic ever extracted from them are rank intervals over ``FIELDS``:
 Q, Z_2, Z_3, Z_5 and Z_7.  Two cells differ provably only where one of
 those intervals is disjoint (``separating_field``), the one rule that
 recognition and ``compatible`` read; the homotopy tables reject other
-primes.
+primes.  ``_KINDS`` states each payload-free kind once; ``refined_by``,
+the tests' oracle for it, and the direct sums decide kinds on their own.
 
 >>> parse_group("Z + Z_12")
 Partial('Z + Z_4 + Z_3')
@@ -20,6 +21,7 @@ RankInterval(1, None)
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
@@ -121,13 +123,21 @@ class AbelianGroup(value_tuple("AbelianGroup", "free_rank torsion")):
 TRIVIAL = AbelianGroup()
 _Z = AbelianGroup(1)
 
-# Variant tags for partially known groups.
+# Variant tags for partially known groups; EXACT and CONTAINS hold a group.
 EXACT = "exact"
-FINITE = "finite"            # "f": finite, possibly zero
-RANK_ONE = "rank_one"        # "r1": free rank exactly 1, torsion unknown
-RANK_AT_LEAST_ONE = "rank_at_least_one"   # "r>=1"
-CONTAINS = "contains"        # "H in": contains H as a subgroup
-UNKNOWN = "unknown"          # blank table cell
+CONTAINS = "contains"                      # "H in": contains H as a subgroup
+FINITE = "finite"                          # finite, possibly zero
+RANK_ONE = "rank_one"                      # free rank 1, torsion unknown
+RANK_AT_LEAST_ONE = "rank_at_least_one"
+UNKNOWN = "unknown"                        # a blank table cell
+
+# each kind without a payload once: its spelling, its floor (a subgroup of
+# every refinement) and the largest free rank of one (None for no bound)
+_Kind = namedtuple("_Kind", "spelling floor bound")
+_KINDS = {FINITE: _Kind("f", TRIVIAL, 0), RANK_ONE: _Kind("r1", _Z, 1),
+          RANK_AT_LEAST_ONE: _Kind("r>=1", _Z, None),
+          UNKNOWN: _Kind("?", TRIVIAL, None)}
+_SPELLED = {kind.spelling: tag for tag, kind in _KINDS.items()}
 
 
 class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
@@ -144,6 +154,8 @@ class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
         if tag in (EXACT, CONTAINS):
             if group is None:
                 raise ValueError("missing group payload")
+        elif tag not in _KINDS:
+            raise ValueError(f"unknown variant tag {tag!r}")
         elif group is not None:
             raise ValueError(f"variant {tag} takes no payload")
         return tuple.__new__(cls, (tag, group))
@@ -167,16 +179,10 @@ class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
 
     def lower_bound(self) -> AbelianGroup:
         """A group provably contained in every refinement of this value."""
-        if self.tag in (EXACT, CONTAINS):
-            return self.group
-        if self.tag in (RANK_ONE, RANK_AT_LEAST_ONE):
-            return _Z
-        return TRIVIAL
+        return _KINDS[self.tag].floor if self.group is None else self.group
 
     def primes(self) -> frozenset:
-        if self.tag in (EXACT, CONTAINS):
-            return self.group.primes()
-        return frozenset()
+        return self.lower_bound().primes()
 
     def refined_by(self, g: AbelianGroup) -> bool:
         """Whether the exact group g is a possible value of this cell."""
@@ -226,30 +232,16 @@ class RankInterval(value_tuple("RankInterval", "lo hi")):
 
 def q_rank(g: PartialAbelianGroup) -> RankInterval:
     """Interval of possible free ranks (rank of G (x) Q)."""
-    if g.tag == EXACT:
-        r = g.group.free_rank
+    r = g.lower_bound().free_rank
+    if g.is_exact:
         return RankInterval(r, r)
-    if g.tag == FINITE:
-        return RankInterval(0, 0)
-    if g.tag == RANK_ONE:
-        return RankInterval(1, 1)
-    if g.tag == RANK_AT_LEAST_ONE:
-        return RankInterval(1, None)
-    if g.tag == CONTAINS:
-        return RankInterval(g.group.free_rank, None)
-    return RankInterval(0, None)
+    return RankInterval(r, None if g.tag == CONTAINS else _KINDS[g.tag].bound)
 
 
 def p_rank(g: PartialAbelianGroup, p: int) -> RankInterval:
     """Interval of possible dimensions of G (x) Z_p."""
-    if g.tag == EXACT:
-        d = g.group.p_count(p)
-        return RankInterval(d, d)
-    if g.tag == CONTAINS:
-        return RankInterval(g.group.p_count(p), None)
-    if g.tag in (RANK_ONE, RANK_AT_LEAST_ONE):
-        return RankInterval(1, None)
-    return RankInterval(0, None)   # FINITE and UNKNOWN
+    d = g.lower_bound().p_count(p)
+    return RankInterval(d, d if g.is_exact else None)
 
 
 def direct_sum(a: PartialAbelianGroup, b: PartialAbelianGroup) -> PartialAbelianGroup:
@@ -279,7 +271,8 @@ def direct_sum(a: PartialAbelianGroup, b: PartialAbelianGroup) -> PartialAbelian
     return PartialAbelianGroup(CONTAINS, low)
 
 
-_BOUNDED = (EXACT, FINITE, RANK_ONE)     # the tags whose q_rank has an end
+# the tags whose q_rank has an end
+_BOUNDED = (EXACT, *(t for t, kind in _KINDS.items() if kind.bound is not None))
 
 
 def direct_sum_all(cells: Iterable[PartialAbelianGroup]) -> PartialAbelianGroup:
@@ -364,7 +357,7 @@ def compatible(a: PartialAbelianGroup, b: PartialAbelianGroup):
 #
 #   expr ::= term ("+" term)*
 #   term ::= "Z" | "Z_<n>" | "Z^<k>" | "Z_<n>^<k>"
-#   expr may instead be one of: "f" | "r1" | "r>=1" | "<expr> in" | "?" | "0"
+#   expr may instead be "<expr> in", "0" or a spelling in _KINDS
 # ---------------------------------------------------------------------------
 
 class GroupSyntaxError(ValueError):
@@ -414,15 +407,9 @@ def parse_group(text: str) -> PartialAbelianGroup:
     >>> parse_group("Z_2 in").tag
     'contains'
     """
-    s = text.strip()
-    if s == "" or s == "?":
-        return PartialAbelianGroup(UNKNOWN)
-    if s == "f":
-        return PartialAbelianGroup(FINITE)
-    if s == "r1":
-        return PartialAbelianGroup(RANK_ONE)
-    if s == "r>=1":
-        return PartialAbelianGroup(RANK_AT_LEAST_ONE)
+    s = text.strip() or _KINDS[UNKNOWN].spelling      # a blank cell
+    if s in _SPELLED:
+        return PartialAbelianGroup(_SPELLED[s])
     if s.endswith(" in") or s == "in":
         inner = s[:-2].strip()
         if not inner:
@@ -456,14 +443,8 @@ def _format_exact(g: AbelianGroup) -> str:
 
 def format_group(g: PartialAbelianGroup) -> str:
     """Inverse of parse_group on canonical values."""
-    if g.tag == UNKNOWN:
-        return "?"
-    if g.tag == FINITE:
-        return "f"
-    if g.tag == RANK_ONE:
-        return "r1"
-    if g.tag == RANK_AT_LEAST_ONE:
-        return "r>=1"
+    if g.group is None:
+        return _KINDS[g.tag].spelling
     if g.tag == CONTAINS:
         return f"{_format_exact(g.group)} in"
     return _format_exact(g.group)

@@ -13,13 +13,12 @@ to the commands that read it.
 renderer, help line and arguments.  When the first argument names a
 command and the rest are plainly well-formed, ``main`` reads them
 straight from the table (``_read_args``) into the namespace argparse
-would make, and builds no parser.  argparse handles every other call,
-so help, usage and error text are its own: a call asking for help or
-that argparse rejects builds only its command's parser, and any other
-call (``--help``, no or an unknown command) builds the whole tree from
-the same table.  Each parser is built once per process and holds no
-per-call state.  ``COMMANDS`` binds the functions when the module is
-imported: a test that replaces one replaces its table entry.
+would make, and builds no parser.  argparse handles every other call
+(help, a rejected call, no or an unknown command), so help, usage and
+error text are its own; they come from the whole program's parser,
+built from the same table once per process, which holds no per-call
+state.  ``COMMANDS`` binds the functions when the module is imported: a
+test that replaces one replaces its table entry.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .catalog import (EXCEPTIONAL_SYMBOLS, GRASSMANNIANS, ProductSpace,
                       instantiate, product_kp, reference_classical,
                       reference_exceptional)
 from .geom import HypothesisSet, theorem_a_gate, theorem_b_check
-from .homotopy import MAX_DEGREE, profile
+from .homotopy import DEFAULT_DEGREE, MAX_DEGREE, profile
 from .recognize import (MAX_CANDIDATES, CandidateOverflow, corollary1_scan,
                         decompose, distinguish)
 from .rootsys import RootSystemType, positive_roots
@@ -392,7 +391,7 @@ def _arg(*flags, **kwargs):
 _FORMAT = _arg("--format", choices=("text", "json"), default="text")
 _SPACE = _arg("space")
 _CELLS = (      # the options of the commands that read pi_k cells
-    _arg("--max-degree", type=_integer, default=9,
+    _arg("--max-degree", type=_integer, default=DEFAULT_DEGREE,
          choices=range(1, MAX_DEGREE + 1)),
     _arg("--data-dir", default=None,
          help="override the bundled homotopy data files"))
@@ -460,7 +459,6 @@ def _add_arguments(parser, command):
     parser.set_defaults(func=func, render=render)
     for flags, kwargs in _arguments(command):
         parser.add_argument(*flags, **kwargs)
-    return parser
 
 
 def _dest(flags):
@@ -529,13 +527,10 @@ def _read_args(command, argv):
 
 
 @lru_cache(maxsize=None)
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of ``symcart <command> ...``'s arguments after the
-    command name, or with no command the whole program's parser.  A
-    well-formed call is read by ``_read_args`` instead; argparse parses
-    the calls that ask for help or that it rejects."""
-    if command is not None:         # as argparse names a subcommand parser
-        return _add_arguments(_Parser(prog=f"symcart {command}"), command)
+def _build_parser() -> argparse.ArgumentParser:
+    """The whole program's parser.  A well-formed call is read by
+    ``_read_args`` instead; argparse parses the calls that ask for help
+    or that it rejects."""
     parser = _Parser(
         prog="symcart",
         description="Ricci thresholds, orbit codimensions and homotopy "
@@ -548,12 +543,10 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = None
     if argv and argv[0] in COMMANDS:
         args = _read_args(argv[0], argv[1:])
-        if args is None:            # help, or a call argparse rejects
-            args = _build_parser(argv[0]).parse_args(
-                argv[1:], argparse.Namespace(command=argv[0]))
-    else:                 # --help, no or an unknown command: the whole tree
+    if args is None:      # help, a rejected call, no or an unknown command
         args = _build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)

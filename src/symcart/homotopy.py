@@ -66,6 +66,7 @@ from .abelian import (FIELDS, UNKNOWN, AbelianGroup, PartialAbelianGroup,
 from .catalog import ProductSpace, SpaceInstance, instantiate
 
 MAX_DEGREE = 10
+DEFAULT_DEGREE = 9           # the paper compares groups through pi_9
 
 _DATA_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "data"))
 
@@ -430,7 +431,7 @@ def coverage(s: SpaceInstance, k: int, data_dir=None) -> str:
     return cands[0][0] if cands else NOT_COVERED
 
 
-def groups(s: SpaceInstance, max_degree: int = 9,
+def groups(s: SpaceInstance, max_degree: int = DEFAULT_DEGREE,
            data_dir=None) -> Dict[int, PartialAbelianGroup]:
     """pi_k(s) for k = 1..max_degree, read from s's row in one lookup."""
     _check_degree(max_degree)
@@ -438,7 +439,7 @@ def groups(s: SpaceInstance, max_degree: int = 9,
             for k, cands in enumerate(row(s, data_dir)[:max_degree], 1)}
 
 
-def profile(q: ProductSpace, max_degree: int = 9,
+def profile(q: ProductSpace, max_degree: int = DEFAULT_DEGREE,
             data_dir=None) -> Dict[int, PartialAbelianGroup]:
     """Degreewise direct sum of the factors' homotopy groups, each degree
     summed in one pass (``direct_sum_all``)."""

@@ -39,7 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from .abelian import (PartialAbelianGroup, RankInterval, field_ranks,
                       format_group, separating_field)
 from .catalog import ProductSpace, SpaceInstance, enumerate_catalog
-from .homotopy import _cached_per_data_dir, groups, profile
+from .homotopy import DEFAULT_DEGREE, _cached_per_data_dir, groups, profile
 
 DISTINGUISHABLE = "Distinguishable"
 INDISTINGUISHABLE = "Indistinguishable"
@@ -100,7 +100,7 @@ def _as_product(x: Space) -> ProductSpace:
     return x if isinstance(x, ProductSpace) else ProductSpace((x,))
 
 
-def distinguish(a: Space, b: Space, max_degree: int = 9,
+def distinguish(a: Space, b: Space, max_degree: int = DEFAULT_DEGREE,
                 data_dir=None) -> Verdict:
     """Lowest-degree, Q-before-Z_p provable difference of two spaces.
 
@@ -298,7 +298,7 @@ class ScanReport:
         return not self.violations and not self.undetermined
 
 
-def corollary1_scan(max_dim: int, max_degree: int = 9,
+def corollary1_scan(max_dim: int, max_degree: int = DEFAULT_DEGREE,
                     data_dir=None) -> ScanReport:
     """Pairwise scan of all valid irreducible instances up to max_dim.
 
@@ -444,24 +444,24 @@ def _cores(cands, budget: int, ceiling, need):
 
     ``ceiling`` holds the ambient's upper rank per cell (None for none),
     ``need`` its positive lower ranks, in cell order.  ``cands`` holds
-    ``(space, floors, reach)`` in search order: the space's positive
+    ``(space, floors, reach)`` by decreasing dimension: the space's positive
     lower ranks as ``(cell, rank)`` and its upper ranks on the cells of
     ``need``, each capped at the rank needed there.  A multiset is kept
     while its summed lower ranks stay within ``ceiling``; each is yielded
     as ``(core, budget left, reaches)``, where ``reaches`` says whether
     its summed upper ranks reach every ``need``.  Lower ranks only grow,
     so every prefix of a kept multiset is kept, and only the cells a
-    space raises are checked.
+    space raises are checked.  Each step starts at the first space that
+    fits the budget left.
     """
     floor = [0] * len(ceiling)
     core: List[SpaceInstance] = []
+    neg_dims = [-t.dim for t, _, _ in cands]
 
     def visit(start, left, reach):
         yield tuple(core), left, all(map(ge, reach, need))
-        for i in range(start, len(cands)):
+        for i in range(max(start, bisect_left(neg_dims, -left)), len(cands)):
             t, floors, more = cands[i]
-            if t.dim > left:
-                continue
             for c, lo in floors:
                 floor[c] += lo
             if all(ceiling[c] is None or floor[c] <= ceiling[c]
@@ -475,22 +475,7 @@ def _cores(cands, budget: int, ceiling, need):
     return visit(0, budget, (0,) * len(need))
 
 
-def _paddings(padding: List[SpaceInstance], left: int):
-    """Every multiset of ``padding`` with total dimension <= left, the
-    empty one first.  ``padding`` is in decreasing dimension, so each
-    step starts at the first space that fits and every step yields."""
-    neg_dims = [-t.dim for t in padding]
-
-    def extend(start, left, chosen):
-        yield chosen
-        for i in range(max(start, bisect_left(neg_dims, -left)),
-                       len(padding)):
-            yield from extend(i, left - padding[i].dim, chosen + (padding[i],))
-
-    return extend(0, left, ())
-
-
-def decompose(ambient: SpaceInstance, max_degree: int = 9,
+def decompose(ambient: SpaceInstance, max_degree: int = DEFAULT_DEGREE,
               max_candidates: int = MAX_CANDIDATES,
               data_dir=None) -> List[ProductSpace]:
     """All catalog products whose profile could equal the ambient's.
@@ -579,7 +564,9 @@ def decompose(ambient: SpaceInstance, max_degree: int = 9,
         if reaches:
             reaching.append((core, left))
 
+    # every multiset of the padding within a core's leftover dimension
+    pads = [(t, (), ()) for t in padding]
     results = [ProductSpace(core + pad) for core, left in reaching
-               for pad in _paddings(padding, left) if core or pad]
+               for pad, _, _ in _cores(pads, left, (), ()) if core or pad]
     results.sort(key=lambda r: (-r.dim, r.label()))
     return results

@@ -12,7 +12,7 @@ from symcart.abelian import (AbelianGroup, GroupSyntaxError,
                              PartialAbelianGroup, RankInterval, compatible,
                              direct_sum, direct_sum_all, field_ranks, format_group,
                              parse_group, p_rank, q_rank, CONTAINS, EQUAL,
-                             FINITE, INCOMPATIBLE, POSSIBLY_EQUAL,
+                             FIELDS, FINITE, INCOMPATIBLE, POSSIBLY_EQUAL,
                              RANK_AT_LEAST_ONE, RANK_ONE, UNKNOWN)
 
 exact_groups = st.builds(
@@ -167,6 +167,37 @@ def test_incompatible_is_sound():
         if verdict == INCOMPATIBLE:
             assert not any(a.refined_by(g) and b.refined_by(g) for g in pool), \
                 (a, b)
+
+
+# free rank 0-3, at most two cyclic factors from Z_2, Z_4, Z_3, Z_9, Z_5, Z_7
+_REFINEMENTS = [AbelianGroup.from_orders(rank, orders)
+                for rank in range(4) for n in range(3)
+                for orders in itertools.combinations_with_replacement(
+                    (2, 4, 3, 9, 5, 7), n)]
+
+
+@given(partial_groups)
+@example(PartialAbelianGroup(FINITE))
+@example(PartialAbelianGroup(RANK_ONE))
+@example(PartialAbelianGroup(RANK_AT_LEAST_ONE))
+@example(PartialAbelianGroup(UNKNOWN))
+def test_the_kinds_table_agrees_with_refined_by(cell):
+    """The lower bound and rank intervals read from ``_KINDS`` hold for
+    every exact refinement, which the independent ``refined_by`` decides;
+    and off EXACT, a group refines a cell exactly when it contains the
+    cell's lower bound and its free rank is within the top of ``q_rank``."""
+    low, top = cell.lower_bound(), q_rank(cell).hi
+    for g in _REFINEMENTS:
+        refines = cell.refined_by(g)
+        if refines:
+            assert g.contains_subgroup(low), (cell, g)
+            ranks = [g.free_rank] + [g.p_count(p) for p in FIELDS[1:]]
+            for rank, (f, i) in zip(ranks, field_ranks(cell)):
+                assert i.lo <= rank and (i.hi is None or rank <= i.hi), \
+                    (cell, g, f)
+        if not cell.is_exact:
+            assert refines == (g.contains_subgroup(low) and (
+                top is None or g.free_rank <= top)), (cell, g)
 
 
 def test_compatible_verdicts_and_witness():

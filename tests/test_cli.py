@@ -295,10 +295,9 @@ def test_max_dim_is_bounded(capsys, monkeypatch):
 
 def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch):
     """A well-formed call is read from ``COMMANDS`` and builds no parser,
-    however often it runs.  A call argparse rejects builds its command's
-    parser once per process; ``--help``, no command or an unknown command
-    build the whole tree (the program's parser and one per command),
-    once too."""
+    however often it runs.  A call argparse rejects, ``--help``, no
+    command and an unknown command share the whole tree (the program's
+    parser and one per command), built once per process."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -327,8 +326,8 @@ def test_a_well_formed_call_builds_no_parser(capsys, monkeypatch):
         counts.append(len(built) - before)
     n = len(calls)
     assert counts[:2 * n] == [0] * 2 * n           # read, not parsed
-    assert counts[2 * n:2 * n + 2] == [1, 0]       # its parser, reused
-    assert counts[2 * n + 2:] == [10, 0, 0]        # the whole tree, once
+    assert counts[2 * n:2 * n + 2] == [10, 0]      # the whole tree, once
+    assert counts[2 * n + 2:] == [0, 0, 0]         # and reused
     assert rejected == 5
 
 
@@ -338,8 +337,7 @@ def _parsed(argv):
     sink = io.StringIO()
     try:
         with redirect_stdout(sink), redirect_stderr(sink):
-            return vars(cli._build_parser(argv[0]).parse_args(
-                argv[1:], argparse.Namespace(command=argv[0])))
+            return vars(cli._build_parser().parse_args(argv))
     except SystemExit:
         return None
 

@@ -70,6 +70,10 @@ def test_a_product_sorts_its_factors():
      "missing group payload"),
     (lambda: PartialAbelianGroup._make((FINITE, AbelianGroup(1))),
      "variant finite takes no payload"),
+    (lambda: PartialAbelianGroup(FINITE)._replace(tag="bogus"),
+     "unknown variant tag 'bogus'"),
+    (lambda: PartialAbelianGroup._make(("bogus", None)),
+     "unknown variant tag 'bogus'"),
     (lambda: RankInterval(1, 2)._replace(hi=0), "need 0 <= lo <= hi"),
     (lambda: RankInterval._make((-1, None)), "need 0 <= lo <= hi"),
     (lambda: RootSystemType._make(("Q", 3)), "unknown root system symbol 'Q'"),

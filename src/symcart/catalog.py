@@ -455,8 +455,8 @@ def classical_presentations(max_param: int = 30):
 _name = attrgetter("symbol", "params")     # a space's (symbol, params)
 
 # The presentations instantiate() rewrites or rejects as a product.  No
-# family's sweep reaches another non-canonical one: BDI's starts at p = 2,
-# so the sphere Gr(R,1,1+q) is never swept as BDI(1,q).
+# family's sweep or region's box reaches another non-canonical one: both
+# start BDI at p = 2, so the sphere Gr(R,1,1+q) is never read as BDI(1,q).
 _NOT_CANONICAL = SPECIAL_ISOMORPHISMS.keys() | PRODUCT_ISOMORPHISMS.keys()
 
 # every canonical instance with dim <= _catalog_dim, in enumerate_catalog's

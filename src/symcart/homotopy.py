@@ -323,7 +323,7 @@ def load_records(data_dir: Optional[str] = None) -> Tuple[HomotopyRecord, ...]:
     row's message starts with its ``file:line``.
     """
     records = []
-    parsed = {"0": _TRIVIAL, "Z": _Z, "?": _UNKNOWN}
+    parsed = {}
     for name, stable in _FILES:
         path = os.path.join(data_dir, name + ".txt")
         try:
@@ -441,10 +441,11 @@ def groups(s: SpaceInstance, max_degree: int = DEFAULT_DEGREE,
 
 def profile(q: ProductSpace, max_degree: int = DEFAULT_DEGREE,
             data_dir=None) -> Dict[int, PartialAbelianGroup]:
-    """Degreewise direct sum of the factors' homotopy groups, each degree
-    summed in one pass (``direct_sum_all``)."""
-    _check_degree(max_degree)
-    return {k: direct_sum_all(pi(f, k, data_dir) for f in q.factors)
+    """Degreewise direct sum of the factors' homotopy groups: each
+    factor's row is read once (``groups``), each degree summed in one
+    pass (``direct_sum_all``)."""
+    factor_groups = [groups(f, max_degree, data_dir) for f in q.factors]
+    return {k: direct_sum_all(g[k] for g in factor_groups)
             for k in range(1, max_degree + 1)}
 
 

@@ -21,9 +21,8 @@ direct sum.  Only multisets of visible spaces are visited, each decided
 by its summed rank intervals; the paddings that fit beside a core are
 counted by an integer recurrence for the node bound and listed only for
 the cores that pass.  A space's profile never changes within a process,
-so each space is ranked once: its rank intervals and
-visibility are cached per (space, degree, data directory), as ``pi``
-caches each group.
+so each space is ranked once: its rank intervals and visibility are
+cached per (space, degree, data directory).
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 from .abelian import (PartialAbelianGroup, RankInterval, field_ranks,
                       format_group, separating_field)
 from .catalog import ProductSpace, SpaceInstance, enumerate_catalog
-from .homotopy import DEFAULT_DEGREE, _cached_per_data_dir, groups, profile
+from .homotopy import (DEFAULT_DEGREE, _cached_per_data_dir, _check_degree,
+                       groups, profile)
 
 DISTINGUISHABLE = "Distinguishable"
 INDISTINGUISHABLE = "Indistinguishable"
@@ -511,6 +511,7 @@ def decompose(ambient: SpaceInstance, max_degree: int = DEFAULT_DEGREE,
     cache (``_ranked``), so a later call ranks only the catalog spaces
     that no earlier call has seen.
     """
+    _check_degree(max_degree)
     if not ambient.valid:
         raise ValueError(f"{ambient.label()} does not have a valid dimension")
     overflow = CandidateOverflow(

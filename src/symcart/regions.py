@@ -5,23 +5,25 @@ in one parameter and the degree k <= MAX_DEGREE (``homotopy.Guard``),
 so a family's row stops changing once its parameters pass a start that
 the tables determine.  A family's canonical spaces therefore split into
 finitely many regions: each parameter is either fixed below the
-family's start or runs from the start on.  On a region the row,
-validity, canonical form and blind side of recognition are constant,
-so ``recognize.corollary1_scan`` and ``homotopy.consistency_violations``
-read one row per region.  A region's running parameters form a family
-of their own (``catalog._Family``, its dim the family's with the fixed
-parameters bound), so the catalog's one sweep counts the region's
-members, building no tuple, and lists them; members are instantiated
-only where they are listed.
+family's start or runs from the start on.  A region's least member is a
+canonical tuple (not in ``catalog._NOT_CANONICAL``) of the family's box,
+its nondecreasing parameter tuples up to the start.  On a region the
+row, validity, canonical form and blind side of recognition are
+constant, so ``recognize.corollary1_scan`` and
+``homotopy.consistency_violations`` read one row per region.  A
+region's running parameters form a family of their own
+(``catalog._Family``, its dim the family's with the fixed parameters
+bound), so the catalog's one sweep counts the region's members, building
+no tuple, and lists them; members are instantiated only where listed.
 
 Each family's start comes from the sources its own rows and blind side
 read (``_tails``): its guards' comparisons, as loaded, the fixed
-parameters of record patterns and of the special and product
-isomorphisms, and three rules that settle past MAX_DEGREE -- the sphere
-rule for S, the CP^n rule and the CP^n blind side for AIII, the
-Gr(R,2,q) blind side for BDI.  A start is then raised until each tail
-starts valid.  The regions are derived once per data directory, on the
-first scan or check, and the module is imported only then.
+parameters of record patterns and of the non-canonical presentations,
+and three rules that settle past MAX_DEGREE -- the sphere rule for S,
+the CP^n rule and the CP^n blind side for AIII, the Gr(R,2,q) blind side
+for BDI.  A start is then raised until each tail starts valid.  The
+regions are derived once per data directory, on the first scan or check,
+and the module is imported only then.
 
 CP^n = AIII(1,q) settles at q = 5, where S(2q + 1) passes MAX_DEGREE,
 but CP^5 is not valid, so its tail region starts at CP^6:
@@ -34,11 +36,12 @@ but CP^5 is not valid, so its tail region starts at CP^6:
 from __future__ import annotations
 
 from functools import partial
+from itertools import combinations_with_replacement
 from operator import attrgetter
 from typing import Dict, Iterator, NamedTuple, Tuple
 
-from .catalog import (FAMILIES, PRODUCT_ISOMORPHISMS, SPECIAL_ISOMORPHISMS,
-                      ReducibleError, SpaceInstance, _Family, instantiate)
+from .catalog import (FAMILIES, _NOT_CANONICAL, SpaceInstance, _Family,
+                      instantiate)
 from .homotopy import (MAX_DEGREE, Cell, Guard, _cached_per_data_dir,
                        load_records, row)
 
@@ -76,7 +79,7 @@ def _tails(records) -> Dict[str, int]:
     A family's start lies past what its own sources fix, and no further:
 
     - each guard's start (``_guard_tails``) and each fixed parameter of
-      a record pattern and of a special or product isomorphism;
+      a record pattern and of a non-canonical presentation;
     - S: the sphere rule gives pi_n(S^n) = Z at each n <= MAX_DEGREE,
       so it settles past MAX_DEGREE;
     - AIII: CP^n = AIII(1,q) reads pi_k(S(2q + 1)), which the sphere
@@ -94,7 +97,7 @@ def _tails(records) -> Dict[str, int]:
         guard = {} if rec.guard is None else _guard_tails(rec.guard)
         starts[rec.symbol] = max((starts[rec.symbol], *guard.values(), *(
             v + 1 for v in rec.param_values if v is not None)))
-    for symbol, params in (*SPECIAL_ISOMORPHISMS, *PRODUCT_ISOMORPHISMS):
+    for symbol, params in _NOT_CANONICAL:
         starts[symbol] = max((starts[symbol], *(v + 1 for v in params)))
     return starts
 
@@ -136,27 +139,14 @@ class Region(NamedTuple):
 
 def _family_regions(symbol: str, start: int):
     """(least member, number of fixed parameters) of each region of one
-    family: its parameters fixed below ``start``, then one run from it
-    on."""
+    family: each canonical tuple of its box, nondecreasing from its least
+    parameter to ``top``; a parameter below ``top`` is fixed."""
     smallest = FAMILIES[symbol].smallest
-
-    def extend(params, fixed):
-        i = len(params)
-        if i == len(smallest):
-            try:
-                s = instantiate(symbol, params)
-            except ReducibleError:
-                return
-            if (s.symbol, s.params) == (symbol, params):
-                yield s, fixed
-            return
-        lo = max((smallest[i], *params[-1:]))
-        if fixed == i:
-            for v in range(lo, start):
-                yield from extend(params + (v,), fixed + 1)
-        yield from extend(params + (max(lo, start),), fixed)
-
-    return extend((), 0)
+    top = max((start, *smallest))
+    box = (combinations_with_replacement(range(smallest[0], top + 1),
+                                         len(smallest)) if smallest else [()])
+    return ((instantiate(symbol, params), sum(p < top for p in params))
+            for params in box if (symbol, params) not in _NOT_CANONICAL)
 
 
 @_cached_per_data_dir

@@ -66,6 +66,20 @@ def test_regions_is_imported_only_by_the_scan_and_the_check():
                          "homotopy.consistency_violations"}
 
 
+def test_regions_reads_canonical_forms_from_the_catalog_only():
+    """``regions`` skips the presentations of ``catalog._NOT_CANONICAL``,
+    as the catalog build does, and names neither ``ReducibleError`` nor
+    an isomorphism table, so it holds no second canonical test that
+    could drift from the build's."""
+    tree = _tree("regions")
+    names = {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)} | \
+        {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)} | \
+        {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "_NOT_CANONICAL" in names
+    assert not names & {"ReducibleError", "SPECIAL_ISOMORPHISMS",
+                        "PRODUCT_ISOMORPHISMS"}, names
+
+
 def test_no_module_runs_code():
     """No package module compiles, evaluates or executes code: guards are
     read from their AST into integer comparisons, in ``homotopy`` alone,

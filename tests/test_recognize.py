@@ -491,9 +491,12 @@ def test_scan_work_counts_per_region_and_per_class_pair():
     distinct pair of overlapping values, 3 of them.
 
     Taking ``len`` of the report's buckets lists no pair, so the scan
-    and the check leave only the 144 spaces that building the regions
-    and their rows instantiates, at both dims.  Iterating the violations
-    then builds exactly the members it lists that are no region's least.
+    and the check leave only the 134 spaces that building the regions
+    and their rows instantiates, at both dims: the 133 least members and
+    S(13), read by CP^6.  A region's box skips the non-canonical
+    presentations by lookup, so none of them is instantiated.  Iterating
+    the violations then builds exactly the members it lists that are no
+    region's least.
     """
     small, big = _count_work(300), _count_work(2000)
     for counts in (small, big):
@@ -506,7 +509,7 @@ def test_scan_work_counts_per_region_and_per_class_pair():
         assert counts["check_instantiated"] == 0
         assert counts["compatible"] <= counts["value_pairs"] == 3
         assert 0 < counts["warm_lookups"] <= counts["valid_regions"]
-        assert counts["cached"] == 144
+        assert counts["cached"] == 134
         assert 0 < counts["listing_built"] == counts["listed_new"]
     assert small["counted"] == [20445, 287, 147]
     assert big["counted"] == [986045, 1987, 997]
@@ -539,6 +542,15 @@ def test_decompose_rejects_invalid_ambient():
 def test_decompose_overflow_guard():
     with pytest.raises(CandidateOverflow):
         decompose(instantiate("S", (12,)), max_candidates=2)
+
+
+@pytest.mark.parametrize("ambient, max_degree", [
+    (("E8",), -5), (("S", (200,)), 0), (("S", (200,)), 11)])
+def test_decompose_checks_its_degree_first(ambient, max_degree):
+    """A degree out of range is the ValueError that ``distinguish`` and
+    ``profile`` raise, before the padding count or any ranking runs."""
+    with pytest.raises(ValueError, match=f"^degree {max_degree} out of range"):
+        decompose(instantiate(*ambient), max_degree=max_degree)
 
 
 _FRESH_DECOMPOSE = """

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import symcart
 from symcart.abelian import INCOMPATIBLE, compatible, format_group
-from symcart.catalog import FAMILIES, enumerate_catalog, instantiate
+from symcart.catalog import (FAMILIES, ReducibleError, enumerate_catalog,
+                             instantiate)
 from symcart.cli import main
 from symcart.homotopy import (MAX_DEGREE, _read_guard, consistency_violations,
                               load_records, row)
 from symcart.recognize import _blind_side, corollary1_scan
-from symcart.regions import MAX_REGION_START, _guard_tails, _tails, regions
+from symcart.regions import (MAX_REGION_START, _family_regions, _guard_tails,
+                             _tails, regions)
 from test_homotopy import _oracle_holds
 from test_recognize import _pair_loop_scan
 
@@ -78,6 +80,31 @@ def test_regions_are_few_and_start_where_the_tables_settle():
     tails = [r for r in regions() if r.running.smallest]
     assert max(r.running.smallest[0] for r in tails) == 12
     assert all(r.least.valid for r in tails)
+
+
+def _canonical(symbol, params):
+    """Whether ``instantiate`` returns the presentation as it is given."""
+    try:
+        s = instantiate(symbol, params)
+    except ReducibleError:
+        return False
+    return (s.symbol, s.params) == (symbol, params)
+
+
+@pytest.mark.parametrize("symbol", FAMILIES)
+def test_a_family_box_holds_the_least_members_at_every_start(symbol):
+    """At every start up to MAX_REGION_START, a family's least members
+    are its swept tuples with no parameter past top (the start, or the
+    family's least parameter if higher) that ``instantiate`` returns as
+    they are; each parameter below top is fixed, the rest run from top."""
+    family = FAMILIES[symbol]
+    for start in range(MAX_REGION_START + 1):
+        top = max((start, *family.smallest))
+        swept = family.sweep(family.dim(*(top,) * len(family.smallest)))
+        assert {(s.symbol, s.params, fixed)
+                for s, fixed in _family_regions(symbol, start)} == {
+            (symbol, p, len(p) - p.count(top)) for p in swept
+            if all(v <= top for v in p) and _canonical(symbol, p)}, start
 
 
 def _per_instance_violations(max_dim, data_dir):

@@ -1,27 +1,33 @@
 """Exact and partially-known finitely generated abelian groups.
 
 An exact group is stored as a free rank together with its torsion in
-primary (prime-power) decomposition, canonically ordered.  Partially
-known groups (as they occur in homotopy tables: "finite", "rank one",
-"contains Z_2", blank) are modelled as tagged variants; the only
-arithmetic ever extracted from them are rank intervals over ``FIELDS``:
-Q, Z_2, Z_3, Z_5 and Z_7.  Two cells differ provably only where one of
-those intervals is disjoint (``separating_field``), the one rule that
-recognition and ``compatible`` read; the homotopy tables reject other
-primes.  ``_KINDS`` states each payload-free kind once; ``refined_by``,
-the tests' oracle for it, and the direct sums decide kinds on their own.
+primary (prime-power) decomposition, canonically ordered.  A cell of a
+homotopy table holds a group H, its floor, and a tag: EXACT (the group
+is H), CONTAINS (it contains H) or RANK (it contains H, and its free
+rank is H's).  The table's named cells are such values: "finite" ``f``
+is RANK over 0, "rank one" ``r1`` RANK over Z, ``r>=1`` CONTAINS Z, and
+a blank ``?`` CONTAINS 0.  The only arithmetic ever extracted from a
+cell are rank intervals over ``FIELDS``: Q, Z_2, Z_3, Z_5 and Z_7.  Two
+cells differ provably only where one of those intervals is disjoint
+(``separating_field``), the one rule that recognition and
+``compatible`` read; the homotopy tables reject other primes.  A direct
+sum adds the floors and keeps the weakest tag, so over every field its
+interval equals the sum of its summands' intervals: nothing is widened.
+``refined_by``, the tests' oracle, decides each tag on its own.
 
 >>> parse_group("Z + Z_12")
 Partial('Z + Z_4 + Z_3')
 >>> q_rank(parse_group("r>=1"))
 RankInterval(1, None)
+>>> direct_sum_all(parse_group(g) for g in ("f", "Z_2", "r1"))
+Partial('Z + Z_2 in r1')
 >>> compatible(parse_group("Z_2"), parse_group("0"))[0]
 'Incompatible'
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+import re
 from functools import lru_cache
 from typing import Iterable, Optional, Tuple
 
@@ -123,27 +129,17 @@ class AbelianGroup(value_tuple("AbelianGroup", "free_rank torsion")):
 TRIVIAL = AbelianGroup()
 _Z = AbelianGroup(1)
 
-# Variant tags for partially known groups; EXACT and CONTAINS hold a group.
-EXACT = "exact"
+# The tags of a cell; each holds its floor, a group.
+EXACT = "exact"                            # "H": the group is H
 CONTAINS = "contains"                      # "H in": contains H as a subgroup
-FINITE = "finite"                          # finite, possibly zero
-RANK_ONE = "rank_one"                      # free rank 1, torsion unknown
-RANK_AT_LEAST_ONE = "rank_at_least_one"
-UNKNOWN = "unknown"                        # a blank table cell
-
-# each kind without a payload once: its spelling, its floor (a subgroup of
-# every refinement) and the largest free rank of one (None for no bound)
-_Kind = namedtuple("_Kind", "spelling floor bound")
-_KINDS = {FINITE: _Kind("f", TRIVIAL, 0), RANK_ONE: _Kind("r1", _Z, 1),
-          RANK_AT_LEAST_ONE: _Kind("r>=1", _Z, None),
-          UNKNOWN: _Kind("?", TRIVIAL, None)}
-_SPELLED = {kind.spelling: tag for tag, kind in _KINDS.items()}
+RANK = "rank"                              # "H in r<n>": contains H, free rank n
 
 
 class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
     """An exactly or partially known finitely generated abelian group.
 
-    ``group`` is the payload of EXACT and CONTAINS, None otherwise.
+    ``group`` is the floor, a subgroup of every refinement of the cell,
+    and ``tag`` says what more is known (see the module docstring).
     Cells key the recognition scan's profile classes and several caches;
     a value hashes as the tuple of its fields.
     """
@@ -151,13 +147,10 @@ class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
     __slots__ = ()
 
     def __new__(cls, tag: str, group: Optional[AbelianGroup] = None):
-        if tag in (EXACT, CONTAINS):
-            if group is None:
-                raise ValueError("missing group payload")
-        elif tag not in _KINDS:
+        if tag not in (EXACT, CONTAINS, RANK):
             raise ValueError(f"unknown variant tag {tag!r}")
-        elif group is not None:
-            raise ValueError(f"variant {tag} takes no payload")
+        if group is None:
+            raise ValueError("missing group payload")
         return tuple.__new__(cls, (tag, group))
 
     @staticmethod
@@ -177,26 +170,14 @@ class PartialAbelianGroup(value_tuple("PartialAbelianGroup", "tag group")):
     def is_exact_trivial(self) -> bool:
         return self.tag == EXACT and self.group.is_trivial
 
-    def lower_bound(self) -> AbelianGroup:
-        """A group provably contained in every refinement of this value."""
-        return _KINDS[self.tag].floor if self.group is None else self.group
-
-    def primes(self) -> frozenset:
-        return self.lower_bound().primes()
-
     def refined_by(self, g: AbelianGroup) -> bool:
         """Whether the exact group g is a possible value of this cell."""
         if self.tag == EXACT:
             return g == self.group
-        if self.tag == FINITE:
-            return g.free_rank == 0
-        if self.tag == RANK_ONE:
-            return g.free_rank == 1
-        if self.tag == RANK_AT_LEAST_ONE:
-            return g.free_rank >= 1
-        if self.tag == CONTAINS:
-            return g.contains_subgroup(self.group)
-        return True
+        if self.tag == RANK:
+            return (g.free_rank == self.group.free_rank
+                    and g.contains_subgroup(self.group))
+        return g.contains_subgroup(self.group)
 
     def __repr__(self):
         return f"Partial({format_group(self)!r})"
@@ -232,84 +213,37 @@ class RankInterval(value_tuple("RankInterval", "lo hi")):
 
 def q_rank(g: PartialAbelianGroup) -> RankInterval:
     """Interval of possible free ranks (rank of G (x) Q)."""
-    r = g.lower_bound().free_rank
-    if g.is_exact:
-        return RankInterval(r, r)
-    return RankInterval(r, None if g.tag == CONTAINS else _KINDS[g.tag].bound)
+    r = g.group.free_rank
+    return RankInterval(r, None if g.tag == CONTAINS else r)
 
 
 def p_rank(g: PartialAbelianGroup, p: int) -> RankInterval:
     """Interval of possible dimensions of G (x) Z_p."""
-    d = g.lower_bound().p_count(p)
+    d = g.group.p_count(p)
     return RankInterval(d, d if g.is_exact else None)
 
 
-def direct_sum(a: PartialAbelianGroup, b: PartialAbelianGroup) -> PartialAbelianGroup:
-    """Direct sum, conservatively widened on partially known operands.
-
-    The widening preserves provable lower bounds: whatever cannot be
-    represented exactly is returned as the most precise of Finite /
-    RankOne / RankAtLeastOne / ContainsSubgroup that is still sound.
-    """
-    if a.is_exact and b.is_exact:
-        return PartialAbelianGroup.exact(a.group.direct_sum(b.group))
-    if a.is_exact_trivial:
-        return b
-    if b.is_exact_trivial:
-        return a
-    qa, qb = q_rank(a), q_rank(b)
-    q = qa + qb
-    if q.hi == 0:
-        return PartialAbelianGroup(FINITE)
-    low = a.lower_bound().direct_sum(b.lower_bound())
-    if q.lo == q.hi == 1 and not low.torsion:
-        return PartialAbelianGroup(RANK_ONE)
-    if q.lo == 1 and low == _Z:
-        return PartialAbelianGroup(RANK_AT_LEAST_ONE)
-    if low.is_trivial:
-        return PartialAbelianGroup(UNKNOWN)
-    return PartialAbelianGroup(CONTAINS, low)
-
-
-# the tags whose q_rank has an end
-_BOUNDED = (EXACT, *(t for t, kind in _KINDS.items() if kind.bound is not None))
-
-
 def direct_sum_all(cells: Iterable[PartialAbelianGroup]) -> PartialAbelianGroup:
-    """``direct_sum`` folded left over cells from the trivial group.
+    """The direct sum of cells, in one pass: the sum of their floors,
+    EXACT if every cell is, CONTAINS if any cell is, and RANK otherwise.
 
-    The fold is kept as a tag, a free rank and a torsion list -- the
-    lower bound of a partial sum, whose free rank is the low end of its
-    ``q_rank`` -- so the cells' torsion is sorted and checked once, by the
-    one group built at the end, not at every step.  Each step takes
-    ``direct_sum``'s branch, the widening of a partial operand among them,
-    so the result equals the fold's.
+    Over every field its rank interval is the sum of the cells' intervals
+    (``decompose``'s rule), so the sum does not depend on the cells'
+    order.  The torsion is sorted and checked once, by the one group
+    built at the end.
     """
     tag, free, torsion = EXACT, 0, []
     for c in cells:
-        g = c.lower_bound()
-        if c.tag == EXACT and g.is_trivial:
-            continue
-        if tag == EXACT and not (free or torsion):
-            tag, free, torsion = c.tag, g.free_rank, list(g.torsion)
-            continue
-        free += g.free_rank
-        torsion += g.torsion
-        if tag == EXACT == c.tag:
-            continue
-        bounded = tag in _BOUNDED and c.tag in _BOUNDED
-        if bounded and not free:
-            tag = FINITE
-            torsion.clear()
-        elif torsion or free > 1:
-            tag = CONTAINS
-        elif free:
-            tag = RANK_ONE if bounded else RANK_AT_LEAST_ONE
-        else:
-            tag = UNKNOWN
-    if tag in (EXACT, CONTAINS):
-        return PartialAbelianGroup(tag, AbelianGroup(free, tuple(sorted(torsion))))
-    return PartialAbelianGroup(tag)
+        free += c.group.free_rank
+        torsion += c.group.torsion
+        if c.tag != EXACT and tag != CONTAINS:
+            tag = c.tag
+    return PartialAbelianGroup(tag, AbelianGroup(free, tuple(sorted(torsion))))
+
+
+def direct_sum(a: PartialAbelianGroup, b: PartialAbelianGroup) -> PartialAbelianGroup:
+    """The direct sum of two cells (``direct_sum_all``)."""
+    return direct_sum_all((a, b))
 
 
 EQUAL = "Equal"
@@ -355,9 +289,13 @@ def compatible(a: PartialAbelianGroup, b: PartialAbelianGroup):
 # ---------------------------------------------------------------------------
 # The group mini-grammar.
 #
-#   expr ::= term ("+" term)*
+#   cell ::= expr | expr " in" | expr " in r<n>" | "f" | "r1" | "r>=1" | "?"
+#   expr ::= "0" | term ("+" term)*
 #   term ::= "Z" | "Z_<n>" | "Z^<k>" | "Z_<n>^<k>"
-#   expr may instead be "<expr> in", "0" or a spelling in _KINDS
+#
+# "H" is EXACT H, "H in" CONTAINS H, and "H in r<n>" RANK H, where n is
+# H's free rank; a blank cell is "?".  The four names spell RANK 0, RANK Z,
+# CONTAINS Z and CONTAINS 0, and are how those values are written.
 # ---------------------------------------------------------------------------
 
 class GroupSyntaxError(ValueError):
@@ -397,27 +335,43 @@ def _parse_exact(text: str, original: str, offset: int) -> AbelianGroup:
     return AbelianGroup.from_orders(free, orders)
 
 
+_NAMED = {"f": PartialAbelianGroup(RANK, TRIVIAL),
+          "r1": PartialAbelianGroup(RANK, _Z),
+          "r>=1": PartialAbelianGroup(CONTAINS, _Z),
+          "?": PartialAbelianGroup(CONTAINS, TRIVIAL)}
+_NAMES = {cell: name for name, cell in _NAMED.items()}
+# "<expr> in" and "<expr> in r<n>", n in ASCII digits
+_CONTAINED = re.compile(r"(.*?)(?:^|\s)in(?: r([0-9]+))?")
+
+
 def parse_group(text: str) -> PartialAbelianGroup:
     """Parse the mini-grammar used by data files and the CLI.
 
     >>> format_group(parse_group("Z + Z_2^3"))
     'Z + Z_2^3'
-    >>> parse_group("f").tag
-    'finite'
+    >>> parse_group("f").tag, parse_group("Z + Z_2 in r1").tag
+    ('rank', 'rank')
     >>> parse_group("Z_2 in").tag
     'contains'
     """
-    s = text.strip() or _KINDS[UNKNOWN].spelling      # a blank cell
-    if s in _SPELLED:
-        return PartialAbelianGroup(_SPELLED[s])
-    if s.endswith(" in") or s == "in":
-        inner = s[:-2].strip()
-        if not inner:
-            raise GroupSyntaxError(text, 0, "missing group before 'in'")
-        return PartialAbelianGroup(CONTAINS, _parse_exact(inner, text, 0))
-    if s == "0":
-        return PartialAbelianGroup.trivial()
-    return PartialAbelianGroup.exact(_parse_exact(s, text, 0))
+    s = text.strip() or "?"                         # a blank cell
+    if s in _NAMED:
+        return _NAMED[s]
+    m = _CONTAINED.fullmatch(s)
+    if m is None:
+        if s == "0":
+            return PartialAbelianGroup.trivial()
+        return PartialAbelianGroup.exact(_parse_exact(s, text, 0))
+    inner, rank = m[1].strip(), m[2]
+    if not inner:
+        raise GroupSyntaxError(text, 0, "missing group before 'in'")
+    floor = _parse_exact(inner, text, 0)
+    if rank is None:
+        return PartialAbelianGroup(CONTAINS, floor)
+    if int(rank) != floor.free_rank:
+        raise GroupSyntaxError(text, text.rindex("r"),
+                               "rank differs from the floor's free rank")
+    return PartialAbelianGroup(RANK, floor)
 
 
 def _format_exact(g: AbelianGroup) -> str:
@@ -443,8 +397,10 @@ def _format_exact(g: AbelianGroup) -> str:
 
 def format_group(g: PartialAbelianGroup) -> str:
     """Inverse of parse_group on canonical values."""
-    if g.group is None:
-        return _KINDS[g.tag].spelling
+    if g in _NAMES:
+        return _NAMES[g]
     if g.tag == CONTAINS:
         return f"{_format_exact(g.group)} in"
+    if g.tag == RANK:
+        return f"{_format_exact(g.group)} in r{g.group.free_rank}"
     return _format_exact(g.group)

@@ -41,7 +41,7 @@ from .recognize import (MAX_CANDIDATES, CandidateOverflow, corollary1_scan,
                         decompose, distinguish)
 from .rootsys import RootSystemType, positive_roots
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class SpaceSyntaxError(ValueError):

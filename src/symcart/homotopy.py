@@ -60,9 +60,8 @@ from operator import eq, ge, gt, itemgetter, le, lt, ne
 from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
                     Tuple)
 
-from .abelian import (FIELDS, UNKNOWN, AbelianGroup, PartialAbelianGroup,
-                      compatible, direct_sum_all, parse_group,
-                      INCOMPATIBLE)
+from .abelian import (FIELDS, AbelianGroup, PartialAbelianGroup, compatible,
+                      direct_sum_all, parse_group, INCOMPATIBLE)
 from .catalog import ProductSpace, SpaceInstance, instantiate
 
 MAX_DEGREE = 10
@@ -235,7 +234,7 @@ Cell = Tuple[str, PartialAbelianGroup]          # (source, value) of a pi_k
 
 _TRIVIAL = PartialAbelianGroup.trivial()
 _Z = PartialAbelianGroup.exact(AbelianGroup(1))
-_UNKNOWN = PartialAbelianGroup(UNKNOWN)
+_UNKNOWN = parse_group("?")
 
 
 class HomotopyRecord(NamedTuple):
@@ -295,7 +294,7 @@ def _parse_record(line: str, source: str, stable: bool,
             raise ValueError(f"degree {k} repeated")
         if text not in parsed:
             g = parse_group(text)
-            if extra := g.primes().difference(FIELDS):
+            if extra := g.group.primes().difference(FIELDS):
                 raise ValueError(f"group {text!r} has prime {min(extra)}; "
                                  f"cells are compared over {FIELDS} only")
             parsed[text] = g
@@ -443,7 +442,9 @@ def profile(q: ProductSpace, max_degree: int = DEFAULT_DEGREE,
             data_dir=None) -> Dict[int, PartialAbelianGroup]:
     """Degreewise direct sum of the factors' homotopy groups: each
     factor's row is read once (``groups``), each degree summed in one
-    pass (``direct_sum_all``)."""
+    pass (``direct_sum_all``).  A summed cell's rank interval over each
+    field equals the sum of the factors' intervals, so the profile does
+    not depend on the factors' order."""
     factor_groups = [groups(f, max_degree, data_dir) for f in q.factors]
     return {k: direct_sum_all(g[k] for g in factor_groups)
             for k in range(1, max_degree + 1)}

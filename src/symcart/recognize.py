@@ -56,10 +56,11 @@ class Verdict(NamedTuple):
 
     def __str__(self):
         if self.kind == DISTINGUISHABLE:
-            a, b = self.witness
+            a, b = (f"[{i.lo},{'inf)' if i.hi is None else f'{i.hi}]'}"
+                    for i in self.witness)
             f = self.field if self.field == "Q" else f"Z_{self.field}"
             return (f"Distinguishable(degree={self.degree}, field={f}, "
-                    f"ranks [{a.lo},{a.hi}] vs [{b.lo},{b.hi}])")
+                    f"ranks {a} vs {b})")
         if self.kind == INDISTINGUISHABLE:
             return f"Indistinguishable({self.through_degree})"
         cells = "; ".join(f"pi_{k}: {format_group(ga)} vs {format_group(gb)}"
@@ -492,9 +493,10 @@ def decompose(ambient: SpaceInstance, max_degree: int = DEFAULT_DEGREE,
     ambient's per-degree, per-field rank ceilings.  Each core whose
     upper ranks reach the ambient's lower ones is listed with every
     padding that fits its leftover dimension (the empty core with every
-    non-empty one), by total dimension descending, then label.  No exact
-    comparison could reject it: a direct sum's rank intervals contain its
-    summands' summed ones, which meet the ambient's on every cell.
+    non-empty one), by total dimension descending, then label.  These are
+    exactly the products that ``distinguish`` does not answer
+    Distinguishable: a direct sum's rank intervals equal its summands'
+    summed ones, which meet the ambient's on every cell.
 
     max_candidates bounds the nodes of the search over whole products:
     one per product that fits the budget and the ceilings, the empty one

@@ -12,22 +12,20 @@ from symcart.abelian import (AbelianGroup, GroupSyntaxError,
                              PartialAbelianGroup, RankInterval, compatible,
                              direct_sum, direct_sum_all, field_ranks, format_group,
                              parse_group, p_rank, q_rank, CONTAINS, EQUAL,
-                             FIELDS, FINITE, INCOMPATIBLE, POSSIBLY_EQUAL,
-                             RANK_AT_LEAST_ONE, RANK_ONE, UNKNOWN)
+                             FIELDS, INCOMPATIBLE, POSSIBLY_EQUAL, RANK)
 
 exact_groups = st.builds(
     AbelianGroup.from_orders,
     st.integers(0, 3),
     st.lists(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 12, 24, 25]), max_size=4))
 
+_NAMED = ("f", "r1", "r>=1", "?")
+
 partial_groups = st.one_of(
     exact_groups.map(PartialAbelianGroup.exact),
-    st.sampled_from([PartialAbelianGroup(FINITE),
-                     PartialAbelianGroup(RANK_ONE),
-                     PartialAbelianGroup(RANK_AT_LEAST_ONE),
-                     PartialAbelianGroup(UNKNOWN)]),
-    exact_groups.filter(lambda g: not g.is_trivial)
-    .map(lambda g: PartialAbelianGroup(CONTAINS, g)))
+    st.sampled_from(_NAMED).map(parse_group),
+    st.builds(PartialAbelianGroup, st.sampled_from([CONTAINS, RANK]),
+              exact_groups))
 
 
 @given(partial_groups)
@@ -74,6 +72,7 @@ def test_contains_subgroup_criterion():
 @pytest.mark.parametrize("text", [
     "0", "Z", "Z^2", "Z_2", "Z + Z_2^3", "Z_4 + Z_3", "Z^2 + Z_8 + Z_9",
     "f", "r1", "r>=1", "Z_2 in", "Z + Z_2 in", "?",
+    "Z_2 in r0", "Z + Z_2 in r1", "Z^2 + Z_3 in r2",
 ])
 def test_parse_format_round_trip(text):
     assert format_group(parse_group(text)) == text
@@ -85,7 +84,8 @@ def test_parse_normalizes_composite_orders():
 
 
 @pytest.mark.parametrize("text", [
-    "Z_", "Z +", "Z_1", "Z^0", "in", "Z_x",
+    "Z_", "Z +", "Z_1", "Z^0", "in", "Z_x", "in r0", "Z in r2", "Z in r",
+    "Z in r\u00b2",
     # str.isdigit passes these; int reads the first as Z_12, fails on the rest
     "Z_\u0661\u0662", "Z_\u00b2", "Z^\u00b2", "Z + Z_2^\u0663",
 ])
@@ -104,6 +104,8 @@ def test_rank_intervals():
     assert p_rank(parse_group("Z + Z_4 + Z_3"), 2) == RankInterval(2, 2)
     assert p_rank(parse_group("Z_2 in"), 2) == RankInterval(1, None)
     assert p_rank(parse_group("f"), 2) == RankInterval(0, None)
+    assert q_rank(parse_group("Z + Z_2 in r1")) == RankInterval(1, 1)
+    assert p_rank(parse_group("Z + Z_2 in r1"), 2) == RankInterval(2, None)
 
 
 @given(exact_groups, exact_groups)
@@ -125,11 +127,18 @@ def test_direct_sum_associative_commutative(g, h, k):
 @example([parse_group(g) for g in ("f", "Z_2", "r1")])
 @example([parse_group(g) for g in ("r1", "Z + Z_2", "f")])
 def test_direct_sum_all_is_the_left_fold_of_direct_sum(cells):
-    """The fold is order-sensitive where a partial sum widens: f + Z_2
-    is f, so f + Z_2 + r1 is r1, while Z_2 + r1 + f is "Z + Z_2 in"; and
-    r1 + (Z + Z_2), of rank exactly 2, widens to "Z^2 + Z_2 in"."""
+    """f + Z_2 + r1 is "Z + Z_2 in r1", the free rank exactly 1 and the
+    Z_2 kept; r1 + (Z + Z_2) + f is "Z^2 + Z_2 in r2"."""
     assert direct_sum_all(cells) == \
         reduce(direct_sum, cells, PartialAbelianGroup.trivial())
+
+
+@given(st.lists(partial_groups, max_size=4))
+@example([parse_group(g) for g in ("f", "Z_2", "r1")])
+@example([parse_group(g) for g in ("Z_2", "?", "r1", "Z")])
+def test_direct_sum_all_does_not_depend_on_the_order(cells):
+    sums = {direct_sum_all(order) for order in itertools.permutations(cells)}
+    assert len(sums) == 1, sums
 
 
 @given(partial_groups, partial_groups)
@@ -177,16 +186,18 @@ _REFINEMENTS = [AbelianGroup.from_orders(rank, orders)
 
 
 @given(partial_groups)
-@example(PartialAbelianGroup(FINITE))
-@example(PartialAbelianGroup(RANK_ONE))
-@example(PartialAbelianGroup(RANK_AT_LEAST_ONE))
-@example(PartialAbelianGroup(UNKNOWN))
+@example(parse_group("f"))
+@example(parse_group("r1"))
+@example(parse_group("r>=1"))
+@example(parse_group("?"))
+@example(parse_group("Z + Z_2 in r1"))
 def test_the_kinds_table_agrees_with_refined_by(cell):
-    """The lower bound and rank intervals read from ``_KINDS`` hold for
-    every exact refinement, which the independent ``refined_by`` decides;
-    and off EXACT, a group refines a cell exactly when it contains the
-    cell's lower bound and its free rank is within the top of ``q_rank``."""
-    low, top = cell.lower_bound(), q_rank(cell).hi
+    """The named kinds of cell (``abelian._NAMED``) and every drawn cell:
+    a cell's floor and rank intervals hold for every exact refinement,
+    which the independent ``refined_by`` decides; and off EXACT, a group
+    refines a cell exactly when it contains the cell's floor and its free
+    rank is within the top of ``q_rank``."""
+    low, top = cell.group, q_rank(cell).hi
     for g in _REFINEMENTS:
         refines = cell.refined_by(g)
         if refines:
@@ -213,14 +224,19 @@ def test_compatible_verdicts_and_witness():
 
 
 def test_widening_cases():
-    r1 = parse_group("r1")
-    f = parse_group("f")
-    assert direct_sum(r1, r1) == parse_group("Z^2 in")
-    assert direct_sum(r1, f).tag == RANK_ONE
-    assert direct_sum(f, f).tag == FINITE
-    assert direct_sum(parse_group("?"), parse_group("Z_2")) == parse_group("Z_2 in")
-    assert direct_sum(parse_group("?"), parse_group("f")).tag == UNKNOWN
-    assert direct_sum(parse_group("r>=1"), f).tag == RANK_AT_LEAST_ONE
+    """No sum widens: a sum adds the floors, and it is exact if both
+    cells are, "contains" if either is, and of known free rank otherwise."""
+    r1, f, unknown = parse_group("r1"), parse_group("f"), parse_group("?")
+    assert direct_sum(r1, r1) == parse_group("Z^2 in r2")
+    assert direct_sum(r1, f) == r1
+    assert direct_sum(f, f) == f
+    assert direct_sum(f, parse_group("Z_2")) == parse_group("Z_2 in r0")
+    assert direct_sum(unknown, parse_group("Z_2")) == parse_group("Z_2 in")
+    assert direct_sum(unknown, f) == unknown
+    assert direct_sum(unknown, r1) == parse_group("r>=1")
+    assert direct_sum(parse_group("r>=1"), f) == parse_group("r>=1")
+    assert direct_sum(parse_group("Z_2"), parse_group("Z")) == \
+        parse_group("Z + Z_2")
 
 
 @given(partial_groups, exact_groups)
@@ -232,7 +248,7 @@ def test_widening_preserves_exact_trivial_identity(a, g):
 
 @given(partial_groups, partial_groups)
 def test_widened_sum_admits_all_pointwise_sums(a, b):
-    """Soundness of widening on a small refinement sample."""
+    """Soundness of the sum on a small refinement sample."""
     pool = [AbelianGroup(), AbelianGroup(1), AbelianGroup(2),
             AbelianGroup.from_orders(0, [2]), AbelianGroup.from_orders(1, [2]),
             AbelianGroup.from_orders(0, [4, 3])]
@@ -247,12 +263,9 @@ def test_widened_sum_admits_all_pointwise_sums(a, b):
 
 @given(partial_groups, partial_groups)
 def test_sum_ranks_contain_the_summed_ranks(a, b):
-    """Over every field, the rank interval of a direct sum contains the
-    sum of its summands' intervals: widening only loosens an interval.
-    ``decompose`` decides a core by its summed intervals on this alone."""
+    """Over every field, the rank interval of a direct sum is the sum of
+    its summands' intervals, so ``distinguish`` and ``decompose``, which
+    decides a core by its summed intervals, apply one rule."""
     for (f, got), (_, ia), (_, ib) in zip(field_ranks(direct_sum(a, b)),
                                           field_ranks(a), field_ranks(b)):
-        summed = ia + ib
-        assert got.lo <= summed.lo, (a, b, f)
-        assert got.hi is None or (summed.hi is not None
-                                  and summed.hi <= got.hi), (a, b, f)
+        assert got == ia + ib, (a, b, f)

@@ -371,7 +371,7 @@ def test_the_reader_reads_every_golden_call_as_argparse_does():
     argvs += [c["argv"] for c in map(
         json.loads, (golden / "cli_surface.jsonl").read_text().splitlines())]
     argvs = [argv for argv in argvs if argv and argv[0] in cli.COMMANDS]
-    assert len(argvs) == 176 + 12
+    assert len(argvs) == 184 + 12
     for argv in argvs:
         assert _agrees_with_argparse(argv) == (_parsed(argv) is not None)
 
@@ -517,7 +517,7 @@ def test_json_output_is_schema_versioned(capsys):
     code, out = run(capsys, "kp", "S(12)", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["k_P"] == 1 and payload["dim"] == 12
 
 

@@ -77,8 +77,8 @@ def test_spin_cross_checks():
 def test_exceptional_rows():
     assert _fmt(instantiate("FII"), 7) == "Z"
     assert _fmt(instantiate("EVII"), 2) == "Z"
-    assert pi(instantiate("EII"), 9).tag == "unknown"
-    assert pi(instantiate("FI"), 3).tag == "finite"
+    assert _fmt(instantiate("EII"), 9) == "?"
+    assert _fmt(instantiate("FI"), 3) == "f"
     assert _fmt(instantiate("G"), 6) == "Z_2^2 in"
 
 

@@ -96,3 +96,19 @@ def test_no_module_runs_code():
                            if isinstance(f, ast.Attribute) else None)
         assert not called & runs_code, (path, called & runs_code)
     assert "ast" not in _imports(_tree("regions"))
+
+
+def test_only_abelian_names_a_cell_tag():
+    """A cell's tags are ``abelian``'s representation: no other package
+    module names one or reads a cell's ``tag``.  They read a cell through
+    ``is_exact``, its rank intervals and the group grammar."""
+    tags = {"EXACT", "CONTAINS", "RANK"}
+    for path in sorted(_SRC.glob("*.py")):
+        if path.stem == "abelian":
+            continue
+        tree = _tree(path.stem)
+        attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names = attrs | \
+            {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)} | \
+            {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert not names & tags and "tag" not in attrs, path.stem

@@ -757,3 +757,23 @@ def test_sphere_padding_costs_no_exact_comparison(monkeypatch):
     assert len(decompose(instantiate("S", (60,)))) == 2364
     assert len(decompose(instantiate("EVII"))) == 1987
     assert not compared
+
+
+@pytest.mark.parametrize("spec", _ORACLE_AMBIENTS + [("BDI", (4, 10))],
+                         ids=lambda spec: instantiate(*spec).label())
+def test_decompose_lists_what_distinguish_does_not_tell_apart(spec):
+    """One product rule: among the products of one or two catalog spaces
+    within the ambient's dimension, ``decompose`` lists exactly those
+    that ``distinguish`` does not answer Distinguishable from it.  A sum
+    that dropped a floor (``BDI(3,8) x HP(4)`` against ``BDI(4,10)``)
+    left ``distinguish`` Undetermined where ``decompose``'s summed rank
+    intervals excluded the product."""
+    ambient = instantiate(*spec)
+    listed = {q for q in decompose(ambient) if len(q.factors) <= 2}
+    spaces = list(enumerate_catalog(ambient.dim))
+    products = [ProductSpace((a,)) for a in spaces] + [
+        ProductSpace((a, b)) for i, a in enumerate(spaces)
+        for b in spaces[i:] if a.dim + b.dim <= ambient.dim]
+    apart = {q for q in products
+             if distinguish(q, ambient).kind == DISTINGUISHABLE}
+    assert listed == set(products) - apart

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from symcart.abelian import (CONTAINS, EXACT, FINITE, AbelianGroup,
+from symcart.abelian import (CONTAINS, EXACT, RANK, AbelianGroup,
                              PartialAbelianGroup, RankInterval)
 from symcart.catalog import ProductSpace, instantiate
 from symcart.geom import HypothesisSet
@@ -24,8 +24,8 @@ from symcart.rootsys import Multiplicities, RootSystemType
      "torsion must be canonically sorted"),
     (lambda: PartialAbelianGroup(EXACT), "missing group payload"),
     (lambda: PartialAbelianGroup(CONTAINS), "missing group payload"),
-    (lambda: PartialAbelianGroup(FINITE, AbelianGroup(1)),
-     "variant finite takes no payload"),
+    (lambda: PartialAbelianGroup(RANK), "missing group payload"),
+    (lambda: PartialAbelianGroup("finite"), "unknown variant tag 'finite'"),
     (lambda: RankInterval(-1, None), "need 0 <= lo <= hi"),
     (lambda: RankInterval(2, 1), "need 0 <= lo <= hi"),
     (lambda: RootSystemType("Q", 3), "unknown root system symbol 'Q'"),
@@ -66,11 +66,11 @@ def test_a_product_sorts_its_factors():
      "free rank must be nonnegative"),
     (lambda: AbelianGroup._make((0, ((6, 1),))),
      "torsion entries must be prime powers"),
-    (lambda: PartialAbelianGroup(FINITE)._replace(tag=EXACT),
+    (lambda: PartialAbelianGroup(RANK, AbelianGroup())._replace(group=None),
      "missing group payload"),
-    (lambda: PartialAbelianGroup._make((FINITE, AbelianGroup(1))),
-     "variant finite takes no payload"),
-    (lambda: PartialAbelianGroup(FINITE)._replace(tag="bogus"),
+    (lambda: PartialAbelianGroup._make(("finite", AbelianGroup(1))),
+     "unknown variant tag 'finite'"),
+    (lambda: PartialAbelianGroup(RANK, AbelianGroup())._replace(tag="bogus"),
      "unknown variant tag 'bogus'"),
     (lambda: PartialAbelianGroup._make(("bogus", None)),
      "unknown variant tag 'bogus'"),

@@ -68,8 +68,8 @@ def test_a_product_sorts_its_factors():
      "torsion entries must be prime powers"),
     (lambda: PartialAbelianGroup(RANK, AbelianGroup())._replace(group=None),
      "missing group payload"),
-    (lambda: PartialAbelianGroup._make(("finite", AbelianGroup(1))),
-     "unknown variant tag 'finite'"),
+    pytest.param(lambda: PartialAbelianGroup._make(("finite", AbelianGroup(1))),
+                 "unknown variant tag 'finite'", id="former-finite-tag"),
     (lambda: PartialAbelianGroup(RANK, AbelianGroup())._replace(tag="bogus"),
      "unknown variant tag 'bogus'"),
     (lambda: PartialAbelianGroup._make(("bogus", None)),

@@ -235,13 +235,13 @@ def _text_verdict(p, args):
     yield p["verdict"]
 
 
-# the largest scan measured: `corollary1-check --max-dim 2000` took 0.37 s
-# and 22 MB peak RSS (23 MB with --format json) as a whole process, against
-# 0.35 s and 20 MB at 300, of which the interpreter's own start-up
-# (`python3 -c pass`) took 0.24 s (fastest of 9 runs each; Python 3.11,
-# 2-vCPU Xeon host).  The scan reads regions and counts its pairs, but
-# this command lists every violation and undetermined pair, about 1.5 per
-# unit of max_dim at degree 9, so the bound stays
+# the largest scan measured: `corollary1-check --max-dim 2000` took 0.13 s
+# and 19 MB peak RSS as a whole process from source (0.09 s and 18 MB from
+# bytecode), against 0.11 s and 17 MB (0.08 s, 16 MB) at 300, of which the
+# interpreter's start-up (`python3 -c pass`) took 0.04 s (median of 7 runs;
+# Python 3.11, 2-vCPU Xeon host).  The scan reads regions and counts its
+# pairs, but this command lists every violation and undetermined pair,
+# about 1.5 per unit of max_dim at degree 9, so the bound stays
 MAX_SCAN_DIM = 2000
 
 

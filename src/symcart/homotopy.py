@@ -18,10 +18,12 @@ records in file order -- the unstable tables before the stable one, whose
 degree-10 cells follow from mod-8 periodicity (pi_10 repeats the k=2
 column) -- and, for an uncovered pi_1, ``simply_connected``.  That is
 precedence order, so the first candidate answers pi_k, and a degree with
-no candidate is Unknown.  ``pi``, ``coverage``, ``pi_candidates``,
-``consistency_violations`` and the recognition scan all read rows; each
-row is built once per (space, data directory).  The last two read one
-row per region of ``symcart.regions``, not one per space.
+no candidate is Unknown.  ``row(s)[k - 1]`` is pi_k's candidates, so
+its ``[0][0]`` names the answering source and ``()`` is an uncovered
+cell; ``pi``, ``groups``, ``consistency_violations`` and the recognition
+scan all read rows, each built once per (space, data directory).  The
+last two read one row per region of ``symcart.regions``, not one per
+space.
 
 Records are found through an index, built on the first lookup, that
 files each record under its pattern, so a space looks up at most
@@ -40,9 +42,8 @@ parameters and a cell's degree are ASCII digits, and a guard is linear:
 each comparison reads one parameter besides k (``_read``), so its truth
 is eventually constant in every parameter, as the regions need.
 
->>> cp3 = instantiate("AIII", (1, 3))
->>> pi(cp3, 7), coverage(cp3, 7)
-(Partial('Z'), 'projective_rule')
+>>> row(instantiate("AIII", (1, 3)))[7 - 1]
+(('projective_rule', Partial('Z')),)
 >>> row(instantiate("S", (4,)))[7 - 1]
 (('spheres', Partial('Z + Z_4 + Z_3')),)
 """
@@ -405,29 +406,12 @@ def _check_degree(k: int) -> None:
         raise ValueError(f"degree {k} out of range 1..{MAX_DEGREE}")
 
 
-def pi_candidates(s: SpaceInstance, k: int, data_dir=None) -> List[Cell]:
-    """All applicable (source, value) pairs for pi_k(s), rules included,
-    in precedence order."""
-    _check_degree(k)
-    return list(row(s, data_dir)[k - 1])
-
-
-NOT_COVERED = "not_covered"
-
-
 @_cached_per_data_dir
 def pi(s: SpaceInstance, k: int, data_dir=None) -> PartialAbelianGroup:
     """pi_k(s) from the database; Unknown when no table covers the cell."""
     _check_degree(k)
     cands = row(s, data_dir)[k - 1]
     return cands[0][1] if cands else _UNKNOWN
-
-
-def coverage(s: SpaceInstance, k: int, data_dir=None) -> str:
-    """Name of the source answering pi_k(s), or 'not_covered'."""
-    _check_degree(k)
-    cands = row(s, data_dir)[k - 1]
-    return cands[0][0] if cands else NOT_COVERED
 
 
 def groups(s: SpaceInstance, max_degree: int = DEFAULT_DEGREE,
@@ -458,26 +442,20 @@ def consistency_violations(max_dim: int, data_dir=None):
     agree wherever they overlap, up to dimension max_dim.  One row is read
     per region (see ``regions``), and a clash in it is listed for each
     member of the region, so only the members of a clashing region are
-    instantiated.  A cell with one candidate has nothing to compare, and
-    the tables hold few distinct values, so ``compatible``, the
-    recognition verdicts' rule, runs once per distinct (value_a, value_b)
-    pair.
+    instantiated.  Each overlapping pair is compared by ``compatible``,
+    the recognition verdicts' rule, whose rank intervals
+    ``abelian.field_ranks`` computes once per distinct value.
     """
     from .regions import regions        # built by the first scan or check
     if max_dim < 1:
         raise ValueError("max_dim >= 1 required")
     clashing = []           # each region's members, paired with its clashes
-    incompatible = {}       # (value_a, value_b) -> whether INCOMPATIBLE
     for region in regions(data_dir):
         clashes = []
         for k, cands in enumerate(region.row, 1):
             for i, (src_a, val_a) in enumerate(cands):
                 for src_b, val_b in cands[i + 1:]:
-                    key = (val_a, val_b)
-                    if key not in incompatible:
-                        incompatible[key] = \
-                            compatible(val_a, val_b)[0] == INCOMPATIBLE
-                    if incompatible[key]:
+                    if compatible(val_a, val_b)[0] == INCOMPATIBLE:
                         clashes.append((k, src_a, val_a, src_b, val_b))
         if clashes:
             clashing.append(zip(region.members(max_dim), repeat(clashes)))

@@ -43,6 +43,7 @@ def test_hash_is_the_fields_hash_and_is_not_pickled(g):
 def test_composite_orders_split_into_prime_powers():
     g = AbelianGroup.from_orders(1, [12])
     assert g == AbelianGroup(1, ((2, 2), (3, 1)))
+    assert AbelianGroup.from_orders(1, [1, 12]) == g    # Z_1 is trivial
 
 
 def test_normalization_is_idempotent():
@@ -81,6 +82,7 @@ def test_parse_format_round_trip(text):
 def test_parse_normalizes_composite_orders():
     assert format_group(parse_group("Z_12")) == "Z_4 + Z_3"
     assert format_group(parse_group("Z + Z_24")) == "Z + Z_8 + Z_3"
+    assert parse_group("Z + 0") == parse_group("Z")
 
 
 @pytest.mark.parametrize("text", [

@@ -144,6 +144,8 @@ def test_enumerate_catalog_is_canonical_and_deduplicated():
         assert s.dim <= 150
         assert instantiate(s.symbol, s.params) == s
     assert sum(s.symbol == "S" for s in spaces) == 149       # S^2..S^150
+    with pytest.raises(ValueError, match="max_dim >= 1 required"):
+        enumerate_catalog(0)
 
 
 def test_enumerate_catalog_slices_one_catalog():

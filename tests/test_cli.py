@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import symcart
 from symcart import cli, rootsys
-from symcart.catalog import reference_classical
+from symcart.catalog import FAMILIES, reference_classical
 from symcart.recognize import decompose
 from symcart.cli import SpaceSyntaxError, main, parse_space
 from symcart.rootsys import deletion_counts
@@ -55,6 +55,11 @@ def test_parse_space_errors_carry_positions():
         parse_space("S(1)")
     with pytest.raises(SpaceSyntaxError):
         parse_space("")
+    for spec, message in (("CP(2,3)", "CP takes one parameter (at position 0)"),
+                          ("S(3", "unclosed '(' (at position 1)")):
+        with pytest.raises(SpaceSyntaxError) as exc:
+            parse_space(spec)
+        assert str(exc.value) == message
 
 
 def test_table_check_passes(capsys):
@@ -427,6 +432,37 @@ def test_the_reader_reads_any_call_as_argparse_does(argv):
     _agrees_with_argparse(argv)
 
 
+_NAMES = (*FAMILIES, "Gr", "CP", "HP", "XYZ", "E9", "s")
+_ARGS = st.one_of(st.integers(0, 30).map(str),
+                  st.sampled_from(["-3", "+4", "", " ", " 7 ", "R", "C", "H",
+                                   "\u0661\u0662", "\u00b2", "\uff11"]),
+                  st.integers(10 ** 19, 10 ** 20 - 1).map(str))
+_FACTORS = st.tuples(st.sampled_from(_NAMES),
+                     st.none() | st.lists(_ARGS, max_size=3)).map(
+    lambda f: f[0] if f[1] is None else f"{f[0]}({','.join(f[1])})")
+_SPECS = st.lists(_FACTORS, min_size=1, max_size=3).map(" x ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPECS, _SPECS)
+def test_any_spec_finishes_with_at_most_one_error_line(spec, other):
+    """Specs drawn from ``parse_space``'s grammar, known and unknown
+    names, signed, blank, non-ASCII and 20-digit arguments among them:
+    every command that reads a space exits 0, 1 or 2 with at most one
+    ``error:`` line."""
+    for argv in (["kp", spec], ["homotopy", spec],
+                 ["distinguish", spec, other], ["gate", spec, "--codim", "2"],
+                 ["decompose", spec, "--max-candidates", "1000"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert err.getvalue().count("error:") <= 1, argv
+
+
 def test_sphere_arity_is_a_named_condition(capsys):
     for spec, text in (("S(2,3)", "S(2, 3): requires one parameter n >= 2"),
                        ("S", "S(): requires one parameter n >= 2")):
@@ -533,6 +569,9 @@ def test_bad_space_exits_nonzero(capsys):
     code = main(["kp", "XYZ(3)"])
     captured = capsys.readouterr()
     assert code == 2 and "error:" in captured.err
+    assert main(["decompose", "S(3) x S(4)"]) == 2
+    assert capsys.readouterr().err == \
+        "error: expected a single irreducible space (at position 0)\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -52,6 +52,8 @@ def test_trace_bound_domain_errors():
     for r in (-0.1, math.nan):
         with pytest.raises(ValueError, match="r must be nonnegative"):
             trace_bound(1.0, 1.0, r)
+    with pytest.raises(ValueError, match="k must be positive"):
+        trace_bound(1.0, 0, 0.0)
 
 
 def test_hypothesis_set_validation():

@@ -12,9 +12,8 @@ import symcart.homotopy
 from symcart.abelian import (AbelianGroup, PartialAbelianGroup, direct_sum,
                              format_group, parse_group)
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
-from symcart.homotopy import (MAX_DEGREE, NOT_COVERED, consistency_violations,
-                              coverage, load_records, pi, pi_candidates,
-                              profile, row)
+from symcart.homotopy import (MAX_DEGREE, consistency_violations, groups,
+                              load_records, pi, profile, row)
 
 
 def _fmt(s, k):
@@ -43,7 +42,7 @@ def test_complex_projective_space_fibration_rule():
     assert _fmt(cp3, 2) == "Z"
     for k in range(3, MAX_DEGREE + 1):
         assert pi(cp3, k) == pi(instantiate("S", (7,)), k)
-    assert coverage(cp3, 5) == "projective_rule"
+    assert row(cp3)[5 - 1][0][0] == "projective_rule"
 
 
 def test_quaternionic_projective_space_row():
@@ -90,7 +89,7 @@ def test_real_grassmannian_rows():
 
 
 def test_out_of_range_degree():
-    for read in (pi, coverage, pi_candidates):
+    for read in (pi, groups):
         for k in (0, MAX_DEGREE + 1):
             with pytest.raises(ValueError):
                 read(instantiate("S", (5,)), k)
@@ -137,7 +136,7 @@ def test_a_products_profile_builds_one_group_per_degree(monkeypatch):
 def test_full_catalog_coverage_through_degree_ten():
     missing = [(s, k) for s in enumerate_catalog(80)
                for k in range(1, MAX_DEGREE + 1)
-               if coverage(s, k) == NOT_COVERED]
+               if row(s)[k - 1] == ()]
     assert missing == []
 
 
@@ -146,12 +145,14 @@ def test_unstable_beats_stable_on_overlap():
     # stable guard is silent; adjacent overlaps must agree (see below)
     s = instantiate("AI", (4,))
     assert _fmt(s, 4) == "Z"
-    sources = {src for src, _ in pi_candidates(s, 4)}
+    sources = {src for src, _ in row(s)[4 - 1]}
     assert "unstable_classical" in sources
 
 
 def test_tables_are_internally_consistent():
     assert consistency_violations(150) == []
+    with pytest.raises(ValueError, match="max_dim >= 1 required"):
+        consistency_violations(0)
 
 
 def test_consistency_violations_report_a_clash_by_both_sources(tmp_path):
@@ -172,7 +173,7 @@ def test_consistency_violations_report_a_clash_by_both_sources(tmp_path):
 def test_tables_are_parsed_once_per_process():
     load_records.cache_clear()
     load_records()
-    pi_candidates(instantiate("SU", (3,)), 3)
+    row(instantiate("SU", (3,)))
     assert load_records.cache_info().misses == 1
 
 
@@ -203,6 +204,7 @@ def test_guards_name_only_their_pattern_parameters_and_k(tmp_path):
     ("[q for q in k]", "disallowed construct ListComp"),
     ("__import__('os') == 0", "disallowed construct Call"),
     ("q.real >= 11", "disallowed construct Attribute"),
+    ("q >= 1.5", "non-integer constant in guard"),
     ("q >= 11 and k <= 2", None),
 ])
 def test_degree_guards_pass_the_whitelist_before_the_wrapper(guard, message):
@@ -311,14 +313,15 @@ def _oracle_candidates(s, k, records):
     return out
 
 
+def _oracle_first(cands):
+    """The candidate that answers pi_k, by source precedence, as a
+    1-tuple; () when no source covers the cell."""
+    return (min(cands, key=lambda sv: _PRECEDENCE[sv[0]]),) if cands else ()
+
+
 def _oracle_pi(cands):
-    return min(cands, key=lambda sv: _PRECEDENCE[sv[0]])[1] if cands \
-        else parse_group("?")
-
-
-def _oracle_coverage(cands):
-    return min(cands, key=lambda sv: _PRECEDENCE[sv[0]])[0] if cands \
-        else NOT_COVERED
+    first = _oracle_first(cands)
+    return first[0][1] if first else parse_group("?")
 
 
 def _assert_rows_equal_the_oracle(data_dir=None):
@@ -330,13 +333,28 @@ def _assert_rows_equal_the_oracle(data_dir=None):
     for s in sorted(spaces, key=lambda s: s.label()):
         for k in range(1, MAX_DEGREE + 1):
             cands = _oracle_candidates(s, k, records)
-            assert pi_candidates(s, k, data_dir) == cands, (s, k)
+            cells = row(s, data_dir)[k - 1]
+            assert list(cells) == cands, (s, k)
             assert pi(s, k, data_dir) == _oracle_pi(cands), (s, k)
-            assert coverage(s, k, data_dir) == _oracle_coverage(cands), (s, k)
+            assert cells[:1] == _oracle_first(cands), (s, k)
 
 
 def test_rows_equal_the_per_cell_oracle():
     _assert_rows_equal_the_oracle()
+
+
+def test_an_uncovered_pi_1_is_simply_connected(tmp_path):
+    """With the SU rows removed, no table covers SU(3): its pi_1 falls
+    back to ``simply_connected`` and its other cells are uncovered."""
+    for f in _DATA.glob("*.txt"):
+        lines = f.read_text().splitlines(keepends=True)
+        (tmp_path / f.name).write_text(
+            "".join(line for line in lines if not line.startswith("SU(")))
+    data_dir = str(tmp_path)
+    cells = row(instantiate("SU", (3,)), data_dir)
+    assert cells[0] == (("simply_connected", PartialAbelianGroup.trivial()),)
+    assert cells[1:] == ((),) * (MAX_DEGREE - 1)
+    _assert_rows_equal_the_oracle(data_dir)
 
 
 def test_rows_merge_fixed_and_patterned_records_in_file_order(tmp_path):
@@ -352,11 +370,12 @@ def test_rows_merge_fixed_and_patterned_records_in_file_order(tmp_path):
             fh.write(line + "\n")
     _assert_rows_equal_the_oracle(str(tmp_path))
     s = instantiate("BDI", (3, 12))
-    assert [src for src, _ in pi_candidates(s, 2, str(tmp_path))] == \
+    cells = row(s, str(tmp_path))
+    assert [src for src, _ in cells[2 - 1]] == \
         ["real_grassmannians", "exceptional", "stable"]
-    assert [src for src, _ in pi_candidates(s, 9, str(tmp_path))] == \
+    assert [src for src, _ in cells[9 - 1]] == \
         ["spheres", "real_grassmannians", "stable"]
-    assert coverage(s, 9, str(tmp_path)) == "spheres"
+    assert cells[9 - 1][0][0] == "spheres"
     assert _fmt(s, 9) == "Z_3"          # the shipped tables' rows are apart
 
 
@@ -375,19 +394,19 @@ def test_rows_equal_the_oracle_on_shapes_the_tables_lack(tmp_path):
             fh.write(line + "\n")
     _assert_rows_equal_the_oracle(str(tmp_path))
     data_dir = str(tmp_path)
-    assert [src for src, _ in pi_candidates(
-        instantiate("BDI", (5, 12)), 8, data_dir)][:2] == \
+    assert [src for src, _ in row(
+        instantiate("BDI", (5, 12)), data_dir)[8 - 1]][:2] == \
         ["spheres", "real_grassmannians"]
-    assert "spheres" not in {src for src, _ in pi_candidates(
-        instantiate("BDI", (3, 12)), 8, data_dir)}
-    assert parse_group("Z_49") not in {g for _, g in pi_candidates(
-        instantiate("BDI", (2, 12)), 5, data_dir)}
+    assert "spheres" not in {src for src, _ in row(
+        instantiate("BDI", (3, 12)), data_dir)[8 - 1]}
+    assert parse_group("Z_49") not in {g for _, g in row(
+        instantiate("BDI", (2, 12)), data_dir)[5 - 1]}
     assert format_group(pi(instantiate("SU", (7,)), 4, data_dir)) == "Z_5"
     for k in range(1, MAX_DEGREE + 1):      # a k-free guard holds at every k
-        assert "exceptional" in {src for src, _ in pi_candidates(
-            instantiate("SU", (4,)), k, data_dir)}
-        assert "exceptional" not in {src for src, _ in pi_candidates(
-            instantiate("SU", (5,)), k, data_dir)}
+        assert "exceptional" in {src for src, _ in row(
+            instantiate("SU", (4,)), data_dir)[k - 1]}
+        assert "exceptional" not in {src for src, _ in row(
+            instantiate("SU", (5,)), data_dir)[k - 1]}
 
 
 def test_malformed_rows_name_their_file_and_line(tmp_path):

@@ -424,9 +424,9 @@ from symcart.regions import regions
 leasts = {r.least for r in regions()}
 listed = {s for a, b, _ in report.violations for s in (a, b)}
 listing_built = catalog.instantiate.cache_info().currsize - cached
-# the (value, value) pairs that the consistency check may compare
-value_pairs = {(a, b) for r in regions() for cands in r.row
-               for i, (_, a) in enumerate(cands) for _, b in cands[i + 1:]}
+# the (value, value) pairs that the consistency check compares
+value_pairs = [(a, b) for r in regions() for cands in r.row
+               for i, (_, a) in enumerate(cands) for _, b in cands[i + 1:]]
 cell_values = {g for s in leasts if s.valid
                for g in homotopy.groups(s, 9).values()}
 # the CP^n rule reads the row of S(2n + 1)
@@ -459,7 +459,8 @@ print(json.dumps({**calls, "regions": len(leasts), "read": len(read),
                   "counted": counted, "cached": cached,
                   "listing_built": listing_built,
                   "listed_new": len(listed - leasts),
-                  "value_pairs": len(value_pairs)}))
+                  "overlaps": len(value_pairs),
+                  "value_pairs": len(set(value_pairs))}))
 """
 
 
@@ -488,7 +489,8 @@ def test_scan_work_counts_per_region_and_per_class_pair():
     once.  A warm scan looks a space up in a space-keyed cache only to
     read a region's row.  The check that follows reads the scan's
     regions and instantiates no space; it calls ``compatible`` once per
-    distinct pair of overlapping values, 3 of them.
+    overlapping pair of candidates, 125 of them, holding 3 distinct pairs
+    of values.
 
     Taking ``len`` of the report's buckets lists no pair, so the scan
     and the check leave only the 134 spaces that building the regions
@@ -507,7 +509,8 @@ def test_scan_work_counts_per_region_and_per_class_pair():
         assert counts["scan_compatible"] == 0 < counts["compatible"]
         assert 0 < counts["field_ranks"] <= counts["cell_values"]
         assert counts["check_instantiated"] == 0
-        assert counts["compatible"] <= counts["value_pairs"] == 3
+        assert counts["compatible"] == counts["overlaps"] == 125
+        assert counts["value_pairs"] == 3
         assert 0 < counts["warm_lookups"] <= counts["valid_regions"]
         assert counts["cached"] == 134
         assert 0 < counts["listing_built"] == counts["listed_new"]

@@ -145,7 +145,8 @@ def _extend(terms):
     return st.one_of(
         st.tuples(terms, st.sampled_from(["+", "-"]), terms)
         .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.tuples(st.integers(-4, 4), terms).map(lambda t: f"{t[0]} * {t[1]}"))
+        st.tuples(st.integers(-4, 4), terms).map(lambda t: f"{t[0]} * {t[1]}"),
+        st.tuples(terms, st.integers(-4, 4)).map(lambda t: f"{t[0]} * {t[1]}"))
 
 
 _terms = st.recursive(_leaves, _extend, max_leaves=6)
@@ -212,6 +213,17 @@ def test_a_table_past_the_region_bounds_fails_the_scan_only(
     assert main(["corollary1-check", "--data-dir", data_dir]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_a_record_of_no_familys_arity_moves_no_bucket(tmp_path):
+    """A BDI record with one parameter matches no catalog space: it
+    starts no region, and the dim-300 scan keeps criterion 4's buckets."""
+    data_dir = _tables(tmp_path, spheres=["BDI(q) | - | 5=Z_49"])
+    assert _tails(load_records(data_dir)) == _tails(load_records())
+    report = corollary1_scan(300, data_dir=data_dir)
+    assert (report.instances, report.distinguishable_pairs,
+            len(report.blind_pairs), len(report.violations),
+            len(report.undetermined)) == (1524, 844668, 20445, 287, 147)
 
 
 def test_a_comparison_of_two_parameters_is_a_malformed_row(capsys, tmp_path):

@@ -22,8 +22,8 @@ no candidate is Unknown.  ``row(s)[k - 1]`` is pi_k's candidates, so
 its ``[0][0]`` names the answering source and ``()`` is an uncovered
 cell; ``pi``, ``groups``, ``consistency_violations`` and the recognition
 scan all read rows, each built once per (space, data directory).  The
-last two read one row per region of ``symcart.regions``, not one per
-space.
+last two read one row per region of ``symcart.regions``, its least
+member's, built here: a region holds no row.
 
 Records are found through an index, built on the first lookup, that
 files each record under its pattern, so a space looks up at most
@@ -39,8 +39,8 @@ twice, among them) raises ``ValueError`` whose message starts with the
 row's ``file:line``.  A guard adds, subtracts and multiplies integers,
 so one that loads cannot fail when evaluated.  A pattern's fixed
 parameters and a cell's degree are ASCII digits, and a guard is linear:
-each comparison reads one parameter besides k (``_read``), so its truth
-is eventually constant in every parameter, as the regions need.
+each comparison reads one parameter besides k, so its truth is constant
+in every parameter from a start that ``_read`` finds, as regions need.
 
 >>> row(instantiate("AIII", (1, 3)))[7 - 1]
 (('projective_rule', Partial('Z')),)
@@ -155,31 +155,36 @@ def _truth(node, bindings: Dict[str, int]) -> Iterator[bool]:
 
 class Guard(NamedTuple):
     """A loaded guard.  ``tree`` is a Comparison, or a tuple of "and",
-    "or" or "not" and its subtrees."""
+    "or" or "not" and its subtrees.  From ``start`` on in every
+    parameter, the guard's truth at each degree is constant."""
 
     tree: tuple
-    comparisons: Tuple[Comparison, ...]     # the tree's, in text order
+    start: int
 
     def holds(self, bindings: Dict[str, int]) -> Tuple[bool, ...]:
         """The guard's truth at k = 1..MAX_DEGREE, in integers."""
         return tuple(_truth(self.tree, bindings))
 
 
-def _read(node: ast.AST, text: str, comparisons: List[Comparison]):
-    """A whitelisted guard's tree (see ``Guard``), each comparison also
-    appended to ``comparisons``.
+def _read(node: ast.AST, text: str) -> Tuple[tuple, int]:
+    """A whitelisted guard's tree and start (see ``Guard``).
 
     A comparison chain is the "and" of its links, and a bare term is
     compared with 0 by ``!=``.  A comparison may read one parameter
-    besides k, so its truth at each degree is eventually constant in it
-    (see ``regions._guard_tails``), and so is the guard's in each
-    parameter; ``k < q - p`` need not settle in either and is rejected.
+    besides k (``k < q - p`` need not settle in either and is rejected),
+    so its truth settles in it: a link ``e op 0`` has
+    e = c + c_k*k + d*``name``, which moving ``name`` by 1 moves by d at
+    every k.  Where d is not 0, ``e op 0`` takes its final truth once
+    e + m*d has d's sign, or is 0 if ``0 op 0`` is that truth too; the
+    start is the largest such least m over the degrees and links, or 0.
     """
     if isinstance(node, ast.BoolOp):
+        trees, starts = zip(*(_read(value, text) for value in node.values))
         return ("and" if isinstance(node.op, ast.And) else "or",
-                *(_read(value, text, comparisons) for value in node.values))
+                *trees), max(starts)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-        return "not", _read(node.operand, text, comparisons)
+        tree, start = _read(node.operand, text)
+        return ("not", tree), start
     terms, ops = (([node.left, *node.comparators], node.ops)
                   if isinstance(node, ast.Compare)
                   else ([node, ast.Constant(0)], [ast.NotEq()]))
@@ -190,22 +195,22 @@ def _read(node: ast.AST, text: str, comparisons: List[Comparison]):
                          f"{' and '.join(sorted(names))} in one comparison; "
                          "each may read one parameter besides k")
     name = next(iter(names), None)
-    links = []
-    for a, b, op in zip(forms, forms[1:], ops):
-        c, c_k, drift = (a.get(n, 0) - b.get(n, 0) for n in ("", "k", name))
-        links.append(Comparison(name, _COMPARE[type(op)], drift,
-                                tuple(c + c_k * k for k in _DEGREES)))
-    comparisons += links
-    return links[0] if len(links) == 1 else ("and", *links)
+    links, start = [], 0
+    for a, b, op in zip(forms, forms[1:], map(_COMPARE.get, map(type, ops))):
+        c, c_k, d = (a.get(n, 0) - b.get(n, 0) for n in ("", "k", name))
+        consts = tuple(c + c_k * k for k in _DEGREES)
+        links.append(Comparison(name, op, d, consts))
+        if d:                           # m > -e/d, or m >= -e/d
+            start = max(start, *(-(e // d) if op(0, 0) == op(d, 0)
+                                 else -e // d + 1 for e in consts))
+    return links[0] if len(links) == 1 else ("and", *links), start
 
 
 @lru_cache(maxsize=None)
 def _read_guard(text: str, names: Tuple[str, ...]) -> Guard:
     """A guard over ``names`` and k, whitelisted as written and then read
     into integer comparisons; no code is compiled."""
-    comparisons = []
-    tree = _read(_check_guard(text, (*names, "k")).body, text, comparisons)
-    return Guard(tree, tuple(comparisons))
+    return Guard(*_read(_check_guard(text, (*names, "k")).body, text))
 
 
 def _cached_per_data_dir(fn):
@@ -239,12 +244,10 @@ _UNKNOWN = parse_group("?")
 
 
 class HomotopyRecord(NamedTuple):
-    source: str                       # the table file's name, without .txt
     symbol: str
     param_names: Tuple[str, ...]      # variable names or "" for fixed slots
     param_values: Tuple[Optional[int], ...]
-    guard_text: str
-    guard: Optional[Guard]            # guard_text read; None for "-"
+    guard: Optional[Guard]            # None for "-"
     cells: Tuple[Cell, ...]           # (source, pi_k) for k = 1..MAX_DEGREE
 
     def bindings(self, s: SpaceInstance) -> Dict[str, int]:
@@ -305,7 +308,7 @@ def _parse_record(line: str, source: str, stable: bool,
                              by_degree.get(MAX_DEGREE - 8, _TRIVIAL))
     params = tuple(filter(None, names))         # a guard reads these and k
     return HomotopyRecord(
-        source, symbol, tuple(names), tuple(values), guard,
+        symbol, tuple(names), tuple(values),
         None if guard == "-" else _read_guard(guard, params),
         tuple((source, by_degree.get(k, _TRIVIAL)) for k in _DEGREES))
 
@@ -452,7 +455,7 @@ def consistency_violations(max_dim: int, data_dir=None):
     clashing = []           # each region's members, paired with its clashes
     for region in regions(data_dir):
         clashes = []
-        for k, cands in enumerate(region.row, 1):
+        for k, cands in enumerate(row(region.least, data_dir), 1):
             for i, (src_a, val_a) in enumerate(cands):
                 for src_b, val_b in cands[i + 1:]:
                     if compatible(val_a, val_b)[0] == INCOMPATIBLE:

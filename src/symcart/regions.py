@@ -10,20 +10,21 @@ canonical tuple (not in ``catalog._NOT_CANONICAL``) of the family's box,
 its nondecreasing parameter tuples up to the start.  On a region the
 row, validity, canonical form and blind side of recognition are
 constant, so ``recognize.corollary1_scan`` and
-``homotopy.consistency_violations`` read one row per region.  A
+``homotopy.consistency_violations`` read one row per region, that of
+its least member, built by ``homotopy.row``; a region holds no row.  A
 region's running parameters form a family of their own
 (``catalog._Family``, its dim the family's with the fixed parameters
 bound), so the catalog's one sweep counts the region's members, building
 no tuple, and lists them; members are instantiated only where listed.
 
 Each family's start comes from the sources its own rows and blind side
-read (``_tails``): its guards' comparisons, as loaded, the fixed
-parameters of record patterns and of the non-canonical presentations,
-and three rules that settle past MAX_DEGREE -- the sphere rule for S,
-the CP^n rule and the CP^n blind side for AIII, the Gr(R,2,q) blind side
-for BDI.  A start is then raised until each tail starts valid.  The
-regions are derived once per data directory, on the first scan or check,
-and the module is imported only then.
+read (``_tails``): its guards' starts, found as each guard is loaded,
+the fixed parameters of record patterns and of the non-canonical
+presentations, and three rules that settle past MAX_DEGREE -- the
+sphere rule for S, the CP^n rule and the CP^n blind side for AIII, the
+Gr(R,2,q) blind side for BDI.  A start is then raised until each tail
+starts valid.  The regions are derived once per data directory, on the
+first scan or check, and the module is imported only then.
 
 CP^n = AIII(1,q) settles at q = 5, where S(2q + 1) passes MAX_DEGREE,
 but CP^5 is not valid, so its tail region starts at CP^6:
@@ -42,34 +43,12 @@ from typing import Dict, Iterator, NamedTuple, Tuple
 
 from .catalog import (FAMILIES, _NOT_CANONICAL, SpaceInstance, _Family,
                       instantiate)
-from .homotopy import (MAX_DEGREE, Cell, Guard, _cached_per_data_dir,
-                       load_records, row)
+from .homotopy import MAX_DEGREE, _cached_per_data_dir, load_records
 
 # A table whose rows would settle only past this parameter is refused by
 # the region scan: its regions could outnumber the catalog spaces they
 # stand for.
 MAX_REGION_START = 32
-
-
-def _guard_tails(guard: Guard) -> Dict[str, int]:
-    """The start per parameter of a loaded guard: from it on, the
-    guard's truth at each degree is constant in that parameter, whatever
-    the others are (each comparison reads one).
-
-    A comparison ``e op 0`` has e = c + c_k*k + d*``name`` in integers,
-    so moving ``name`` by 1 moves e by d, its drift, at every value and
-    k.  Where d is 0, e never moves.  Elsewhere ``e op 0`` takes its
-    final truth once e + m*d has d's sign, or is 0 if ``0 op 0`` is that
-    truth too; the start is the largest such least m over the degrees
-    and comparisons, or 0.
-    """
-    tails = {}
-    for name, op, d, consts in guard.comparisons:
-        if name:                        # m > -e/d, or m >= -e/d
-            tails[name] = max((tails.get(name, 0), *(
-                -(e // d) if op(0, 0) == op(d, 0) else -e // d + 1
-                for e in consts if d)))
-    return tails
 
 
 def _tails(records) -> Dict[str, int]:
@@ -78,8 +57,9 @@ def _tails(records) -> Dict[str, int]:
 
     A family's start lies past what its own sources fix, and no further:
 
-    - each guard's start (``_guard_tails``) and each fixed parameter of
-      a record pattern and of a non-canonical presentation;
+    - each guard's start (``homotopy.Guard``), read with the guard, and
+      each fixed parameter of a record pattern and of a non-canonical
+      presentation;
     - S: the sphere rule gives pi_n(S^n) = Z at each n <= MAX_DEGREE,
       so it settles past MAX_DEGREE;
     - AIII: CP^n = AIII(1,q) reads pi_k(S(2q + 1)), which the sphere
@@ -94,8 +74,8 @@ def _tails(records) -> Dict[str, int]:
         family = FAMILIES.get(rec.symbol)
         if family is None or len(rec.param_values) != len(family.smallest):
             continue                    # matches no catalog space
-        guard = {} if rec.guard is None else _guard_tails(rec.guard)
-        starts[rec.symbol] = max((starts[rec.symbol], *guard.values(), *(
+        guard = 0 if rec.guard is None else rec.guard.start
+        starts[rec.symbol] = max((starts[rec.symbol], guard, *(
             v + 1 for v in rec.param_values if v is not None)))
     for symbol, params in _NOT_CANONICAL:
         starts[symbol] = max((starts[symbol], *(v + 1 for v in params)))
@@ -115,7 +95,6 @@ class Region(NamedTuple):
 
     least: SpaceInstance
     running: _Family
-    row: Tuple[Tuple[Cell, ...], ...]
 
     @property
     def fixed(self) -> Tuple[int, ...]:
@@ -151,8 +130,8 @@ def _family_regions(symbol: str, start: int):
 
 @_cached_per_data_dir
 def regions(data_dir=None) -> Tuple[Region, ...]:
-    """Every catalog space, as regions with their rows built, in the
-    catalog order of their least members.
+    """Every catalog space, as regions, in the catalog order of their
+    least members.  No row is built.
 
     Derived once per data directory, on the first scan or check.  A
     family's start is raised, if need be, until each region with a
@@ -174,5 +153,5 @@ def regions(data_dir=None) -> Tuple[Region, ...]:
         for s, fixed in found:
             running = _Family(s.params[fixed:], partial(
                 FAMILIES[symbol].dim, *s.params[:fixed]), None)
-            out.append(Region(s, running, row(s, data_dir)))
+            out.append(Region(s, running))
     return tuple(sorted(out, key=attrgetter("least")))

@@ -463,6 +463,64 @@ def test_any_spec_finishes_with_at_most_one_error_line(spec, other):
         assert err.getvalue().count("error:") <= 1, argv
 
 
+# numbers as a call spells them: small, past a bound, signed, non-ASCII
+_ODD_NUMBERS = st.sampled_from(["-1", "-40", "+3", "0", "", " 7",
+                                "\u0661\u0662", "\u00b2", "\uff11"])
+
+
+def _numbers(lo, hi, bound=None):
+    """A number in lo..hi, above ``bound``, or an odd spelling."""
+    drawn = [st.integers(lo, hi).map(str), _ODD_NUMBERS]
+    if bound is not None:
+        drawn.append(st.integers(bound + 1, bound + 10 ** 6).map(str))
+    return st.one_of(*drawn)
+
+
+def _options(*pairs):
+    """Each (flag, values) either left out or given one drawn value."""
+    return st.tuples(*(st.none() | values for _, values in pairs)).map(
+        lambda drawn: [part for (flag, _), value in zip(pairs, drawn)
+                       if value is not None for part in (flag, value)])
+
+
+_BOUNDED_CALLS = st.one_of(
+    st.tuples(st.just(["table"]),
+              st.sampled_from(["classical", "exceptional", "other"]),
+              st.sampled_from([[], ["--check"]]),
+              _options(("--max-param",
+                        _numbers(-3, 12, cli.MAX_TABLE_PARAM)))),
+    st.tuples(st.just(["corollary1-check"]),
+              _options(("--max-dim", _numbers(-3, 30, cli.MAX_SCAN_DIM)),
+                       ("--max-degree", _numbers(-1, 11)),
+                       ("--max-listed", _numbers(-1, 3)))),
+    st.tuples(st.just(["tgeo"]), st.sampled_from(["R", "C", "H", "O"]),
+              _numbers(-3, 12), _numbers(-3, 30),
+              _numbers(-3, 12).map(lambda codim: ["--codim", codim]),
+              _options(("--index", _numbers(-3, 12)))),
+    st.tuples(st.just(["dump-roots"]),
+              st.sampled_from(["A", "B", "C", "D", "BC", "E6", "E7", "E8",
+                               "F4", "G2", "X", ""]),
+              _options(("--rank", _numbers(-3, 33))))).map(
+    lambda parts: [part for p in parts
+                   for part in ([p] if isinstance(p, str) else p)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_BOUNDED_CALLS)
+def test_any_bounded_call_finishes_with_at_most_one_error_line(argv):
+    """``table``, ``corollary1-check``, ``tgeo`` and ``dump-roots`` with
+    small, out-of-bound, negative and non-ASCII numbers, any option left
+    out: each exits 0, 1 or 2 with at most one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert err.getvalue().count("error:") <= 1, argv
+
+
 def test_sphere_arity_is_a_named_condition(capsys):
     for spec, text in (("S(2,3)", "S(2, 3): requires one parameter n >= 2"),
                        ("S", "S(): requires one parameter n >= 2")):

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import symcart.homotopy
-from symcart.abelian import (AbelianGroup, PartialAbelianGroup, direct_sum,
-                             format_group, parse_group)
+from symcart.abelian import (FIELDS, AbelianGroup, PartialAbelianGroup,
+                             direct_sum, field_ranks, format_group,
+                             parse_group)
 from symcart.catalog import ProductSpace, enumerate_catalog, instantiate
+from symcart.cli import parse_space
 from symcart.homotopy import (MAX_DEGREE, consistency_violations, groups,
                               load_records, pi, profile, row)
 
@@ -35,6 +37,20 @@ def test_sphere_table_spot_values():
     assert _fmt(instantiate("S", (6,)), 9) == "Z_8 + Z_3"
     assert _fmt(instantiate("S", (6,)), 10) == "0"
     assert _fmt(instantiate("S", (5,)), 8) == "Z_8 + Z_3"
+
+
+# the stable stems pi_1^s..pi_4^s (Toda 1962)
+_STEMS = {1: "Z_2", 2: "Z_2", 3: "Z_8 + Z_3", 4: "0"}
+
+
+def test_sphere_rows_agree_with_freudenthal():
+    """pi_k(S^n) is the stable stem pi_(k-n)^s once n >= (k - n) + 2:
+    16 cells with 2 <= n < k <= 10."""
+    cells = [(n, k) for k in range(3, MAX_DEGREE + 1) for n in range(2, k)
+             if n >= (k - n) + 2]
+    assert len(cells) == 16
+    for n, k in cells:
+        assert _fmt(instantiate("S", (n,)), k) == _STEMS[k - n], (n, k)
 
 
 def test_complex_projective_space_fibration_rule():
@@ -71,6 +87,63 @@ def test_spin_cross_checks():
     assert _fmt(instantiate("Spin", (9,)), 3) == "Z"
     assert pi(instantiate("Spin", (9,)), 5).is_exact_trivial
     assert _fmt(instantiate("Spin", (9,)), 7) == "Z"
+
+
+# F -> E -> B: each fibre, total space and base, as ``parse_space`` reads
+# it; "S(1)" stands for the circle, which no catalog space is
+_SPHERE_BUNDLES = (
+    *((f"SU({n})", f"SU({n + 1})", f"S({2 * n + 1})") for n in range(2, 12)),
+    *((f"Sp({n})", f"Sp({n + 1})", f"S({4 * n + 3})") for n in range(1, 6)),
+    *((f"Spin({n})", f"Spin({n + 1})", f"S({n})") for n in range(3, 14)),
+    ("S(1)", "S(3)", "S(2)"), ("S(3)", "S(7)", "S(4)"),
+    ("S(7)", "S(15)", "S(8)"),
+    ("G2", "Spin(7)", "S(7)"), ("SU(3)", "G2", "S(6)"),
+    ("Spin(7)", "Spin(9)", "S(15)"), ("Spin(9)", "F4", "FII"),
+    ("F4", "E6", "EIV"))
+
+
+def _bundle_profile(spec):
+    if spec == "S(1)":
+        return {k: parse_group("Z" if k == 1 else "0")
+                for k in range(1, MAX_DEGREE + 1)}
+    return profile(parse_space(spec), MAX_DEGREE)
+
+
+def _provably_above(a, b, c):
+    """Whether rank interval a lies above every sum of b and c."""
+    return b.hi is not None and c.hi is not None and a.lo > b.hi + c.hi
+
+
+def test_group_rows_against_the_sphere_bundles():
+    """The exact sequence of F -> E -> B bounds ranks over each field:
+    r(pi_k E) <= r(pi_k F) + r(pi_k B), r(pi_k B) <= r(pi_k E) +
+    r(pi_(k-1) F) and r(pi_(k-1) F) <= r(pi_k B) + r(pi_(k-1) E), an
+    unbounded interval passing.  Of the 1,530 (bundle, k, field) triples
+    for k = 2..10, only Spin(9) -> F4 -> FII breaks one, at the shipped
+    FII row.  Its pi_7 = Z breaks the second at k = 7 over every field,
+    and its pi_10 = Z_8 + Z_3 over F_3.  At k = 8, pi_7(Spin(9)) = Z has
+    rank 1 over Q, F_3, F_5 and F_7, where pi_8(FII) = Z_2 and pi_7(F4)
+    = 0 have none, which breaks the third."""
+    flagged, triples = set(), 0
+    for bundle in _SPHERE_BUNDLES:
+        f, e, b = map(_bundle_profile, bundle)
+        for k in range(2, MAX_DEGREE + 1):
+            ranks = [[r for _, r in field_ranks(g)]
+                     for g in (f[k], e[k], b[k], f[k - 1], e[k - 1])]
+            for i, field in enumerate(FIELDS):
+                fk, ek, bk, f1, e1 = (r[i] for r in ranks)
+                triples += 1
+                for which, broken in enumerate((
+                        _provably_above(ek, fk, bk),
+                        _provably_above(bk, ek, f1),
+                        _provably_above(f1, bk, e1)), 1):
+                    if broken:
+                        flagged.add((bundle, k, field, which))
+    assert triples == 1530
+    assert {bundle for bundle, *_ in flagged} == {("Spin(9)", "F4", "FII")}
+    assert {(k, field, which) for _, k, field, which in flagged} == {
+        *((7, field, 2) for field in FIELDS), (10, 3, 2),
+        *((8, field, 3) for field in ("Q", 3, 5, 7))}
 
 
 def test_exceptional_rows():
@@ -232,21 +305,22 @@ _DATA = Path(symcart.homotopy.__file__).parent / "data"
 
 
 def _oracle_records(data_dir):
-    """load_records(data_dir), each with its {degree: group} parsed anew
-    from the file lines in load order."""
-    lines = [line.strip() for name, _ in symcart.homotopy._FILES
+    """(record, its table's name, its guard text, its {degree: group}) of
+    each of load_records(data_dir), read anew from the file lines."""
+    lines = [(name, line.strip()) for name, _ in symcart.homotopy._FILES
              for line in (Path(data_dir or _DATA) / f"{name}.txt")
              .read_text().splitlines()
              if line.strip() and not line.strip().startswith("#")]
     records = load_records(data_dir)
     assert len(records) == len(lines)
     out = []
-    for rec, line in zip(records, lines):
+    for rec, (source, line) in zip(records, lines):
+        _, guard_text, cells = (part.strip() for part in line.split("|"))
         groups = {}
-        for cell in line.split("|")[2].split(";"):
+        for cell in cells.split(";"):
             deg, _, text = cell.partition("=")
             groups[int(deg)] = parse_group(text)
-        out.append((rec, groups))
+        out.append((rec, source, guard_text, groups))
     return out
 
 
@@ -273,8 +347,9 @@ def _oracle_holds(text, bindings):
 def test_every_shipped_guard_holds_where_eval_says():
     """Each shipped guard, read into integer comparisons, has the truth
     that ``eval`` of its text gives, for every parameter in 1..40."""
-    guards = {(rec.guard_text, tuple(filter(None, rec.param_names))): rec.guard
-              for rec in load_records() if rec.guard is not None}
+    guards = {(text, tuple(filter(None, rec.param_names))): rec.guard
+              for rec, _, text, _ in _oracle_records(None)
+              if rec.guard is not None}
     assert len(guards) == 20
     for (text, names), guard in guards.items():
         for values in product(range(1, 41), repeat=len(names)):
@@ -296,18 +371,18 @@ def _oracle_candidates(s, k, records):
         sphere = instantiate("S", (2 * s.params[1] + 1,))
         out.append(("projective_rule", trivial if k == 1 else z if k == 2
                     else _oracle_pi(_oracle_candidates(sphere, k, records))))
-    for rec, groups in records:
+    for rec, source, guard_text, groups in records:
         if not _matches(rec, s):
             continue
         env = {**rec.bindings(s), "k": k}
-        if rec.guard_text != "-" and not eval(
-                _oracle_guard(rec.guard_text), {"__builtins__": {}}, env):
+        if guard_text != "-" and not eval(
+                _oracle_guard(guard_text), {"__builtins__": {}}, env):
             continue
-        if rec.source == "stable" and k == MAX_DEGREE \
+        if source == "stable" and k == MAX_DEGREE \
                 and MAX_DEGREE not in groups:
-            out.append((rec.source, groups.get(MAX_DEGREE - 8, trivial)))
+            out.append((source, groups.get(MAX_DEGREE - 8, trivial)))
         else:
-            out.append((rec.source, groups.get(k, trivial)))
+            out.append((source, groups.get(k, trivial)))
     if k == 1 and not out:
         out.append(("simply_connected", trivial))
     return out

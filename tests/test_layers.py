@@ -85,10 +85,29 @@ def test_regions_reads_canonical_forms_from_the_catalog_only():
                         "PRODUCT_ISOMORPHISMS"}, names
 
 
+def test_regions_reads_parameters_only_from_homotopy():
+    """``regions`` takes from ``homotopy`` the degree bound, the cache
+    and the loaded records, whose guards carry their starts: it names no
+    comparison, guard, cell or row."""
+    imported = {alias.name for node in ast.walk(_tree("regions"))
+                if isinstance(node, ast.ImportFrom) and node.level
+                and node.module == "homotopy" for alias in node.names}
+    assert imported == {"MAX_DEGREE", "_cached_per_data_dir", "load_records"}
+
+
+def test_regions_build_no_row():
+    """A region holds parameters only: deriving the regions builds no
+    homotopy row; the scan and the check build those they read."""
+    for cached in (row, regions):
+        cached.cache_clear()
+    regions()
+    assert row.cache_info().misses == 0
+
+
 def test_no_module_runs_code():
     """No package module compiles, evaluates or executes code: guards are
     read from their AST into integer comparisons, in ``homotopy`` alone,
-    and ``regions`` reads those comparisons, not the AST."""
+    and ``regions`` reads each guard's start found there, not the AST."""
     runs_code = {f"{prefix}{name}" for prefix in ("", "builtins.")
                  for name in ("compile", "eval", "exec")}
     for path in sorted(_SRC.rglob("*.py")):

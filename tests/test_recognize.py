@@ -425,7 +425,8 @@ leasts = {r.least for r in regions()}
 listed = {s for a, b, _ in report.violations for s in (a, b)}
 listing_built = catalog.instantiate.cache_info().currsize - cached
 # the (value, value) pairs that the consistency check compares
-value_pairs = [(a, b) for r in regions() for cands in r.row
+value_pairs = [(a, b) for r in regions()
+               for cands in homotopy.row(r.least)
                for i, (_, a) in enumerate(cands) for _, b in cands[i + 1:]]
 cell_values = {g for s in leasts if s.valid
                for g in homotopy.groups(s, 9).values()}
@@ -494,8 +495,9 @@ def test_scan_work_counts_per_region_and_per_class_pair():
 
     Taking ``len`` of the report's buckets lists no pair, so the scan
     and the check leave only the 134 spaces that building the regions
-    and their rows instantiates, at both dims: the 133 least members and
-    S(13), read by CP^6.  A region's box skips the non-canonical
+    (no row) and then, through ``homotopy.row``, the rows of their least
+    members instantiates, at both dims: the 133 least members and S(13),
+    read by CP^6.  A region's box skips the non-canonical
     presentations by lookup, so none of them is instantiated.  Iterating
     the violations then builds exactly the members it lists that are no
     region's least.

@@ -1,6 +1,7 @@
 """Regions: the family splits that the scan and the consistency check read."""
 
 import shutil
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,7 @@ from symcart.cli import main
 from symcart.homotopy import (MAX_DEGREE, _read_guard, consistency_violations,
                               load_records, row)
 from symcart.recognize import _blind_side, corollary1_scan
-from symcart.regions import (MAX_REGION_START, _family_regions, _guard_tails,
-                             _tails, regions)
+from symcart.regions import MAX_REGION_START, _family_regions, _tails, regions
 from test_homotopy import _oracle_holds
 from test_recognize import _pair_loop_scan
 
@@ -47,7 +47,7 @@ def test_every_region_member_is_what_its_region_predicts():
             assert (s.symbol, s.params) == (least.symbol, params)
             assert s.valid == least.valid, s
             assert [_blind_side(s, degree) for degree in (9, 10)] == sides
-            assert row(s) == region.row, s
+            assert row(s) == row(least), s
             members.append(s)
         for max_dim in (11, 60, 300, 1999, 2000):
             assert region.count(max_dim) == \
@@ -174,22 +174,44 @@ def test_a_guard_holds_where_eval_says(guard, q):
 
 @given(_guards)
 def test_a_guard_repeats_past_its_start(guard):
-    """Brute force: from the start ``_guard_tails`` gives, the guard's
-    truth at every degree, by ``eval`` of its text, is constant."""
-    start = _guard_tails(_read_guard(guard, ("q",))).get("q", 0)
+    """Brute force: from the start the reader gives, the guard's truth
+    at every degree, by ``eval`` of its text, is constant."""
+    start = _read_guard(guard, ("q",)).start
     for q in range(start, start + 40):
         assert _oracle_holds(guard, {"q": q}) == \
             _oracle_holds(guard, {"q": start}), (guard, q)
 
 
-def test_guard_tails_of_the_shipped_forms():
-    def tails(text, *names):
-        return _guard_tails(_read_guard(text, names))
+# guards over p, q and k whose comparisons each read at most one of p, q
+_comparisons_in_p_or_q = st.one_of(
+    _comparisons, _comparisons.map(lambda c: c.replace("q", "p")))
+_two_parameter_guards = st.recursive(
+    _comparisons_in_p_or_q,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["and", "or"]), inner)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda g: f"not {g}")),
+    max_leaves=4)
 
-    assert tails("k <= 2*n - 1", "n") == {"n": 6}
-    assert tails("n >= 5 and k <= n - 2", "n") == {"n": 12}
-    assert tails("p >= 11 and k < q", "p", "q") == {"p": 11, "q": 11}
-    assert tails("k > 2") == {}
+
+@given(_two_parameter_guards)
+def test_a_two_parameter_guard_repeats_past_its_one_start(guard):
+    """Brute force: one start serves both parameters; for all p, q from
+    it on, the guard's truth at every degree, by ``eval``, is constant."""
+    start = _read_guard(guard, ("p", "q")).start
+    settled = _oracle_holds(guard, {"p": start, "q": start})
+    for p, q in product((*range(start, start + 8), start + 40), repeat=2):
+        assert _oracle_holds(guard, {"p": p, "q": q}) == settled, (guard, p, q)
+
+
+def test_guard_tails_of_the_shipped_forms():
+    def start(text, *names):
+        return _read_guard(text, names).start
+
+    assert start("k <= 2*n - 1", "n") == 6
+    assert start("n >= 5 and k <= n - 2", "n") == 12
+    assert start("p >= 11 and k < q", "p", "q") == 11
+    assert start("k > 2") == 0
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -260,7 +282,7 @@ def test_a_late_sphere_row_leaves_the_cpn_tail(tmp_path):
         for s in region.members(300):
             assert s.valid == least.valid, s
             assert [_blind_side(s, degree) for degree in (9, 10)] == sides
-            assert row(s, data_dir) == region.row, s
+            assert row(s, data_dir) == row(least, data_dir), s
     for max_dim, degree in ((120, 9), (60, 10)):
         report = corollary1_scan(max_dim, degree, data_dir)
         assert (report.distinguishable_pairs, report.blind_pairs,

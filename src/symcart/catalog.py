@@ -30,6 +30,11 @@ from .rootsys import (Multiplicities, RootSystemType, kp_by_deletion, mults,
 from .values import value_tuple
 
 
+def _label(symbol: str, params: Tuple[int, ...]) -> str:
+    """``AIII(3,2)``, ``SU(1)``, or the bare symbol without parameters."""
+    return f"{symbol}({','.join(map(str, params))})" if params else symbol
+
+
 class SpaceInstance(NamedTuple):
     """One catalog space: its Cartan symbol, parameters, dimension, rank
     and threshold k_P; d_P and C_P follow from these.  Spaces sort by
@@ -55,9 +60,7 @@ class SpaceInstance(NamedTuple):
         return self.dp >= 10
 
     def label(self) -> str:
-        if not self.params:
-            return self.symbol
-        return f"{self.symbol}({','.join(map(str, self.params))})"
+        return _label(self.symbol, self.params)
 
     def __repr__(self):
         return f"<{self.label()} dim={self.dim} k={self.kp}>"
@@ -257,7 +260,8 @@ def _root_datum(symbol: str, params: Tuple[int, ...]):
     if family is None:
         raise ConstraintError(f"unknown class symbol {symbol!r}")
     if not family.admits(params):
-        raise ConstraintError(f"{symbol}{params}: requires {family.requires()}")
+        raise ConstraintError(f"{_label(symbol, params)}: requires "
+                              f"{family.requires()}")
     return (family.dim(*params), *family.datum(*params))
 
 
@@ -270,7 +274,7 @@ def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
     while (symbol, params) in SPECIAL_ISOMORPHISMS:
         symbol, params = SPECIAL_ISOMORPHISMS[(symbol, params)]
     if (symbol, params) in PRODUCT_ISOMORPHISMS:
-        raise ReducibleError(f"{symbol}{params}",
+        raise ReducibleError(_label(symbol, params),
                              PRODUCT_ISOMORPHISMS[(symbol, params)])
     return build_space(symbol, params)
 
@@ -284,7 +288,7 @@ def build_space(symbol: str, params: Tuple[int, ...]) -> SpaceInstance:
     presentations it sweeps.
     """
     if symbol == "S":
-        _require(len(params) == 1, f"S{params}", "one parameter n >= 2")
+        _require(len(params) == 1, _label("S", params), "one parameter n >= 2")
         n, = params
         _require(n >= 2, f"S({n})", "n >= 2 (the circle is not simply connected)")
         return SpaceInstance("S", params, dim=n, rank=1, kp=1)

@@ -6,10 +6,10 @@ record per row:
     pattern | guard | k=<group>; k=<group>; ...
 
 ``pattern`` is a space pattern such as ``SU(3)``, ``BDI(3,q)`` or ``E6``;
-``guard`` is a boolean expression over the pattern's parameters and the
-degree ``k`` (``-`` for none).  Groups use the mini-grammar of
-:mod:`symcart.abelian`.  Degrees missing from a record are trivial;
-``?`` marks genuinely unknown cells.
+``guard`` is an ``and`` of ordered or equality comparisons over the
+pattern's parameters and the degree ``k`` (``-`` for none).  Groups use
+the mini-grammar of :mod:`symcart.abelian`.  Degrees missing from a
+record are trivial; ``?`` marks genuinely unknown cells.
 
 Resolution order.  A space's row lists, for each k = 1..MAX_DEGREE, every
 candidate ``(source, value)`` of pi_k: the sphere rules and the
@@ -29,18 +29,20 @@ Records are found through an index, built on the first lookup, that
 files each record under its pattern, so a space looks up at most
 2^arity patterns and tests none slot by slot.  Each record is parsed
 once: its per-degree cells are built then, equal values shared between
-records, and its whitelisted guard is read into a ``Guard`` of integer
-comparisons with their constants at k = 1..MAX_DEGREE, so a row
-evaluates a matched guard once, in integers; no guard is compiled.  The
-sphere and CP^n rules are applied only to spaces of their symbols.  A
-missing table file, or a row that does not parse (a repeated degree, a
-prime outside ``abelian.FIELDS``, a pattern naming k or a parameter
-twice, among them) raises ``ValueError`` whose message starts with the
-row's ``file:line``.  A guard adds, subtracts and multiplies integers,
-so one that loads cannot fail when evaluated.  A pattern's fixed
-parameters and a cell's degree are ASCII digits, and a guard is linear:
-each comparison reads one parameter besides k, so its truth is constant
-in every parameter from a start that ``_read`` finds, as regions need.
+records, and its whitelisted guard is read into a ``Guard``: a flat
+tuple of links c + d*x >= 0, with their constants at k = 1..MAX_DEGREE,
+so a row evaluates a matched guard once, in integers; no guard is
+compiled.  The sphere and CP^n rules are applied only to spaces of
+their symbols.  A missing table file, or a row that does not parse (a
+repeated degree, a prime outside ``abelian.FIELDS``, a pattern naming
+k or a parameter twice, a guard with ``or``, ``not`` or ``!=``, among
+them) raises ``ValueError`` whose message starts with the row's
+``file:line``.  A guard adds, subtracts and multiplies integers, so one
+that loads cannot fail when evaluated.  A pattern's fixed parameters
+and a cell's degree are ASCII digits, and a guard is linear: each
+comparison reads one parameter besides k, so its truth is constant in
+every parameter from a start that ``_read_guard`` finds, as regions
+need.
 
 >>> row(instantiate("AIII", (1, 3)))[7 - 1]
 (('projective_rule', Partial('Z')),)
@@ -57,9 +59,8 @@ from functools import lru_cache, wraps
 from heapq import merge
 from itertools import chain, product, repeat
 from keyword import iskeyword
-from operator import eq, ge, gt, itemgetter, le, lt, ne
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Tuple)
+from operator import and_, ge, itemgetter
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .abelian import (FIELDS, AbelianGroup, PartialAbelianGroup, compatible,
                       direct_sum_all, parse_group, INCOMPATIBLE)
@@ -70,11 +71,10 @@ DEFAULT_DEGREE = 9           # the paper compares groups through pi_9
 
 _DATA_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), "data"))
 
-_ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.Or, ast.UnaryOp,
-                  ast.Not, ast.USub, ast.Compare, ast.BinOp, ast.Add,
-                  ast.Sub, ast.Mult, ast.Eq, ast.NotEq, ast.Lt,
-                  ast.LtE, ast.Gt, ast.GtE, ast.Name, ast.Load,
-                  ast.Constant)
+_ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.UnaryOp, ast.USub,
+                  ast.Compare, ast.BinOp, ast.Add, ast.Sub, ast.Mult,
+                  ast.Eq, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Name,
+                  ast.Load, ast.Constant)
 
 
 def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
@@ -129,88 +129,73 @@ def _linear(node: ast.AST, text: str) -> Dict[str, int]:
 
 
 _DEGREES = tuple(range(1, MAX_DEGREE + 1))
-_COMPARE = {ast.Eq: eq, ast.NotEq: ne, ast.Lt: lt, ast.LtE: le, ast.Gt: gt,
-            ast.GtE: ge}
-_BOOL_OPS = {"and": all, "or": any, "not": lambda truths: not truths[0]}
-
-
-class Comparison(NamedTuple):
-    """``e op 0``, where e = c + c_k*k + drift*``name`` is the difference
-    of two adjacent terms of a guard's comparison, or a bare term."""
-
-    name: Optional[str]               # the parameter e reads besides k
-    op: Callable[[int, int], bool]
-    drift: int
-    consts: Tuple[int, ...]           # c + c_k*k at k = 1..MAX_DEGREE
-
-
-def _truth(node, bindings: Dict[str, int]) -> Iterator[bool]:
-    """A guard tree's truth at k = 1..MAX_DEGREE (see ``Guard``)."""
-    if isinstance(node, Comparison):        # c + shift op 0: c op -shift
-        name, op, drift, consts = node
-        return map(op, consts, repeat(-drift * bindings[name] if drift else 0))
-    op, *args = node
-    return map(_BOOL_OPS[op], zip(*(_truth(a, bindings) for a in args)))
+_ALWAYS, _NEVER = (True,) * MAX_DEGREE, (False,) * MAX_DEGREE
+# a op b as its links sign*(a - b) - strict >= 0, each (sign, strict)
+_LINKS = {ast.Lt: ((-1, 1),), ast.LtE: ((-1, 0),), ast.Gt: ((1, 1),),
+          ast.GtE: ((1, 0),), ast.Eq: ((1, 0), (-1, 0))}
 
 
 class Guard(NamedTuple):
-    """A loaded guard.  ``tree`` is a Comparison, or a tuple of "and",
-    "or" or "not" and its subtrees.  From ``start`` on in every
-    parameter, the guard's truth at each degree is constant."""
+    """A loaded guard: the "and" of links c + d*x >= 0, each (name of x,
+    d, consts) with consts = c + c_k*k at k = 1..MAX_DEGREE.  From
+    ``start`` on in every parameter, its truth at each degree is
+    constant."""
 
-    tree: tuple
+    links: Tuple[Tuple[Optional[str], int, Tuple[int, ...]], ...]
     start: int
 
     def holds(self, bindings: Dict[str, int]) -> Tuple[bool, ...]:
-        """The guard's truth at k = 1..MAX_DEGREE, in integers."""
-        return tuple(_truth(self.tree, bindings))
+        """The guard's truth at k = 1..MAX_DEGREE, in integers.  A link
+        that reads no k has equal consts, and is settled once."""
+        truth = None
+        for name, d, consts in self.links:
+            shift = -d * bindings[name] if d else 0
+            if consts[0] == consts[-1]:
+                if consts[0] < shift:
+                    return _NEVER
+            else:
+                now = map(ge, consts, repeat(shift))
+                truth = now if truth is None else map(and_, truth, now)
+        return _ALWAYS if truth is None else tuple(truth)
 
 
-def _read(node: ast.AST, text: str) -> Tuple[tuple, int]:
-    """A whitelisted guard's tree and start (see ``Guard``).
-
-    A comparison chain is the "and" of its links, and a bare term is
-    compared with 0 by ``!=``.  A comparison may read one parameter
-    besides k (``k < q - p`` need not settle in either and is rejected),
-    so its truth settles in it: a link ``e op 0`` has
-    e = c + c_k*k + d*``name``, which moving ``name`` by 1 moves by d at
-    every k.  Where d is not 0, ``e op 0`` takes its final truth once
-    e + m*d has d's sign, or is 0 if ``0 op 0`` is that truth too; the
-    start is the largest such least m over the degrees and links, or 0.
-    """
-    if isinstance(node, ast.BoolOp):
-        trees, starts = zip(*(_read(value, text) for value in node.values))
-        return ("and" if isinstance(node.op, ast.And) else "or",
-                *trees), max(starts)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-        tree, start = _read(node.operand, text)
-        return ("not", tree), start
-    terms, ops = (([node.left, *node.comparators], node.ops)
-                  if isinstance(node, ast.Compare)
-                  else ([node, ast.Constant(0)], [ast.NotEq()]))
-    forms = [_linear(t, text) for t in terms]
+def _read(node: ast.AST, text: str) -> List[tuple]:
+    """A whitelisted guard's links (see ``Guard``): those of each
+    adjacent pair of each comparison chain that it joins by "and".
+    ``a < b`` is b - a - 1 >= 0, ``a <= b`` is b - a >= 0, ``>`` and
+    ``>=`` swap the sides, and ``a == b`` is both a - b >= 0 and
+    b - a >= 0.  A comparison may read one parameter besides k
+    (``k < q - p`` need not settle in either and is rejected)."""
+    if isinstance(node, ast.BoolOp):    # the whitelist admits only "and"
+        return [link for value in node.values for link in _read(value, text)]
+    if not isinstance(node, ast.Compare):
+        raise ValueError(f"guard {text!r} is not an 'and' of comparisons")
+    forms = [_linear(t, text) for t in (node.left, *node.comparators)]
     names = set().union(*forms) - {"", "k"}
     if len(names) > 1:
         raise ValueError(f"guard {text!r} compares "
                          f"{' and '.join(sorted(names))} in one comparison; "
                          "each may read one parameter besides k")
     name = next(iter(names), None)
-    links, start = [], 0
-    for a, b, op in zip(forms, forms[1:], map(_COMPARE.get, map(type, ops))):
+    links = []
+    for a, b, op in zip(forms, forms[1:], node.ops):
         c, c_k, d = (a.get(n, 0) - b.get(n, 0) for n in ("", "k", name))
-        consts = tuple(c + c_k * k for k in _DEGREES)
-        links.append(Comparison(name, op, d, consts))
-        if d:                           # m > -e/d, or m >= -e/d
-            start = max(start, *(-(e // d) if op(0, 0) == op(d, 0)
-                                 else -e // d + 1 for e in consts))
-    return links[0] if len(links) == 1 else ("and", *links), start
+        for sign, strict in _LINKS[type(op)]:
+            links.append((name, sign * d, tuple(sign * (c + c_k * k) - strict
+                                                for k in _DEGREES)))
+    return links
 
 
 @lru_cache(maxsize=None)
 def _read_guard(text: str, names: Tuple[str, ...]) -> Guard:
     """A guard over ``names`` and k, whitelisted as written and then read
-    into integer comparisons; no code is compiled."""
-    return Guard(*_read(_check_guard(text, (*names, "k")).body, text))
+    into links; no code is compiled.  A link c + d*x >= 0 is final in x
+    from -(c // d) for d > 0, or from c // -d + 1 for d < 0, at every
+    degree; the start is the largest of these, or 0."""
+    links = tuple(_read(_check_guard(text, (*names, "k")).body, text))
+    return Guard(links, max([0, *(-(c // d) if d > 0 else c // -d + 1
+                                  for _, d, consts in links if d
+                                  for c in consts)]))
 
 
 def _cached_per_data_dir(fn):
@@ -375,7 +360,6 @@ def _projective_rule(s: SpaceInstance, data_dir: str) -> List[List[Cell]]:
 
 # each rule's cells for pi_1..pi_MAX_DEGREE of a space of its symbol
 _RULES = {"S": _sphere_rule, "AIII": _projective_rule}
-_UNGUARDED = (True,) * MAX_DEGREE      # a "-" guard holds at every degree
 
 
 @_cached_per_data_dir
@@ -394,7 +378,7 @@ def row(s: SpaceInstance, data_dir=None) -> Tuple[Tuple[Cell, ...], ...]:
     rule = _RULES.get(s.symbol)
     out = rule(s, data_dir) if rule else [[] for _ in _DEGREES]
     for _, rec in found:
-        holds = _UNGUARDED if rec.guard is None else \
+        holds = _ALWAYS if rec.guard is None else \
             rec.guard.holds(rec.bindings(s))
         for cands, cell, ok in zip(out, rec.cells, holds):
             if ok:

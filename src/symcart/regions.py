@@ -1,7 +1,7 @@
 """Parameter regions of the catalog on which homotopy rows are constant.
 
-Every loaded guard is and/or/not over integer comparisons, each linear
-in one parameter and the degree k <= MAX_DEGREE (``homotopy.Guard``),
+Every loaded guard is an "and" of links c + d*x >= 0, each linear in
+one parameter x and the degree k <= MAX_DEGREE (``homotopy.Guard``),
 so a family's row stops changing once its parameters pass a start that
 the tables determine.  A family's canonical spaces therefore split into
 finitely many regions: each parameter is either fixed below the

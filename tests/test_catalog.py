@@ -120,17 +120,17 @@ def test_constraint_errors():
     with pytest.raises(ConstraintError):
         instantiate("E6", (2,))
     for symbol, params, text in (
-            ("Spin", (2,), "Spin(2,): requires n >= 5 (smaller spin groups "
+            ("Spin", (2,), "Spin(2): requires n >= 5 (smaller spin groups "
                            "are spheres/products)"),
-            ("DIII", (1,), "DIII(1,): requires n >= 5 (smaller cases are "
+            ("DIII", (1,), "DIII(1): requires n >= 5 (smaller cases are "
                            "isomorphic to other spaces)"),
-            ("BDI", (3, 2), "BDI(3, 2): requires 2 <= p <= q (p = 1 is a "
+            ("BDI", (3, 2), "BDI(3,2): requires 2 <= p <= q (p = 1 is a "
                             "sphere)"),
-            ("CII", (0, 4), "CII(0, 4): requires 1 <= p <= q"),
-            ("SU", (3, 4), "SU(3, 4): requires n >= 2"),
-            ("AIII", (3,), "AIII(3,): requires 1 <= p <= q"),
-            ("S", (2, 3), "S(2, 3): requires one parameter n >= 2"),
-            ("S", (), "S(): requires one parameter n >= 2")):
+            ("CII", (0, 4), "CII(0,4): requires 1 <= p <= q"),
+            ("SU", (3, 4), "SU(3,4): requires n >= 2"),
+            ("AIII", (3,), "AIII(3): requires 1 <= p <= q"),
+            ("S", (2, 3), "S(2,3): requires one parameter n >= 2"),
+            ("S", (), "S: requires one parameter n >= 2")):
         with pytest.raises(ConstraintError) as exc:
             instantiate(symbol, params)
         assert str(exc.value) == text

@@ -522,8 +522,8 @@ def test_any_bounded_call_finishes_with_at_most_one_error_line(argv):
 
 
 def test_sphere_arity_is_a_named_condition(capsys):
-    for spec, text in (("S(2,3)", "S(2, 3): requires one parameter n >= 2"),
-                       ("S", "S(): requires one parameter n >= 2")):
+    for spec, text in (("S(2,3)", "S(2,3): requires one parameter n >= 2"),
+                       ("S", "S: requires one parameter n >= 2")):
         assert main(["kp", spec]) == 2
         assert capsys.readouterr().err == f"error: {text} (at position 0)\n"
 

@@ -7,6 +7,7 @@ from itertools import cycle, islice, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symcart.homotopy
 from symcart.abelian import (FIELDS, AbelianGroup, PartialAbelianGroup,
@@ -464,7 +465,7 @@ def test_rows_equal_the_oracle_on_shapes_the_tables_lack(tmp_path):
                        ("spheres", "BDI(q) | - | 5=Z_49"),
                        ("unstable_classical", "SU(n) | n >= 7 | 4=Z_5"),
                        ("exceptional", "BDI(p,12) | - | 6=Z_25"),
-                       ("exceptional", "SU(n) | n == 3 or n == 4 | 8=Z_9")):
+                       ("exceptional", "SU(n) | n >= 3 and n <= 4 | 8=Z_9")):
         with open(tmp_path / f"{name}.txt", "a") as fh:
             fh.write(line + "\n")
     _assert_rows_equal_the_oracle(str(tmp_path))
@@ -542,6 +543,83 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
                            match=f"^{re.escape(str(table))}:{lineno}: "
                                  f"{message}"):
             load_records(str(tmp_path))
+
+
+@pytest.mark.parametrize("guard, message", [
+    ("q >= 11 or k <= 2", "disallowed construct Or"),
+    ("not q >= 11", "disallowed construct Not"),
+    ("q != 3", "disallowed construct NotEq"),
+    ("q - 3", "guard 'q - 3' is not an 'and' of comparisons"),
+    ("q >= 3 and q", "guard 'q >= 3 and q' is not an 'and' of comparisons"),
+])
+def test_a_guard_outside_the_and_of_comparisons_is_a_malformed_row(
+        tmp_path, guard, message):
+    """A guard is an "and" of ordered or equality comparisons: "or",
+    "not", "!=" and a bare term fail at load, by ``file:line``."""
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, tmp_path)
+    table = tmp_path / "real_grassmannians.txt"
+    shipped = table.read_text()
+    lineno = shipped.count("\n") + 1
+    table.write_text(shipped + f"BDI(3,q) | {guard} | 2=Z\n")
+    with pytest.raises(ValueError, match=(
+            f"^{re.escape(str(table))}:{lineno}: {re.escape(message)}")):
+        load_records(str(tmp_path))
+
+
+def _forms(forms, parts):
+    """Two drawn ``parts`` put into a form drawn from ``forms``, format
+    strings of one or two slots."""
+    return st.tuples(st.sampled_from(forms), parts, parts).map(
+        lambda t: t[0].format(t[1], t[2]))
+
+
+# guards from a grammar wider than the tables': "or", "not", all six
+# comparisons, bare terms, division, powers, calls, attributes, floats,
+# True and non-ASCII digits; the tables' own forms drawn most often
+_wide_terms = st.recursive(
+    st.sampled_from(["p", "q", "k", "0", "3", "12"] * 3
+                    + ["x", "1.5", "True", "\u0661\u0662", "\u00b2"]),
+    lambda inner: _forms(["({} + {})", "({} - {})", "{} * {}"] * 3
+                         + ["{} // {}", "{} % {}", "{} ** {}", "-{}",
+                            "abs({})", "({}).real"], inner),
+    max_leaves=4)
+_wide_guards = st.recursive(
+    _forms(["{} < {}", "{} <= {}", "{} > {}", "{} >= {}", "{} == {}"] * 3
+           + ["{} != {}", "{}"], _wide_terms),
+    lambda inner: _forms(["{} and {}", "({} and {})"] * 3
+                         + ["{} or {}", "not {}", "{} < {}"], inner),
+    max_leaves=4)
+
+
+@pytest.fixture(scope="module")
+def table_copy(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("tables")
+    for f in _DATA.glob("*.txt"):
+        shutil.copy(f, data_dir)
+    table = data_dir / "exceptional.txt"
+    shipped = table.read_text()
+    return str(data_dir), table, shipped, shipped.count("\n") + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_wide_guards)
+def test_any_guard_loads_as_eval_reads_it_or_fails_by_file_and_line(
+        table_copy, guard):
+    """A drawn row either loads, with a guard that holds where ``eval``
+    of its text says, or is a ``ValueError`` at its ``file:line``."""
+    data_dir, table, shipped, lineno = table_copy
+    table.write_text(shipped + f"BDI(p,q) | {guard} | 2=Z_49\n")
+    try:        # the uncached reader: every example rewrites the same copy
+        records = load_records.__wrapped__(data_dir)
+    except ValueError as err:
+        assert str(err).startswith(f"{table}:{lineno}: "), (guard, err)
+        return
+    *_, rec = (r for r in records if r.cells[0][0] == "exceptional")
+    assert rec.symbol == "BDI" and rec.param_names == ("p", "q")
+    for p, q in ((1, 1), (2, 9), (7, 3), (40, 12)):
+        assert rec.guard.holds({"p": p, "q": q}) == \
+            _oracle_holds(guard, {"p": p, "q": q}), (guard, p, q)
 
 
 def test_a_guard_dividing_by_a_variable_is_a_malformed_row(tmp_path):

@@ -150,24 +150,30 @@ def _extend(terms):
 
 
 _terms = st.recursive(_leaves, _extend, max_leaves=6)
+_ops = st.sampled_from(["<", "<=", ">", ">=", "=="])
 _comparisons = st.one_of(
-    st.tuples(_terms, st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
-              _terms).map(" ".join),
-    _terms)
-_guards = st.recursive(
-    _comparisons,
-    lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from(["and", "or"]), inner)
-        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        inner.map(lambda g: f"not {g}")),
-    max_leaves=3)
+    st.tuples(_terms, _ops, _terms).map(" ".join),
+    st.tuples(_terms, _ops, _terms, _ops, _terms).map(" ".join))
+
+
+def _conjunctions(comparisons, max_leaves):
+    """Conjunctions of ``comparisons``, some parenthesised in others."""
+    return st.recursive(
+        comparisons,
+        lambda inner: st.tuples(inner, inner, st.booleans()).map(
+            lambda t: ("({} and {})" if t[2] else "{} and {}")
+            .format(t[0], t[1])),
+        max_leaves=max_leaves)
+
+
+_guards = _conjunctions(_comparisons, 3)
 
 
 @settings(max_examples=500)
 @given(_guards, st.integers(-60, 60))
 def test_a_guard_holds_where_eval_says(guard, q):
-    """A guard read into integer comparisons has the truth that ``eval``
-    of its text gives, at every degree."""
+    """A guard read into links has the truth that ``eval`` of its text
+    gives, at every degree."""
     assert _read_guard(guard, ("q",)).holds({"q": q}) == \
         _oracle_holds(guard, {"q": q})
 
@@ -185,13 +191,7 @@ def test_a_guard_repeats_past_its_start(guard):
 # guards over p, q and k whose comparisons each read at most one of p, q
 _comparisons_in_p_or_q = st.one_of(
     _comparisons, _comparisons.map(lambda c: c.replace("q", "p")))
-_two_parameter_guards = st.recursive(
-    _comparisons_in_p_or_q,
-    lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from(["and", "or"]), inner)
-        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        inner.map(lambda g: f"not {g}")),
-    max_leaves=4)
+_two_parameter_guards = _conjunctions(_comparisons_in_p_or_q, 4)
 
 
 @given(_two_parameter_guards)

@@ -22,7 +22,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from operator import attrgetter
+from operator import lt
 from typing import Callable, Iterator, List, NamedTuple, Tuple
 
 from .rootsys import (Multiplicities, RootSystemType, kp_by_deletion, mults,
@@ -152,13 +152,15 @@ class _Family(NamedTuple):
     note: str = ""
 
     def requires(self) -> str:
+        if not self.smallest:
+            return "no parameters"
         lo = self.smallest[0]
         cond = f"n >= {lo}" if len(self.smallest) == 1 else f"{lo} <= p <= q"
         return f"{cond} ({self.note})" if self.note else cond
 
     def admits(self, params: Tuple[int, ...]) -> bool:
-        return (len(params) == len(self.smallest)
-                and self.smallest[0] <= params[0] <= params[-1])
+        return len(params) == len(self.smallest) and (
+            not params or self.smallest[0] <= params[0] <= params[-1])
 
     def _runs(self, max_dim: int) -> Iterator[Tuple[Tuple[int, ...],
                                                     Tuple[range, ...]]]:
@@ -249,22 +251,6 @@ FAMILIES = {
 }
 
 
-def _require(cond: bool, label: str, condition: str):
-    if not cond:
-        raise ConstraintError(f"{label}: requires {condition}")
-
-
-def _root_datum(symbol: str, params: Tuple[int, ...]):
-    """(dim, root system, multiplicities) for a classical presentation."""
-    family = _CLASSICAL.get(symbol)
-    if family is None:
-        raise ConstraintError(f"unknown class symbol {symbol!r}")
-    if not family.admits(params):
-        raise ConstraintError(f"{_label(symbol, params)}: requires "
-                              f"{family.requires()}")
-    return (family.dim(*params), *family.datum(*params))
-
-
 @lru_cache(maxsize=None)
 def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
     """Build a space, following special isomorphisms to the canonical form;
@@ -285,20 +271,31 @@ def build_space(symbol: str, params: Tuple[int, ...]) -> SpaceInstance:
     The parameters are checked (``ConstraintError``), but no isomorphism
     is followed: ``instantiate`` rewrites a presentation first and caches
     the result, and the catalog build calls this on the canonical
-    presentations it sweeps.
+    presentations it sweeps.  A label is formatted only for an error.
     """
     if symbol == "S":
-        _require(len(params) == 1, _label("S", params), "one parameter n >= 2")
-        n, = params
-        _require(n >= 2, f"S({n})", "n >= 2 (the circle is not simply connected)")
-        return SpaceInstance("S", params, dim=n, rank=1, kp=1)
+        if len(params) != 1:
+            raise ConstraintError(f"{_label(symbol, params)}: requires one "
+                                  "parameter n >= 2")
+        if params[0] < 2:
+            raise ConstraintError(f"S({params[0]}): requires n >= 2 (the "
+                                  "circle is not simply connected)")
+        return SpaceInstance(symbol, params, params[0], 1, 1)
     if symbol in _EXCEPTIONAL:
-        _require(not params, symbol, "no parameters")
+        if params:
+            raise ConstraintError(f"{symbol}: requires no parameters")
         dim, root, mult, published = _EXCEPTIONAL[symbol]
     else:
-        (dim, root, mult), published = _root_datum(symbol, params), None
+        family = _CLASSICAL.get(symbol)
+        if family is None:
+            raise ConstraintError(f"unknown class symbol {symbol!r}")
+        if not family.admits(params):
+            raise ConstraintError(f"{_label(symbol, params)}: requires "
+                                  f"{family.requires()}")
+        dim, (root, mult), published = (family.dim(*params),
+                                        family.datum(*params), None)
     kp = kp_by_deletion(root, mult).value
-    assert published in (None, (dim - kp, kp)), (symbol, kp, published)
+    assert published is None or published == (dim - kp, kp), (symbol, kp)
     return SpaceInstance(symbol, params, dim, root.rank, kp)
 
 
@@ -456,8 +453,6 @@ def classical_presentations(max_param: int = 30):
         yield "DIII", (n,)
 
 
-_name = attrgetter("symbol", "params")     # a space's (symbol, params)
-
 # The presentations instantiate() rewrites or rejects as a product.  No
 # family's sweep or region's box reaches another non-canonical one: both
 # start BDI at p = 2, so the sphere Gr(R,1,1+q) is never read as BDI(1,q).
@@ -472,20 +467,22 @@ _catalog_dim = 0
 def _build_catalog(max_dim: int) -> List[SpaceInstance]:
     """Every canonical space with dim <= max_dim, in (symbol, params) order.
 
-    Each family's parameters are swept in runs (``_Family.sweep``).  A
-    presentation that is a special or product isomorphism is skipped by
-    one lookup; every other one is canonical and is built by the uncached
-    ``build_space``, so a build leaves nothing in ``instantiate``'s cache.
-    The spaces share their root data, interned by ``rootsys``, and the
-    deletion counts of each (type, node), cached there.
+    The families are swept in symbol order, each in parameter order
+    (``_Family.sweep``), so the spaces come out in order, unsorted.  The
+    family's special and product isomorphisms are skipped; every other
+    presentation is built by the uncached ``build_space``, so a build
+    leaves ``instantiate``'s cache empty.  The spaces share their root
+    data, interned by ``rootsys``, and each type's node table.
     """
     out = []
-    for symbol, family in FAMILIES.items():
-        for params in family.sweep(max_dim):
-            if (symbol, params) not in _NOT_CANONICAL:
-                out.append(build_space(symbol, params))
-    out.sort(key=_name)
-    assert len(set(map(_name, out))) == len(out)
+    for symbol in sorted(FAMILIES):
+        skip = {params for s, params in _NOT_CANONICAL if s == symbol}
+        out += [build_space(symbol, params)
+                for params in FAMILIES[symbol].sweep(max_dim)
+                if params not in skip]
+    # a space's first fields are its name, and one name makes one space,
+    # so this asserts that the names strictly increase
+    assert all(map(lt, out, out[1:]))
     return out
 
 
@@ -497,11 +494,9 @@ def enumerate_catalog(max_dim: int):
     special isomorphism are never emitted twice.
 
     The catalog is built once per process, for the largest max_dim asked
-    so far, by ``_build_catalog``: families swept in runs, isomorphic
-    presentations skipped by lookup, each space made by the uncached
-    ``build_space`` from interned root data and cached deletion counts.
-    Each call returns a fresh list of the catalog's instances with
-    dim <= max_dim, in its (symbol, params) order.
+    so far, by ``_build_catalog``, in one ordered pass.  Each call returns
+    a fresh list of the catalog's instances with dim <= max_dim, in its
+    (symbol, params) order.
     """
     global _catalog, _catalog_dim
     if max_dim < 1:

@@ -79,7 +79,7 @@ _ALLOWED_NODES = (ast.Expression, ast.BoolOp, ast.And, ast.UnaryOp, ast.USub,
 
 def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
     """Parse a guard expression, allowing only arithmetic/comparison nodes
-    over integer constants and the variables in ``names``.
+    over integer constants (no ``bool``) and the variables in ``names``.
 
     No allowed node divides, so no guard that passes this check can
     raise when evaluated.
@@ -92,7 +92,7 @@ def _check_guard(text: str, names: Tuple[str, ...]) -> ast.Expression:
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(f"disallowed construct {type(node).__name__} "
                              f"in guard {text!r}")
-        if isinstance(node, ast.Constant) and not isinstance(node.value, int):
+        if isinstance(node, ast.Constant) and type(node.value) is not int:
             raise ValueError(f"non-integer constant in guard {text!r}")
         if isinstance(node, ast.Name) and node.id not in names:
             raise ValueError(f"unknown name {node.id!r} in guard {text!r}")

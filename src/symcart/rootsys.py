@@ -20,7 +20,7 @@ oracles check it: direct enumeration of the positive roots
 (``zero_coeff_counts``, ``kp_enumerated``) and the published closed
 forms for k itself (``kp_closed_form``, with small-rank and exceptional
 gaps).  The catalog's many spaces share few root data: ``root_type`` and
-``mults`` intern them, and ``deletion_counts`` is cached per (type, node).
+``mults`` intern them, and ``_node_counts`` is cached per root type.
 
 >>> len(positive_roots(RootSystemType("E8")))
 120
@@ -251,7 +251,6 @@ def zero_coeff_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
     return n[SHORT], n[LONG], n[EXTRA_LONG]
 
 
-@lru_cache(maxsize=None)
 def deletion_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
     """(n_short, n_long, n_extra_long) among positive roots with j-th coeff 0.
 
@@ -260,8 +259,7 @@ def deletion_counts(t: RootSystemType, j: int) -> Tuple[int, int, int]:
     e_i - e_k, beside a tail of rank b = r - j of the type's own kind (for
     D, A(r-1) alone when j >= r - 1).  An exceptional diagram leaves
     pieces of type A, B, C, D, E6 or E7, read off its Gram matrix.  No
-    root is enumerated either way, and each (type, node) is counted once
-    per process.
+    root is enumerated either way.
 
     >>> [deletion_counts(RootSystemType("BC", 3), j) for j in (1, 2, 3)]
     [(2, 2, 2), (1, 1, 1), (0, 3, 0)]
@@ -325,12 +323,11 @@ class KpResult(NamedTuple):
     maximizer: int
 
 
-def _kp_over_nodes(t: RootSystemType, m: Multiplicities, counts,
-                   nodes) -> KpResult:
+def _kp_over_nodes(t: RootSystemType, m: Multiplicities, rows) -> KpResult:
+    """k from rows (j, n_short, n_long, n_extra_long), in increasing j."""
     m_s, m_l, m_xl = m
     best, best_j = -1, 0
-    for j in nodes:
-        n_s, n_l, n_xl = counts(t, j)
+    for j, n_s, n_l, n_xl in rows:
         total = m_s * n_s + m_l * n_l + m_xl * n_xl
         if total > best:
             best, best_j = total, j
@@ -343,25 +340,28 @@ def kp_enumerated(t: RootSystemType, m: Multiplicities) -> KpResult:
     Reports the smallest maximizing simple-root index.  Counts by
     enumerating every positive root; the oracle for ``kp_by_deletion``.
     """
-    return _kp_over_nodes(t, m, zero_coeff_counts, range(1, t.rank + 1))
+    return _kp_over_nodes(t, m, ((j, *zero_coeff_counts(t, j))
+                                 for j in range(1, t.rank + 1)))
 
 
-def kp_by_deletion(t: RootSystemType, m: Multiplicities) -> KpResult:
-    """``kp_enumerated``'s result from ``deletion_counts``.
-
-    For a classical type every per-node total is convex in j on
-    [1, r-2] and on [r-1, r] (a = j(j-1)/2 and b(b +- 1) are convex in j,
-    b = r - j is linear), so the smallest maximizer is one of the nodes
-    1, r-2, r-1, r, and k costs O(1).  Exceptional types visit every node.
-    The node counts are cached per (type, node), so the catalog build,
-    whose spaces share far fewer types than it has spaces, counts each
-    type's nodes once; this is still the one k formula.
-    """
+@lru_cache(maxsize=None)
+def _node_counts(t: RootSystemType) -> Tuple[Tuple[int, int, int, int], ...]:
+    """Rows (j, *deletion_counts(t, j)), in increasing j, at the nodes j
+    that can maximize k, built once per type: for a classical type each
+    per-node total is convex in j on [1, r-2] and on [r-1, r] (a =
+    j(j-1)/2 and b(b +- 1) are convex in j, b = r - j is linear), so
+    only 1, r-2, r-1, r once r > 4; every node otherwise."""
     r = t.rank
     nodes = range(1, r + 1)
     if t.symbol in CLASSICAL_SYMBOLS and r > 4:
         nodes = (1, r - 2, r - 1, r)
-    return _kp_over_nodes(t, m, deletion_counts, nodes)
+    return tuple((j, *deletion_counts(t, j)) for j in nodes)
+
+
+def kp_by_deletion(t: RootSystemType, m: Multiplicities) -> KpResult:
+    """``kp_enumerated``'s result, from the type's node table (O(1) rows
+    for a classical type); this is still the one k formula."""
+    return _kp_over_nodes(t, m, _node_counts(t))
 
 
 def kp_closed_form(t: RootSystemType, m: Multiplicities) -> Optional[int]:

@@ -16,7 +16,7 @@ import pytest
 import symcart
 from symcart.catalog import (EXCEPTIONAL_SYMBOLS, FAMILIES, ConstraintError,
                              ProductSpace, ReducibleError,
-                             SPECIAL_ISOMORPHISMS, SpaceInstance,
+                             SPECIAL_ISOMORPHISMS, SpaceInstance, build_space,
                              classical_presentations,
                              enumerate_catalog, instantiate, product_kp,
                              reference_classical, reference_exceptional,
@@ -119,21 +119,67 @@ def test_constraint_errors():
         instantiate("NoSuch", (3,))
     with pytest.raises(ConstraintError):
         instantiate("E6", (2,))
-    for symbol, params, text in (
-            ("Spin", (2,), "Spin(2): requires n >= 5 (smaller spin groups "
-                           "are spheres/products)"),
-            ("DIII", (1,), "DIII(1): requires n >= 5 (smaller cases are "
-                           "isomorphic to other spaces)"),
-            ("BDI", (3, 2), "BDI(3,2): requires 2 <= p <= q (p = 1 is a "
-                            "sphere)"),
-            ("CII", (0, 4), "CII(0,4): requires 1 <= p <= q"),
-            ("SU", (3, 4), "SU(3,4): requires n >= 2"),
-            ("AIII", (3,), "AIII(3): requires 1 <= p <= q"),
-            ("S", (2, 3), "S(2,3): requires one parameter n >= 2"),
-            ("S", (), "S: requires one parameter n >= 2")):
-        with pytest.raises(ConstraintError) as exc:
-            instantiate(symbol, params)
-        assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("build, symbol, params, error, text", [
+    (instantiate, "Spin", (2,), ConstraintError,
+     "Spin(2): requires n >= 5 (smaller spin groups are spheres/products)"),
+    (instantiate, "DIII", (1,), ConstraintError,
+     "DIII(1): requires n >= 5 (smaller cases are isomorphic to other "
+     "spaces)"),
+    (instantiate, "BDI", (3, 2), ConstraintError,
+     "BDI(3,2): requires 2 <= p <= q (p = 1 is a sphere)"),
+    (instantiate, "CII", (0, 4), ConstraintError,
+     "CII(0,4): requires 1 <= p <= q"),
+    (instantiate, "SU", (3, 4), ConstraintError, "SU(3,4): requires n >= 2"),
+    (instantiate, "S", (2, 3), ConstraintError,
+     "S(2,3): requires one parameter n >= 2"),
+    (build_space, "S", (2, 3), ConstraintError,
+     "S(2,3): requires one parameter n >= 2"),
+    (instantiate, "S", (), ConstraintError,
+     "S: requires one parameter n >= 2"),
+    (build_space, "S", (), ConstraintError,
+     "S: requires one parameter n >= 2"),
+    (instantiate, "AIII", (3,), ConstraintError,
+     "AIII(3): requires 1 <= p <= q"),
+    (build_space, "AIII", (3,), ConstraintError,
+     "AIII(3): requires 1 <= p <= q"),
+    (instantiate, "SU", (2, 3), ConstraintError, "SU(2,3): requires n >= 2"),
+    (build_space, "SU", (2, 3), ConstraintError, "SU(2,3): requires n >= 2"),
+    (instantiate, "E6", (1,), ConstraintError, "E6: requires no parameters"),
+    (build_space, "E6", (1,), ConstraintError, "E6: requires no parameters"),
+    (instantiate, "XYZ", (), ConstraintError, "unknown class symbol 'XYZ'"),
+    (build_space, "XYZ", (), ConstraintError, "unknown class symbol 'XYZ'"),
+    (instantiate, "Spin", (4,), ReducibleError,
+     "Spin(4) is reducible; use the product (('S', (3,)), ('S', (3,)))"),
+    (build_space, "Spin", (4,), ConstraintError,
+     "Spin(4): requires n >= 5 (smaller spin groups are spheres/products)"),
+    (instantiate, "BDI", (1, 0), ConstraintError,
+     "S(0): requires n >= 2 (the circle is not simply connected)"),
+    (build_space, "BDI", (1, 0), ConstraintError,
+     "BDI(1,0): requires 2 <= p <= q (p = 1 is a sphere)"),
+])
+def test_error_texts_of_both_builders(build, symbol, params, error, text):
+    """``instantiate`` rewrites a presentation before it checks it;
+    ``build_space`` checks it as given.  Each error names the presentation
+    it checked and the condition it broke, in these exact words."""
+    with pytest.raises(ConstraintError) as exc:
+        build(symbol, params)
+    assert type(exc.value) is error
+    assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("symbol", FAMILIES)
+def test_every_family_admits_and_requires(symbol):
+    """Its smallest tuple is admitted, a tuple one too long is not, and ()
+    only by a family with no parameters; ``requires`` states the rule."""
+    family = FAMILIES[symbol]
+    assert family.admits(family.smallest)
+    assert not family.admits((*family.smallest, 9))
+    assert family.admits(()) == (not family.smallest)
+    stated = ["no parameters", "n >= {}", "{} <= p <= q"][
+        len(family.smallest)].format(*family.smallest[:1])
+    assert family.requires() in (stated, f"{stated} ({family.note})")
 
 
 def test_enumerate_catalog_is_canonical_and_deduplicated():
@@ -217,38 +263,45 @@ import json
 from symcart import catalog, rootsys
 
 counted = rootsys.deletion_counts
-keys = set()
+calls = []
 
 def recording(t, j):
-    keys.add((t, j))
+    calls.append((t, j))
     return counted(t, j)
 
 rootsys.deletion_counts = recording
 spaces = catalog.enumerate_catalog(1500)
 caches = {f.__name__: f.cache_info()._asdict() for f in
-          (catalog.instantiate, counted, rootsys.root_type, rootsys.mults)}
-data = [catalog._root_datum(s.symbol, s.params)[1:]
+          (catalog.instantiate, rootsys._node_counts, rootsys.root_type,
+           rootsys.mults)}
+data = [catalog._CLASSICAL[s.symbol].datum(*s.params)
         if s.symbol in catalog._CLASSICAL else catalog._EXCEPTIONAL[s.symbol][1:3]
         for s in spaces if s.symbol != "S"]
+types = {t for t, m in data}
 print(json.dumps({"spaces": len(spaces), "caches": caches,
-                  "deletion_keys": len(keys),
-                  "types": len({t for t, m in data}),
-                  "mults": len({m for t, m in data})}))
+                  "calls": len(calls), "deletion_keys": len(set(calls)),
+                  "candidate_nodes": sum(
+                      4 if t.symbol in rootsys.CLASSICAL_SYMBOLS and t.rank > 4
+                      else t.rank for t in types),
+                  "types": len(types), "mults": len({m for t, m in data})}))
 """
 
 
 def test_catalog_build_work_counts_in_a_fresh_interpreter():
     """The catalog and the caches are per process, so this counts one
-    build from a cold start: it fills no instantiate() cache, counts each
-    (type, node) once and builds each distinct root datum once."""
+    build from a cold start: it fills no instantiate() cache, builds one
+    node table per root type, whose rows count each candidate node of
+    the type once (1, r-2, r-1, r for a classical type of rank above 4,
+    else every node), and builds each distinct root datum once."""
     env = dict(os.environ, PYTHONPATH=str(Path(symcart.__file__).parents[1]))
     out = json.loads(subprocess.run(
         [sys.executable, "-c", _WORK_COUNT], env=env, capture_output=True,
         text=True, check=True).stdout)
     caches = out["caches"]
     assert caches["instantiate"]["currsize"] == 0
-    deletion = caches["deletion_counts"]
-    assert deletion["misses"] == out["deletion_keys"] < deletion["hits"]
+    tables = caches["_node_counts"]
+    assert tables["misses"] == out["types"] < tables["hits"]
+    assert out["calls"] == out["deletion_keys"] == out["candidate_nodes"]
     assert caches["root_type"]["misses"] == out["types"]
     assert caches["mults"]["misses"] == out["mults"]
     assert out["types"] + out["mults"] < out["spaces"]

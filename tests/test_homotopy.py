@@ -524,6 +524,8 @@ def test_malformed_rows_name_their_file_and_line(tmp_path):
                          # a guard would read True as 1
                          ("BDI(True,q) | True >= 2 | 2=Z",
                           "bad pattern 'BDI\\(True,q\\)'"),
+                         ("BDI(p,q) | q >= True | 2=Z",
+                          "non-integer constant in guard 'q >= True'"),
                          # int reads each degree as 3, 10 and 3
                          ("E6 | - | \u0663=Z_2",
                           "bad degree '\u0663' in cell '\u0663=Z_2'"),

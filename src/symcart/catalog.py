@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 from operator import lt
-from typing import Callable, Iterator, List, NamedTuple, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
-from .rootsys import (Multiplicities, RootSystemType, kp_by_deletion, mults,
+from .rootsys import (Multiplicities, RootSystemType, kp_along, mults,
                       root_type)
 from .values import value_tuple
 
@@ -140,15 +140,19 @@ class _Family(NamedTuple):
     out.  ``dim`` grows in every parameter.  ``sweep`` lists and ``count``
     counts the tuples up to a dim, for the catalog build and for each
     region of ``symcart.regions``, a family of its running parameters.
-    For a classical family ``datum`` gives the restricted root system
-    and its multiplicities (Helgason, Differential Geometry, Lie Groups,
-    and Symmetric Spaces, Ch. X), built by ``rootsys``'s interning
-    constructors.
+
+    ``stretch(*params)`` states the restricted root system and the
+    multiplicities m at params (Helgason, Differential Geometry, Lie
+    Groups, and Symmetric Spaces, Ch. X), interned by ``rootsys``, and
+    their slope in the last parameter v: the type stays and the
+    multiplicities are m + slope * (w - v) at every w >= v; None: at
+    params only.
     """
 
     smallest: Tuple[int, ...]
     dim: Callable[..., int]
-    datum: Callable[..., Tuple[RootSystemType, Multiplicities]]
+    stretch: Callable[..., Tuple[RootSystemType, Multiplicities,
+                                 Optional[Tuple[int, int, int]]]]
     note: str = ""
 
     def requires(self) -> str:
@@ -201,53 +205,51 @@ class _Family(NamedTuple):
 
 
 def _grassmannian(c: int) -> _Family:
-    """Gr(F, p, p+q) over the field F of real dimension c."""
-    def datum(p, q):
-        if p == q:
-            if c == 1:
-                return root_type("D", p), mults(0, 1, 0)
-            return root_type("C", p), mults(c, c - 1, 0)
+    """Gr(F, p, p+q) over the field F of real dimension c: of type D_p
+    (c = 1) or C_p at q = p, and for every q > p of type B_p (c = 1) or
+    BC_p, with the multiplicities (c(q-p), c, c-1), of slope (c, 0, 0)."""
+    def stretch(p, q):
+        if p < q:
+            return (root_type("B" if c == 1 else "BC", p),
+                    mults(c * (q - p), c, c - 1), (c, 0, 0))
         if c == 1:
-            return root_type("B", p), mults(q - p, 1, 0)
-        return root_type("BC", p), mults(c * (q - p), c, c - 1)
+            return root_type("D", p), mults(0, 1, 0), None
+        return root_type("C", p), mults(c, c - 1, 0), None
 
     smallest, note = ((2, 2), "p = 1 is a sphere") if c == 1 else ((1, 1), "")
-    return _Family(smallest, lambda p, q: c * p * q, datum, note)
+    return _Family(smallest, lambda p, q: c * p * q, stretch, note)
 
 
 # Grassmannians Gr(F, p, n) by field F: Cartan symbol and real dimension c.
 GRASSMANNIANS = {"R": ("BDI", 1), "C": ("AIII", 2), "H": ("CII", 4)}
 
-_CLASSICAL = {
+# Every catalog symbol's family.  A family of one parameter n changes rank
+# with n, but S^n = SO(n+1)/SO(n) is A_1 with multiplicity n - 1.
+FAMILIES = {
+    "S": _Family((2,), lambda n: n, lambda n: (
+        root_type("A", 1), mults(0, n - 1, 0), (0, 1, 0)),
+        "the circle is not simply connected"),
     "SU": _Family((2,), lambda n: n * n - 1, lambda n: (
-        root_type("A", n - 1), mults(0, 2, 0))),
+        root_type("A", n - 1), mults(0, 2, 0), None)),
     "AI": _Family((2,), lambda n: (n - 1) * (n + 2) // 2, lambda n: (
-        root_type("A", n - 1), mults(0, 1, 0))),
+        root_type("A", n - 1), mults(0, 1, 0), None)),
     "AII": _Family((2,), lambda n: (n - 1) * (2 * n + 1), lambda n: (
-        root_type("A", n - 1), mults(0, 4, 0))),
+        root_type("A", n - 1), mults(0, 4, 0), None)),
     "Spin": _Family((5,), lambda n: n * (n - 1) // 2, lambda n: (
-        (root_type("B", (n - 1) // 2), mults(2, 2, 0))
-        if n % 2 else (root_type("D", n // 2), mults(0, 2, 0))),
+        (root_type("B", (n - 1) // 2), mults(2, 2, 0), None)
+        if n % 2 else (root_type("D", n // 2), mults(0, 2, 0), None)),
         "smaller spin groups are spheres/products"),
     "Sp": _Family((2,), lambda n: n * (2 * n + 1), lambda n: (
-        root_type("C", n), mults(2, 2, 0))),
+        root_type("C", n), mults(2, 2, 0), None)),
     "CI": _Family((2,), lambda n: n * (n + 1), lambda n: (
-        root_type("C", n), mults(1, 1, 0))),
+        root_type("C", n), mults(1, 1, 0), None)),
     "DIII": _Family((5,), lambda n: n * (n - 1), lambda n: (
-        (root_type("BC", (n - 1) // 2), mults(4, 4, 1))
-        if n % 2 else (root_type("C", n // 2), mults(4, 1, 0))),
+        (root_type("BC", (n - 1) // 2), mults(4, 4, 1), None)
+        if n % 2 else (root_type("C", n // 2), mults(4, 1, 0), None)),
         "smaller cases are isomorphic to other spaces"),
     **{symbol: _grassmannian(c) for symbol, c in GRASSMANNIANS.values()},
-}
-
-# Every catalog symbol's family: the spheres, the classical families and
-# the exceptional spaces (no parameter); ``instantiate`` builds the
-# spheres and the exceptional spaces without a ``datum``.
-FAMILIES = {
-    "S": _Family((2,), lambda n: n, None),
-    **_CLASSICAL,
-    **{symbol: _Family((), lambda dim=dim: dim, None)
-       for symbol, (dim, *_) in _EXCEPTIONAL.items()},
+    **{symbol: _Family((), lambda dim=dim: dim, lambda data=(root, m): (
+        *data, None)) for symbol, (dim, root, m, _) in _EXCEPTIONAL.items()},
 }
 
 
@@ -266,44 +268,56 @@ def instantiate(symbol: str, params: Tuple[int, ...] = ()) -> SpaceInstance:
 
 
 def build_space(symbol: str, params: Tuple[int, ...]) -> SpaceInstance:
-    """The space of a canonical presentation, uncached.
+    """The space of a canonical presentation, uncached: a run of one.
 
     The parameters are checked (``ConstraintError``), but no isomorphism
     is followed: ``instantiate`` rewrites a presentation first and caches
-    the result, and the catalog build calls this on the canonical
-    presentations it sweeps.  A label is formatted only for an error.
+    the result.  A label is formatted only for an error.
     """
-    if symbol == "S":
-        if len(params) != 1:
-            raise ConstraintError(f"{_label(symbol, params)}: requires one "
-                                  "parameter n >= 2")
-        if params[0] < 2:
-            raise ConstraintError(f"S({params[0]}): requires n >= 2 (the "
-                                  "circle is not simply connected)")
-        return SpaceInstance(symbol, params, params[0], 1, 1)
-    if symbol in _EXCEPTIONAL:
-        if params:
-            raise ConstraintError(f"{symbol}: requires no parameters")
-        dim, root, mult, published = _EXCEPTIONAL[symbol]
-    else:
-        family = _CLASSICAL.get(symbol)
-        if family is None:
-            raise ConstraintError(f"unknown class symbol {symbol!r}")
-        if not family.admits(params):
-            raise ConstraintError(f"{_label(symbol, params)}: requires "
-                                  f"{family.requires()}")
-        dim, (root, mult), published = (family.dim(*params),
-                                        family.datum(*params), None)
-    kp = kp_by_deletion(root, mult).value
-    assert published is None or published == (dim - kp, kp), (symbol, kp)
-    return SpaceInstance(symbol, params, dim, root.rank, kp)
+    family = FAMILIES.get(symbol)
+    if family is None:
+        raise ConstraintError(f"unknown class symbol {symbol!r}")
+    if symbol == "S" and len(params) != 1:
+        raise ConstraintError(f"{_label(symbol, params)}: requires one "
+                              "parameter n >= 2")
+    if not family.admits(params):
+        name = _label(symbol, params) if family.smallest else symbol
+        raise ConstraintError(f"{name}: requires {family.requires()}")
+    return _build_run(symbol, params[:-1], range(
+        params[-1], params[-1] + 1) if params else None)[0]
 
 
-def sharp(p: SpaceInstance, codim: int) -> int:
-    """Connectivity number of a codimension-`codim` inclusion: 2 + d_P - 2 codim."""
-    if not 0 <= codim <= p.dim:
-        raise ValueError("codimension out of range")
-    return 2 + p.dp - 2 * codim
+def _build_run(symbol: str, prefix: Tuple[int, ...],
+               values: Optional[range]) -> List[SpaceInstance]:
+    """The spaces symbol(*prefix, v), v in ``values`` (None: the one
+    space symbol()), unchecked and uncached, a stretch at a time: as far
+    as the datum stated at v keeps its type (``_Family.stretch``), the
+    type's node lines are made once (``rootsys.kp_along``).  A stretch
+    of several spaces is stated again at its last member, which must
+    give the first statement moved along its slope: a datum that is not
+    affine raises ``ValueError``, never gives a wrong k_P."""
+    family = FAMILIES[symbol]
+    if values is None:
+        root, m, _ = family.stretch()
+        (kp, _), = kp_along(root, m, None, (0,))
+        assert _EXCEPTIONAL[symbol][3] == (family.dim() - kp, kp), symbol
+        return [SpaceInstance(symbol, (), family.dim(), root.rank, kp)]
+    out, dim, v = [], family.dim, values.start
+    while v < values.stop:
+        root, m, slope = family.stretch(*prefix, v)
+        piece = range(v, v + 1 if slope is None else values.stop)
+        steps = len(piece) - 1
+        if steps and family.stretch(*prefix, piece[-1]) != (root, tuple(
+                a + b * steps for a, b in zip(m, slope)), slope):
+            raise ValueError(f"{_label(symbol, (*prefix, v))}: the root "
+                             "datum is not affine in the last parameter "
+                             f"up to {piece[-1]}")
+        kps = kp_along(root, m, slope, range(len(piece)))
+        for w, (kp, _) in zip(piece, kps):
+            out.append(SpaceInstance(symbol, (*prefix, w), dim(*prefix, w),
+                                     root.rank, kp))
+        v = piece.stop
+    return out
 
 
 class ProductSpace(value_tuple("ProductSpace", "factors")):
@@ -467,19 +481,25 @@ _catalog_dim = 0
 def _build_catalog(max_dim: int) -> List[SpaceInstance]:
     """Every canonical space with dim <= max_dim, in (symbol, params) order.
 
-    The families are swept in symbol order, each in parameter order
-    (``_Family.sweep``), so the spaces come out in order, unsorted.  The
-    family's special and product isomorphisms are skipped; every other
-    presentation is built by the uncached ``build_space``, so a build
-    leaves ``instantiate``'s cache empty.  The spaces share their root
-    data, interned by ``rootsys``, and each type's node table.
+    The families are swept in symbol order, each as its runs in
+    parameter order (``_Family._runs``: a prefix and a range of the last
+    parameter), so the spaces come out in order, unsorted.  A run is cut
+    around the presentations named by a special or product isomorphism,
+    and each piece is built by ``_build_run`` a stretch at a time: the
+    root data and the node lines are made once per stretch, not once
+    per space, and a build leaves ``instantiate``'s cache empty.
     """
     out = []
     for symbol in sorted(FAMILIES):
-        skip = {params for s, params in _NOT_CANONICAL if s == symbol}
-        out += [build_space(symbol, params)
-                for params in FAMILIES[symbol].sweep(max_dim)
-                if params not in skip]
+        for prefix, rest in FAMILIES[symbol]._runs(max_dim):
+            if not rest:                      # no parameters
+                out += _build_run(symbol, prefix, None)
+            for values in rest:
+                cuts = sorted(p[-1] for s, p in _NOT_CANONICAL if s == symbol
+                              and p[:-1] == prefix and p[-1] in values)
+                for start, stop in zip([values.start, *(v + 1 for v in cuts)],
+                                       [*cuts, values.stop]):
+                    out += _build_run(symbol, prefix, range(start, stop))
     # a space's first fields are its name, and one name makes one space,
     # so this asserts that the names strictly increase
     assert all(map(lt, out, out[1:]))
@@ -494,9 +514,9 @@ def enumerate_catalog(max_dim: int):
     special isomorphism are never emitted twice.
 
     The catalog is built once per process, for the largest max_dim asked
-    so far, by ``_build_catalog``, in one ordered pass.  Each call returns
-    a fresh list of the catalog's instances with dim <= max_dim, in its
-    (symbol, params) order.
+    so far, by ``_build_catalog``, a stretch of a run at a time.  Each
+    call returns a fresh list of the catalog's instances with dim <=
+    max_dim, in its (symbol, params) order.
     """
     global _catalog, _catalog_dim
     if max_dim < 1:

@@ -14,13 +14,13 @@ The roots whose j-th coefficient vanishes are the positive roots of the
 subsystem left by deleting node j of the Dynkin diagram (Bourbaki, Lie
 Groups and Lie Algebras, Ch. VI), so each node's count follows from the
 types of the pieces left, with no root enumerated, and k costs O(1) for
-a classical type (only four nodes can maximize) and O(rank) otherwise:
-this is ``kp_by_deletion``, the path the catalog uses.  Two independent
-oracles check it: direct enumeration of the positive roots
-(``zero_coeff_counts``, ``kp_enumerated``) and the published closed
-forms for k itself (``kp_closed_form``, with small-rank and exceptional
-gaps).  The catalog's many spaces share few root data: ``root_type`` and
-``mults`` intern them, and ``_node_counts`` is cached per root type.
+a classical type (only four nodes can maximize) and O(rank) otherwise.
+With multiplicities affine in a parameter x, each node's count is a line
+a_j + b_j*x: ``kp_along`` makes a type's node lines once for a stretch of
+x, as the catalog builds its spaces, and ``kp_by_deletion`` is the same
+form at one point.  Enumerating the positive roots (``zero_coeff_counts``,
+``kp_enumerated``) is its independent oracle.  ``root_type`` and
+``mults`` intern root data, and ``_node_counts`` is cached per type.
 
 >>> len(positive_roots(RootSystemType("E8")))
 120
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import add
-from typing import NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .values import value_tuple
 
@@ -323,15 +323,25 @@ class KpResult(NamedTuple):
     maximizer: int
 
 
-def _kp_over_nodes(t: RootSystemType, m: Multiplicities, rows) -> KpResult:
-    """k from rows (j, n_short, n_long, n_extra_long), in increasing j."""
+def _kp_along(rank: int, rows, m, dm, xs) -> List[Tuple[int, int]]:
+    """(k, j) at each x of xs, with multiplicities m + dm*x (m if dm is
+    None): row (j, n_short, n_long, n_extra_long) weighted by m and dm is
+    node j's line a + b*x; k = rank + max_j, j the least node reaching it."""
     m_s, m_l, m_xl = m
-    best, best_j = -1, 0
+    d_s, d_l, d_xl = dm or (0, 0, 0)
+    lines = []
     for j, n_s, n_l, n_xl in rows:
-        total = m_s * n_s + m_l * n_l + m_xl * n_xl
-        if total > best:
-            best, best_j = total, j
-    return KpResult(t.rank + best, best_j)
+        lines.append((j, m_s * n_s + m_l * n_l + m_xl * n_xl,
+                      d_s * n_s + d_l * n_l + d_xl * n_xl))
+    out = []
+    for x in xs:
+        best, best_j = -1, 0
+        for j, a, b in lines:
+            total = a + b * x
+            if total > best:
+                best, best_j = total, j
+        out.append((rank + best, best_j))
+    return out
 
 
 def kp_enumerated(t: RootSystemType, m: Multiplicities) -> KpResult:
@@ -340,8 +350,8 @@ def kp_enumerated(t: RootSystemType, m: Multiplicities) -> KpResult:
     Reports the smallest maximizing simple-root index.  Counts by
     enumerating every positive root; the oracle for ``kp_by_deletion``.
     """
-    return _kp_over_nodes(t, m, ((j, *zero_coeff_counts(t, j))
-                                 for j in range(1, t.rank + 1)))
+    rows = ((j, *zero_coeff_counts(t, j)) for j in range(1, t.rank + 1))
+    return KpResult(*_kp_along(t.rank, rows, m, None, (0,))[0])
 
 
 @lru_cache(maxsize=None)
@@ -358,42 +368,12 @@ def _node_counts(t: RootSystemType) -> Tuple[Tuple[int, int, int, int], ...]:
     return tuple((j, *deletion_counts(t, j)) for j in nodes)
 
 
+def kp_along(t: RootSystemType, m, dm, xs) -> List[Tuple[int, int]]:
+    """(k, maximizer) at each x of xs for t with the multiplicities m +
+    dm*x, from the node lines of t's node table, made once."""
+    return _kp_along(t.rank, _node_counts(t), m, dm, xs)
+
+
 def kp_by_deletion(t: RootSystemType, m: Multiplicities) -> KpResult:
-    """``kp_enumerated``'s result, from the type's node table (O(1) rows
-    for a classical type); this is still the one k formula."""
-    return _kp_over_nodes(t, m, _node_counts(t))
-
-
-def kp_closed_form(t: RootSystemType, m: Multiplicities) -> Optional[int]:
-    """Closed-form k where one exists, else None.
-
-    B/C/BC at ranks 2 and 3 and F4 with long multiplicity != 1 have no
-    closed form here and return None.
-    """
-    r = t.rank
-    s = t.symbol
-    if s == "A":
-        return r + r * (r - 1) // 2 * m.m_l
-    if s == "D":
-        return r + m.m_l * (r - 1) * (r - 2)
-    if s == "B":
-        if r < 4:
-            return None
-        return r + m.m_s * (r - 1) + m.m_l * (r - 1) * (r - 2)
-    if s == "C":
-        if r < 4:
-            return None
-        return r + m.m_s * (r - 1) * (r - 2) + m.m_l * (r - 1)
-    if s == "BC":
-        if 2 <= r < 4:
-            return None
-        if r == 1:
-            return 1
-        return r + (m.m_s + m.m_xl) * (r - 1) + m.m_l * (r - 1) * (r - 2)
-    if s == "F4":
-        return 7 + 6 * m.m_s if m.m_l == 1 else None
-    if s == "G2":
-        return 2 + max(m.m_s, m.m_l)
-    if s in ("E6", "E7", "E8"):
-        return r + m.m_l * {"E6": 20, "E7": 36, "E8": 63}[s]
-    raise AssertionError(s)
+    """``kp_enumerated``'s result: ``kp_along`` at one point."""
+    return KpResult(*kp_along(t, m, None, (0,))[0])

@@ -11,13 +11,15 @@ from fractions import Fraction
 from symcart.catalog import (EXCEPTIONAL_SYMBOLS, ProductSpace,
                              classical_presentations, enumerate_catalog,
                              instantiate, product_kp, reference_classical,
-                             reference_exceptional, sharp)
+                             reference_exceptional)
 from symcart.geom import connectivity, min_meridian_codim, trace_bound
 from symcart.homotopy import consistency_violations
 from symcart.recognize import INDISTINGUISHABLE, UNDETERMINED, \
     corollary1_scan
 from symcart.rootsys import Multiplicities, RootSystemType, kp_by_deletion, \
-    kp_closed_form, kp_enumerated
+    kp_enumerated
+
+from oracles import kp_closed_form, sharp
 
 
 def _report(ok, name, detail=""):

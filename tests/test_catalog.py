@@ -12,16 +12,21 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symcart
-from symcart.catalog import (EXCEPTIONAL_SYMBOLS, FAMILIES, ConstraintError,
-                             ProductSpace, ReducibleError,
+from symcart.catalog import (EXCEPTIONAL_SYMBOLS, FAMILIES, GRASSMANNIANS,
+                             ConstraintError, ProductSpace, ReducibleError,
                              SPECIAL_ISOMORPHISMS, SpaceInstance, build_space,
                              classical_presentations,
                              enumerate_catalog, instantiate, product_kp,
                              reference_classical, reference_exceptional,
-                             sharp, _build_catalog)
+                             _NOT_CANONICAL, _build_catalog, _build_run)
 from symcart.regions import regions
+from symcart.rootsys import (Multiplicities, RootSystemType, kp_by_deletion,
+                             kp_enumerated)
+
+from oracles import classical_datum, sharp
 
 
 @pytest.mark.parametrize("symbol,params", [("S", (12,)), ("AIII", (2, 5)),
@@ -242,6 +247,108 @@ def test_bulk_build_lists_what_instantiate_keeps(max_dim):
     assert _build_catalog(max_dim) == _catalog_by_instantiate(max_dim)
 
 
+def test_kp_at_the_builds_scale_against_the_published_rows():
+    """Every space of the dim-1500 catalog, past criterion 1's parameter
+    30: a classical one has its published (d_P, k_P, C_P) wherever a row
+    covers it, an exceptional one its published pair, and a sphere S^n
+    has (n - 1, 1)."""
+    spaces = enumerate_catalog(1500)
+    rows = 0
+    for s in spaces:
+        if s.symbol == "S":
+            assert (s.dp, s.kp) == (s.params[0] - 1, 1), s
+        elif s.symbol in EXCEPTIONAL_SYMBOLS:
+            assert (s.dp, s.kp) == reference_exceptional(s.symbol), s
+        else:
+            ref = reference_classical(s.symbol, s.params)
+            if ref is not None:
+                assert (s.dp, s.kp, s.cp) == ref, s
+                rows += 1
+    assert (len(spaces), rows) == (9605, 6966)
+
+
+# every canonical classical presentation to dim 1500
+_PRESENTATIONS = [(symbol, params) for symbol in FAMILIES
+                  if FAMILIES[symbol].smallest and symbol != "S"
+                  for params in FAMILIES[symbol].sweep(1500)
+                  if (symbol, params) not in _NOT_CANONICAL]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_PRESENTATIONS))
+def test_a_run_of_one_is_its_member_of_a_long_run(presentation):
+    """``instantiate`` builds a run of one; the catalog built to its dim
+    reads the same space from a long run, and both have the oracle
+    datum's k, by deletion and, up to rank 10, by enumeration."""
+    symbol, params = presentation
+    s = instantiate(symbol, params)
+    assert [t for t in _build_catalog(s.dim)
+            if (t.symbol, t.params) == presentation] == [s]
+    t, m = classical_datum(symbol, params)
+    assert (s.rank, s.kp) == (t.rank, kp_by_deletion(t, m).value)
+    if t.rank <= 10:
+        assert s.kp == kp_enumerated(t, m).value
+
+
+def test_each_grassmannian_stretch_moves_to_the_oracle_datum():
+    """The builder reads Gr(F,p,p+q) at q > p from the datum stated at q
+    = p + 1, moved along its slope; at every canonical (p, q) to dim
+    1500 that gives the published datum, as does the statement at (p, q)
+    itself."""
+    checked = 0
+    for symbol, _ in GRASSMANNIANS.values():
+        family = FAMILIES[symbol]
+        for p, q in family.sweep(1500):
+            if (symbol, (p, q)) in _NOT_CANONICAL:
+                continue
+            start = q if q == p else p + 1
+            root, m, slope = family.stretch(p, start)
+            moved = tuple(a + b * (q - start) for a, b in zip(m, slope or (
+                0, 0, 0)))
+            assert (root, moved) == classical_datum(symbol, (p, q))
+            assert family.stretch(p, q)[:2] == (root, moved)
+            checked += 1
+    assert checked == 7830
+
+
+def test_a_datum_that_is_not_affine_raises(monkeypatch):
+    """A family that claims a slope its datum does not keep, here m_s =
+    (q - p)^2 for Gr(R,p,p+q), fails the restatement at a stretch's last
+    member: the build raises rather than read a wrong k_P.  A run of one
+    reads the datum at its own point."""
+    bdi = FAMILIES["BDI"]
+
+    def squared(p, q):
+        root, m, slope = bdi.stretch(p, q)
+        return (root, Multiplicities((q - p) ** 2, 1, 0), slope) if slope \
+            else (root, m, slope)
+
+    monkeypatch.setitem(FAMILIES, "BDI", bdi._replace(stretch=squared))
+    with pytest.raises(ValueError, match=r"BDI\(4,5\): the root datum is "
+                       "not affine in the last parameter up to 9"):
+        _build_run("BDI", (4,), range(4, 10))
+    with pytest.raises(ValueError, match="not affine"):
+        _build_catalog(100)
+    assert build_space("BDI", (4, 9)).kp == kp_by_deletion(
+        RootSystemType("B", 4), Multiplicities(25, 1, 0)).value
+
+
+@pytest.mark.parametrize("symbol, prefix, values", [
+    ("BDI", (4,), range(4, 12)), ("AIII", (3,), range(3, 12)),
+    ("CII", (2,), range(2, 9)), ("AIII", (2,), range(2, 9)),
+    ("Spin", (), range(7, 20)), ("DIII", (), range(5, 18))])
+def test_a_run_across_a_change_of_type_is_read_per_space(symbol, prefix,
+                                                          values):
+    """A run crossing q = p -> q > p, or Spin's and DIII's parity
+    changes, gives each space the k_P of its own datum."""
+    run = _build_run(symbol, prefix, values)
+    assert [s.params for s in run] == [(*prefix, v) for v in values]
+    for s in run:
+        t, m = classical_datum(symbol, s.params)
+        assert (s.dim, s.rank, s.kp) == (FAMILIES[symbol].dim(*s.params),
+                                         t.rank, kp_by_deletion(t, m).value)
+
+
 def test_one_sweep_lists_and_counts_what_recursion_finds():
     """Each family's runs, and each region's running family's, list the
     tuples that recursion over the parameters finds, and count as many,
@@ -260,7 +367,10 @@ def test_one_sweep_lists_and_counts_what_recursion_finds():
 
 _WORK_COUNT = """
 import json
+from itertools import groupby
 from symcart import catalog, rootsys
+from symcart.rootsys import RootSystemType
+from oracles import classical_datum
 
 counted = rootsys.deletion_counts
 calls = []
@@ -269,42 +379,87 @@ def recording(t, j):
     calls.append((t, j))
     return counted(t, j)
 
+results = []
+
+class CountedKpResult(rootsys.KpResult):
+    def __new__(cls, *fields):
+        results.append(fields)
+        return super().__new__(cls, *fields)
+
+statements = []
+
+def stating(symbol, stretch):
+    def statement(*params):
+        statements.append((symbol, params))
+        return stretch(*params)
+    return statement
+
 rootsys.deletion_counts = recording
+rootsys.KpResult = CountedKpResult
+for symbol, family in catalog.FAMILIES.items():
+    catalog.FAMILIES[symbol] = family._replace(
+        stretch=stating(symbol, family.stretch))
+interned = {f.__name__: f.cache_info() for f in (rootsys.root_type,
+                                                  rootsys.mults)}
 spaces = catalog.enumerate_catalog(1500)
 caches = {f.__name__: f.cache_info()._asdict() for f in
           (catalog.instantiate, rootsys._node_counts, rootsys.root_type,
            rootsys.mults)}
-data = [catalog._CLASSICAL[s.symbol].datum(*s.params)
-        if s.symbol in catalog._CLASSICAL else catalog._EXCEPTIONAL[s.symbol][1:3]
-        for s in spaces if s.symbol != "S"]
-types = {t for t, m in data}
-print(json.dumps({"spaces": len(spaces), "caches": caches,
-                  "calls": len(calls), "deletion_keys": len(set(calls)),
-                  "candidate_nodes": sum(
-                      4 if t.symbol in rootsys.CLASSICAL_SYMBOLS and t.rank > 4
-                      else t.rank for t in types),
-                  "types": len(types), "mults": len({m for t, m in data})}))
+
+def root(s):
+    if s.symbol == "S":
+        return RootSystemType("A", 1)
+    if s.symbol in catalog.EXCEPTIONAL_SYMBOLS:
+        return catalog._EXCEPTIONAL[s.symbol][1]
+    return classical_datum(s.symbol, s.params)[0]
+
+# a stretch: consecutive spaces of one family and prefix, of one type
+stretches = [len(list(group)) for _, group in groupby(
+    spaces, lambda s: (s.symbol, s.params[:-1], root(s)))]
+types = {root(s) for s in spaces}
+print(json.dumps({
+    "spaces": len(spaces), "caches": caches, "kp_results": len(results),
+    "statements": len(statements), "stretches": len(stretches),
+    "long_stretches": sum(n > 1 for n in stretches),
+    "interned": {name: caches[name]["hits"] + caches[name]["misses"]
+                 - info.hits - info.misses for name, info in interned.items()},
+    "calls": len(calls), "deletion_keys": len(set(calls)),
+    "candidate_nodes": sum(
+        4 if t.symbol in rootsys.CLASSICAL_SYMBOLS and t.rank > 4
+        else t.rank for t in types),
+    "types": len(types)}))
 """
 
 
 def test_catalog_build_work_counts_in_a_fresh_interpreter():
     """The catalog and the caches are per process, so this counts one
-    build from a cold start: it fills no instantiate() cache, builds one
-    node table per root type, whose rows count each candidate node of
-    the type once (1, r-2, r-1, r for a classical type of rank above 4,
-    else every node), and builds each distinct root datum once."""
-    env = dict(os.environ, PYTHONPATH=str(Path(symcart.__file__).parents[1]))
+    build from a cold start.  It fills no instantiate() cache and builds
+    no KpResult.  Its stretches -- runs of consecutive spaces of one
+    family, prefix and root type, counted from the spaces with the
+    oracle's data -- each state their datum once, and once more at their
+    last member if they hold several spaces, intern their root data with
+    that statement and read one node table: one table is built per root
+    type, whose rows count each candidate node of the type once (1, r-2,
+    r-1, r for a classical type of rank above 4, else every node)."""
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(symcart.__file__).parents[1]), str(tests)]))
     out = json.loads(subprocess.run(
         [sys.executable, "-c", _WORK_COUNT], env=env, capture_output=True,
         text=True, check=True).stdout)
     caches = out["caches"]
     assert caches["instantiate"]["currsize"] == 0
+    assert out["kp_results"] == 0
+    assert (out["spaces"], out["stretches"], out["long_stretches"]) == (
+        9605, 436, 81)
+    assert out["statements"] == out["stretches"] + out["long_stretches"]
     tables = caches["_node_counts"]
-    assert tables["misses"] == out["types"] < tables["hits"]
+    assert tables["misses"] == out["types"]
+    assert tables["hits"] + tables["misses"] == out["stretches"]
+    # the exceptional data are interned on import, not by the build
+    stated = out["statements"] - len(EXCEPTIONAL_SYMBOLS)
+    assert out["interned"] == {"root_type": stated, "mults": stated}
     assert out["calls"] == out["deletion_keys"] == out["candidate_nodes"]
-    assert caches["root_type"]["misses"] == out["types"]
-    assert caches["mults"]["misses"] == out["mults"]
-    assert out["types"] + out["mults"] < out["spaces"]
 
 
 def test_valid_is_codimension_budget_at_least_one():

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from symcart import geom
-from symcart.catalog import enumerate_catalog, instantiate, sharp
+from symcart.catalog import enumerate_catalog, instantiate
 from symcart.geom import (HypothesisSet, ITEM1, ITEM2, ITEM3, ITEM4,
                           NOT_APPLICABLE, connectivity, index_lower_bound,
                           meridian_codim, min_meridian_codim, theorem_a_gate,
                           theorem_b_check, trace_bound)
+
+from oracles import sharp
 
 
 def test_connectivity_equals_sharp():

@@ -6,8 +6,10 @@ import pytest
 
 from symcart.rootsys import (EXTRA_LONG, LONG, SHORT, KpResult,
                              Multiplicities, RootSystemType, _closure_roots,
-                             deletion_counts, kp_by_deletion, kp_closed_form,
+                             deletion_counts, kp_along, kp_by_deletion,
                              kp_enumerated, positive_roots, zero_coeff_counts)
+
+from oracles import kp_closed_form
 
 
 def _count(symbol, rank=0):
@@ -174,6 +176,22 @@ def test_classical_kp_by_deletion_equals_the_scan_over_every_node():
                 best = max(totals)
                 assert kp_by_deletion(t, m) == \
                     KpResult(r + best, totals.index(best) + 1), (t, m)
+
+
+def test_kp_along_lines_is_kp_enumerated_at_each_point():
+    """With multiplicities m + dm*x each node's count is a line in x; k
+    read along the lines equals k enumerated at each point's own
+    multiplicities, value and smallest maximizing node."""
+    slopes = [((1, 1, 0), (1, 0, 0)), ((2, 2, 1), (2, 0, 0)),
+              ((4, 3, 3), (4, 0, 0)), ((0, 1, 0), (0, 1, 0)),
+              ((3, 0, 1), (0, 2, 1))]
+    for symbol, rank in (("A", 3), ("B", 2), ("B", 7), ("BC", 1),
+                         ("BC", 6), ("C", 5), ("D", 6), ("F4", 0)):
+        t = RootSystemType(symbol, rank)
+        for m, dm in slopes:
+            assert list(kp_along(t, m, dm, range(9))) == [
+                tuple(kp_enumerated(t, Multiplicities(*(
+                    a + b * x for a, b in zip(m, dm))))) for x in range(9)]
 
 
 def test_kp_examples():
